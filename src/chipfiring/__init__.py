@@ -31,6 +31,7 @@ from .errors import (
     NonTerminationError,
     PoleError,
     PropertyViolationError,
+    SettingError,
     SizeCapError,
 )
 from .graph import (

@@ -255,11 +255,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "cap", None) is not None:
-        if args.cap < 1:
-            print("error: --cap must be positive", file=sys.stderr)
-            return USAGE_ERROR
-        os.environ["CFG_CAP_CELLS"] = str(args.cap)
+    cap = getattr(args, "cap", None)
+    if cap is None:
+        return _run(args)
+    if cap < 1:
+        print("error: --cap must be positive", file=sys.stderr)
+        return USAGE_ERROR
+    # the cap reaches the library through CFG_CAP_CELLS for this call only
+    previous = os.environ.get("CFG_CAP_CELLS")
+    os.environ["CFG_CAP_CELLS"] = str(cap)
+    try:
+        return _run(args)
+    finally:
+        if previous is None:
+            os.environ.pop("CFG_CAP_CELLS", None)
+        else:
+            os.environ["CFG_CAP_CELLS"] = previous
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except SizeCapError as exc:

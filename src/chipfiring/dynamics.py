@@ -213,11 +213,51 @@ def is_stable(g: MultiDigraph, c: Configuration) -> bool:
     )
 
 
-def firing_bound(g: MultiDigraph, c: Configuration) -> int:
-    """Crude certified bound on the number of firings of a convergent game."""
+def firing_bound(g: MultiDigraph, total: int) -> int:
+    """Crude certified bound on the number of firings of a convergent game
+    started from ``total`` chips; it grows with ``total``."""
     n = g.n_vertices
-    max_out = max((g.outdeg(v) for v in g.vertices), default=0)
-    return (c.total() + g.n_arcs) * max(n, 1) * (max_out + 1) * 2**n
+    max_out = max((out for _, out, _, _ in g._firing_table), default=0)
+    return (total + g.n_arcs) * max(n, 1) * (max_out + 1) * 2**n
+
+
+def _movers(g: MultiDigraph, sink: int | None) -> list:
+    """Firing-table rows of the vertices that may fire: not the sink, and
+    holding a non-loop out-arc."""
+    return [row for row in g._firing_table if row[0] != sink and row[2]]
+
+
+def _settle(chips: list[int], movers: list, bound: int) -> list[int]:
+    """Fire ``movers`` until none is firable; return per-vertex firing counts.
+
+    ``chips`` is indexed by canonical vertex index and is updated in place.
+    Chips sent to a vertex that is not a mover stay on it, so a sink's slot
+    collects what the sink game loses.  Sweeps in canonical order, firing each
+    vertex to exhaustion in one batch; more than ``bound`` firings in total
+    raise NonTerminationError.
+    """
+    counts = [0] * len(chips)
+    fired = 0
+    progress = True
+    while progress:
+        progress = False
+        for v, out, drop, neighbors in movers:
+            x = chips[v]
+            if x < out:
+                continue
+            # batched consecutive firings of v; identical to firing one by one
+            k = (x - out) // drop + 1
+            chips[v] = x - k * drop
+            for u, m in neighbors:
+                chips[u] += k * m
+            counts[v] += k
+            fired += k
+            progress = True
+            if fired > bound:
+                raise NonTerminationError(
+                    f"more than {bound} firings; the host graph has no global sink"
+                )
+    return counts
 
 
 def stabilize(g: MultiDigraph, c: Configuration) -> tuple[Configuration, FiringRecord]:
@@ -231,44 +271,14 @@ def stabilize(g: MultiDigraph, c: Configuration) -> tuple[Configuration, FiringR
     exceeds the certified bound the game cannot converge and an error is raised.
     """
     _check_host(g, c)
-    slot = c._slot
     chips = list(c.chips)
-    counts = dict.fromkeys(g.vertices, 0)
-    sink = c.sink
-    vanished = 0
-
-    active = []
-    for v in c.domain:
-        out = g.outdeg(v)
-        if out - g.loops_at(v) >= 1:
-            active.append((v, out, out - g.loops_at(v)))
-
-    bound = firing_bound(g, c)
-    fired_total = 0
-    progress = True
-    while progress:
-        progress = False
-        for v, out, drop in active:
-            i = slot[v]
-            if chips[i] < out:
-                continue
-            # batched consecutive firings of v; identical to firing one by one
-            k = (chips[i] - out) // drop + 1
-            chips[i] -= k * drop
-            for u in g.out_neighbors(v):
-                gain = k * g.multiplicity(v, u)
-                if u == sink:
-                    vanished += gain
-                else:
-                    chips[slot[u]] += gain
-            counts[v] += k
-            fired_total += k
-            progress = True
-            if fired_total > bound:
-                raise NonTerminationError(
-                    f"more than {bound} firings; the host graph has no global sink"
-                )
-    record = FiringRecord(g.vertices, tuple(counts[v] for v in g.vertices), vanished)
+    sink = None
+    if c.sink is not None:
+        sink = g.vertex_index(c.sink)
+        chips.insert(sink, 0)
+    counts = _settle(chips, _movers(g, sink), firing_bound(g, c.total()))
+    vanished = 0 if sink is None else chips.pop(sink)
+    record = FiringRecord(g.vertices, tuple(counts), vanished)
     return Configuration(c.host, c.sink, tuple(chips)), record
 
 

@@ -25,6 +25,10 @@ class SizeCapError(ChipFiringError):
     """The requested exhaustive computation exceeds the configured size cap."""
 
 
+class SettingError(ChipFiringError, ValueError):
+    """An environment setting, such as CFG_CAP_CELLS, has an invalid value."""
+
+
 class HypothesisError(ChipFiringError, ValueError):
     """A recursion-formula site does not satisfy the formula's hypothesis."""
 

@@ -13,9 +13,12 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import GraphError
+from .errors import GraphError, SizeCapError
 
 Arc = tuple[str, str]
+
+# parse_edge_list refuses inputs above this many arcs before materializing them
+MAX_ARCS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,27 @@ class MultiDigraph:
         for arc in self.arcs:
             d[arc] = d.get(arc, 0) + 1
         return d
+
+    @cached_property
+    def _firing_table(self) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]:
+        """Integer index form read by the firing kernel in ``dynamics``.
+
+        Row i is ``(i, outdeg, loopless outdeg, ((neighbor index, multiplicity), ...))``
+        for the i-th canonical vertex; neighbors are in canonical order, loops left out.
+        """
+        index = self._index
+        rows: list[dict[int, int]] = [{} for _ in self.vertices]
+        for (tail, head), m in self._mult.items():
+            rows[index[tail]][index[head]] = m
+        return tuple(
+            (
+                i,
+                sum(row.values()),
+                sum(row.values()) - row.get(i, 0),
+                tuple(sorted((j, m) for j, m in row.items() if j != i)),
+            )
+            for i, row in enumerate(rows)
+        )
 
     def outdeg(self, v: str) -> int:
         """Out-degree including loops."""
@@ -320,7 +344,7 @@ def parse_edge_list(text: str) -> MultiDigraph:
     Comment lines start with '#'.  Every other nonempty line is
     ``tail head [multiplicity]`` separated by whitespace; multiplicity defaults
     to 1.  The vertex set is the union of mentioned tokens in first-appearance
-    order.
+    order.  More than ``MAX_ARCS`` arcs in total is refused with SizeCapError.
     """
     arcs: list[Arc] = []
     order: dict[str, None] = {}
@@ -340,6 +364,8 @@ def parse_edge_list(text: str) -> MultiDigraph:
                 raise GraphError(f"line {lineno}: multiplicity {parts[2]!r} is not an integer") from None
             if mult < 1:
                 raise GraphError(f"line {lineno}: multiplicity must be positive, got {mult}")
+        if len(arcs) + mult > MAX_ARCS:
+            raise SizeCapError(f"line {lineno}: the graph has more than {MAX_ARCS} arcs")
         order.setdefault(tail, None)
         order.setdefault(head, None)
         arcs.extend([(tail, head)] * mult)

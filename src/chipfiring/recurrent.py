@@ -3,8 +3,9 @@
 On an Eulerian host the burning test decides recurrence: c is recurrent iff
 adding one sink firing's worth of chips and stabilizing returns c, in which
 case every non-sink vertex fires exactly once.  Enumeration exhausts the
-stable cube prod_v [0, outdeg(v)-1] with that filter and cross-checks the count
-against the reduced-Laplacian determinant.
+stable cube prod_v [0, outdeg(v)-1] with that filter, run on plain integer
+lists by the firing kernel of ``dynamics``, and cross-checks the count against
+the reduced-Laplacian determinant.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .dynamics import Configuration, add, beta, stabilize
-from .errors import ConfigurationError, GraphError, InternalCheckError, SizeCapError
+from .dynamics import Configuration, _movers, _settle, add, beta, firing_bound, stabilize
+from .errors import ConfigurationError, GraphError, InternalCheckError, SettingError, SizeCapError
 from .graph import MultiDigraph, is_eulerian, remove_loops
 
 DEFAULT_CELL_CAP = 20_000_000
@@ -24,7 +25,16 @@ DEFAULT_CELL_CAP = 20_000_000
 
 def cell_cap() -> int:
     """Enumeration cap in stable-cube cells; override with CFG_CAP_CELLS."""
-    return int(os.environ.get("CFG_CAP_CELLS", DEFAULT_CELL_CAP))
+    raw = os.environ.get("CFG_CAP_CELLS")
+    if raw is None:
+        return DEFAULT_CELL_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise SettingError(f"CFG_CAP_CELLS must be a positive integer, got {raw!r}")
+    return cap
 
 
 # --------------------------------------------------------------------- algebra
@@ -110,23 +120,34 @@ def is_recurrent(g: MultiDigraph, s: str, c: Configuration) -> bool:
 def _recurrent_vectors(g: MultiDigraph, s: str) -> tuple[tuple[int, ...], ...]:
     """Chip vectors of all recurrent configurations, in lexicographic order."""
     _require_eulerian(g)
-    domain = tuple(v for v in g.vertices if v != s)
-    bounds = [g.outdeg(v) for v in domain]
+    sink = g.vertex_index(s)
+    bounds = [g.outdeg(v) for v in g.vertices]
+    bounds[sink] = 1
     cells = math.prod(bounds)
-    if cells > cell_cap():
+    cap = cell_cap()
+    if cells > cap:
         raise SizeCapError(
-            f"stable cube has {cells} cells, above the cap of {cell_cap()}; "
+            f"stable cube has {cells} cells, above the cap of {cap}; "
             "use a smaller instance or raise CFG_CAP_CELLS"
         )
-    b = beta(g, s)
+    movers = _movers(g, sink)
+    beta_row = g._firing_table[sink][3]
+    # one bound for all cells: the largest cell plus one sink firing
+    bound = firing_bound(g, sum(bounds) - len(bounds) + g.outdeg(s))
+    once = [1] * len(bounds)
+    once[sink] = 0
     found = []
+    # cells carry a 0 in the sink's slot; the burning run collects lost chips there
     for combo in itertools.product(*(range(k) for k in bounds)):
-        candidate = Configuration(g, s, combo)
-        result, record = stabilize(g, add(candidate, b))
-        if result.chips == combo:
-            if any(record.count(v) != 1 for v in domain):
+        chips = list(combo)
+        for u, m in beta_row:
+            chips[u] += m
+        counts = _settle(chips, movers, bound)
+        chips[sink] = 0
+        if tuple(chips) == combo:
+            if counts != once:
                 raise InternalCheckError("burning run did not fire each vertex exactly once")
-            found.append(combo)
+            found.append(combo[:sink] + combo[sink + 1 :])
     expected = recurrent_count(g, s)
     if len(found) != expected:
         raise InternalCheckError(
@@ -176,11 +197,14 @@ class RecurrentSet:
     def __contains__(self, c: Configuration) -> bool:
         return self.index(c) is not None
 
+    @cached_property
+    def _positions(self) -> dict[tuple[int, ...], int]:
+        return {member.chips: i for i, member in enumerate(self.configs)}
+
     def index(self, c: Configuration) -> int | None:
-        for i, member in enumerate(self.configs):
-            if member.chips == c.chips and member.sink == c.sink:
-                return i
-        return None
+        if c.sink != self.sink:
+            return None
+        return self._positions.get(c.chips)
 
     def to_json_dict(self) -> dict:
         return {

@@ -144,23 +144,39 @@ def test_exit_codes(graph_file, capsys, tmp_path):
     big = graph_file("\n".join(f"v{i} v{j}\nv{j} v{i}" for i in range(7) for j in range(i)), "big.txt")
     code, _, err = run(capsys, "oracle", big, "--which", "arborescences")
     assert code == 3
+    code, _, err = run(capsys, "info", graph_file(f"a b {10**30}\n", "huge.txt"))
+    assert code == 3 and "arcs" in err
     # non-Eulerian input to an Eulerian-only computation
     code, _, err = run(capsys, "recurrents", graph_file("a b\nb a\na b\n", "ne.txt"))
     assert code == 2 and "Eulerian" in err
 
 
-def test_cap_flag(graph_file, capsys):
+def test_cap_flag(graph_file, capsys, monkeypatch):
     import os
 
+    monkeypatch.delenv("CFG_CAP_CELLS", raising=False)
     # fresh vertex names so no cached enumeration can satisfy the request
     path = graph_file("x1 x2\nx2 x1\nx2 x3\nx3 x2\n", "path.txt")
-    try:
-        code, _, err = run(capsys, "recurrents", path, "--cap", "1")
-        assert code == 3 and "cap" in err
-    finally:
-        os.environ.pop("CFG_CAP_CELLS", None)
+    code, _, err = run(capsys, "recurrents", path, "--cap", "1")
+    assert code == 3 and "cap" in err
+    assert "CFG_CAP_CELLS" not in os.environ
     code, out, _ = run(capsys, "recurrents", path)
     assert code == 0
+    # a value set before the call is restored, not dropped
+    monkeypatch.setenv("CFG_CAP_CELLS", "1000")
+    path = graph_file("y1 y2\ny2 y1\ny2 y3\ny3 y2\n", "path2.txt")
+    code, _, _ = run(capsys, "recurrents", path, "--cap", "1")
+    assert code == 3 and os.environ["CFG_CAP_CELLS"] == "1000"
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_bad_cap_environment_value(graph_file, capsys, monkeypatch, value):
+    monkeypatch.setenv("CFG_CAP_CELLS", value)
+    # fresh vertex names so no cached enumeration skips the cap
+    path = graph_file(f"e{value} f{value}\nf{value} e{value}\n", "pair.txt")
+    code, out, err = run(capsys, "recurrents", path)
+    assert code == 2 and out == ""
+    assert "CFG_CAP_CELLS must be a positive integer" in err
 
 
 def test_output_is_byte_stable(graph_file, capsys):

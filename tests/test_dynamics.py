@@ -13,6 +13,7 @@ from chipfiring import (
     add,
     augment_sink,
     beta,
+    delete_out_arcs,
     fire,
     is_firable,
     is_stable,
@@ -182,6 +183,17 @@ def test_abelian_property_random_schedules(seed):
     shuffled, counts = _random_schedule_stabilize(g, c, rng)
     assert shuffled.chips == stable.chips
     assert counts == record.as_dict()
+    assert record.chips_to_sink == c.total() - stable.total()
+    # full domain on the host theta stabilizes against: chips pile up on s
+    host = delete_out_arcs(g, s)
+    full = Configuration.of(
+        host, {v: rng.randrange(0, 2 * g.outdeg(v) + 1) for v in g.vertices}
+    )
+    stable, record = stabilize(host, full)
+    shuffled, counts = _random_schedule_stabilize(host, full, rng)
+    assert shuffled.chips == stable.chips
+    assert counts == record.as_dict()
+    assert stable.total() == full.total() and record.chips_to_sink == 0
 
 
 @PROPERTY_SETTINGS

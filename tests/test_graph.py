@@ -182,3 +182,23 @@ def test_parse_edge_list():
         parse_edge_list("a b 0")
     with pytest.raises(GraphError):
         parse_edge_list("# nothing\n")
+
+
+def test_parse_edge_list_arc_cap():
+    from chipfiring import SizeCapError
+    from chipfiring.graph import MAX_ARCS
+
+    # refused before any arc list is built, whatever the multiplicity
+    for text in (f"a b {10**30}", f"a b {MAX_ARCS + 1}", f"a b {MAX_ARCS}\nb a 1"):
+        with pytest.raises(SizeCapError, match="more than"):
+            parse_edge_list(text)
+    assert parse_edge_list(f"a b {MAX_ARCS // 2}\nb a {MAX_ARCS // 2}").n_arcs == MAX_ARCS
+
+
+def test_firing_table_matches_queries():
+    for g in corpus():
+        for i, out, drop, neighbors in g._firing_table:
+            v = g.vertices[i]
+            assert out == g.outdeg(v) and drop == out - g.loops_at(v)
+            assert [g.vertices[j] for j, _ in neighbors] == list(g.out_neighbors(v))
+            assert all(m == g.multiplicity(v, g.vertices[j]) for j, m in neighbors)

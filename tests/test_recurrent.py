@@ -14,6 +14,8 @@ from chipfiring import (
     contract_vertices,
     delete_arcs,
     enumerate_recurrents,
+    fire,
+    is_firable,
     is_minimal,
     is_minimum,
     is_recurrent,
@@ -26,7 +28,12 @@ from chipfiring import (
     support_after_sink_fire,
 )
 from chipfiring.families import bidirected_complete, directed_cycle, parallel_pair
-from chipfiring.recurrent import bareiss_determinant, recurrent_count, reduced_laplacian
+from chipfiring.recurrent import (
+    _recurrent_vectors,
+    bareiss_determinant,
+    recurrent_count,
+    reduced_laplacian,
+)
 
 from support import corpus, small_corpus
 
@@ -94,6 +101,30 @@ def test_enumeration_cap(monkeypatch):
         enumerate_recurrents(K3, "s")
     monkeypatch.delenv("CFG_CAP_CELLS")
     _recurrent_vectors.cache_clear()
+
+
+def _burns_by_single_firings(g, s, combo):
+    """Burning test through single ``fire`` calls, independent of the firing kernel."""
+    c = add(Configuration(g, s, combo), beta(g, s))
+    while True:
+        firable = [v for v in c.domain if is_firable(g, c, v)]
+        if not firable:
+            return c.chips == combo
+        c = fire(g, c, firable[0])
+
+
+def test_enumeration_matches_single_firing_burning_test():
+    cells = 0
+    for g in corpus():
+        for s in g.vertices:
+            cube = itertools.product(*(range(g.outdeg(v)) for v in g.vertices if v != s))
+            expected = []
+            for combo in cube:
+                cells += 1
+                if _burns_by_single_firings(g, s, combo):
+                    expected.append(combo)
+            assert _recurrent_vectors(g, s) == tuple(expected)
+    assert cells == 7_753
 
 
 def test_kappa_examples():
