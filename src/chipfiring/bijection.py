@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import Configuration, add_chips, augment_sink, restrict, stabilize
+from .dynamics import Configuration, _movers, _settle, firing_bound
 from .errors import ConfigurationError, InternalCheckError, PropertyViolationError
-from .graph import MultiDigraph, delete_out_arcs
+from .graph import MultiDigraph
 from .recurrent import enumerate_recurrents, is_recurrent, recurrent_count
 
 
@@ -38,43 +38,62 @@ class SwapResult:
         }
 
 
-def _swap_search(g: MultiDigraph, s1: str, s2: str, c: Configuration):
+def _swap_search(
+    g: MultiDigraph, s1: int, s2: int, chips: tuple[int, ...]
+) -> tuple[int, list[int]]:
     """Find the least i with stabilized chip count outdeg(s2) + i on s2.
 
-    Each increment reuses the previous stabilization: adding one chip to s1 and
-    stabilizing again equals stabilizing the freshly augmented configuration.
-    The search is certified to stop before the sandpile group order.
+    Integer core: ``s1`` and ``s2`` are vertex indices and ``chips`` is a
+    recurrent chip vector of the sink game with sink s1.  Returns the swap
+    number and the final full-domain state.  Firing every vertex but s2 on g's
+    own firing table is stabilization on ``delete_out_arcs(g, s2)``, with s2's
+    slot collecting the chips.  Each increment adds one chip to s1 and settles
+    the previous state, which equals stabilizing the freshly augmented
+    configuration.  The search is certified to stop before the sandpile group
+    order.
     """
-    if s1 == s2:
-        raise ConfigurationError("source and target sink must differ")
-    if not is_recurrent(g, s1, c):
-        raise ConfigurationError(f"input configuration is not recurrent for sink {s1!r}")
-    host = delete_out_arcs(g, s2)
-    target_base = g.outdeg(s2)
-    limit = recurrent_count(g, s2)
-    state, _ = stabilize(host, augment_sink(c, 0))
+    state = list(chips)
+    state.insert(s1, g.outdeg(g.vertices[s1]))
+    target_base = g.outdeg(g.vertices[s2])
+    limit = recurrent_count(g, g.vertices[s2])
+    movers = _movers(g, s2)
+    # one bound for the whole search: the chips present at its last increment
+    bound = firing_bound(g, sum(state) + limit)
+    _settle(state, movers, bound)
     i = 0
-    while state.chip(s2) != target_base + i:
+    while state[s2] != target_base + i:
         i += 1
         if i >= limit:
             raise InternalCheckError(
                 f"no swap number below the group order {limit}; this cannot happen"
             )
-        state, _ = stabilize(host, add_chips(state, s1))
+        state[s1] += 1
+        _settle(state, movers, bound)
     return i, state
+
+
+def _swap_sinks(g: MultiDigraph, s1: str, s2: str, c: Configuration) -> tuple[int, int]:
+    """Check the swap map's preconditions; return the vertex indices of s1 and s2."""
+    if s1 == s2:
+        raise ConfigurationError("source and target sink must differ")
+    if not is_recurrent(g, s1, c):
+        raise ConfigurationError(f"input configuration is not recurrent for sink {s1!r}")
+    return g.vertex_index(s1), g.vertex_index(s2)
 
 
 def swap_number(g: MultiDigraph, s1: str, s2: str, c: Configuration) -> int:
     """Least i such that augmenting by i and stabilizing toward s2 leaves
     outdeg(s2) + i chips on s2."""
-    i, _ = _swap_search(g, s1, s2, c)
+    i, _ = _swap_search(g, *_swap_sinks(g, s1, s2, c), c.chips)
     return i
 
 
 def theta(g: MultiDigraph, s1: str, s2: str, c: Configuration) -> SwapResult:
     """Transport c from sink s1 to sink s2, preserving the sum statistic."""
-    i, state = _swap_search(g, s1, s2, c)
-    image = restrict(state, s2)
+    i1, i2 = _swap_sinks(g, s1, s2, c)
+    i, state = _swap_search(g, i1, i2, c.chips)
+    del state[i2]
+    image = Configuration(c.host, s2, tuple(state))
     if not is_recurrent(g, s2, image):
         raise InternalCheckError("swap image is not recurrent; this cannot happen")
     if g.outdeg(s1) + c.total() != g.outdeg(s2) + image.total():

@@ -12,9 +12,9 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import bijection, lattice, recurrent, tutte
-from .dynamics import add, augment_sink, beta, stabilize
-from .errors import PropertyViolationError
-from .graph import MultiDigraph, delete_out_arcs, is_bridge, is_eulerian, reverse_partner
+from .dynamics import _movers, _settle, add, beta, firing_bound, stabilize
+from .errors import InternalCheckError, PropertyViolationError
+from .graph import MultiDigraph, is_bridge, is_eulerian, reverse_partner
 
 PROPERTIES = (
     "sink-independence",
@@ -97,6 +97,12 @@ def check_recursions(g: MultiDigraph) -> CheckReport:
 
 
 def check_theta(g: MultiDigraph) -> CheckReport:
+    """Sink-swap suite on chip vectors of the enumerated recurrent sets.
+
+    The sets are burning-tested and certified by the determinant count, so the
+    swap search runs on the integer core directly, and the image is recurrent
+    exactly when it is a member of the target sink's set.
+    """
     report = CheckReport("theta")
     recurrents = {s: recurrent.enumerate_recurrents(g, s) for s in g.vertices}
     max_swap = 0
@@ -104,29 +110,39 @@ def check_theta(g: MultiDigraph) -> CheckReport:
     images: dict[tuple[str, str, tuple[int, ...]], tuple[int, ...]] = {}
     for s1, s2 in itertools.permutations(g.vertices, 2):
         rs = recurrents[s1]
+        i1, i2 = g.vertex_index(s1), g.vertex_index(s2)
+        targets = recurrents[s2]._positions
+        back_movers = _movers(g, i1)
+        min_sum = min(rs.sums)
         swaps = []
-        for c in rs.configs:
-            result = bijection.theta(g, s1, s2, c)
-            swaps.append(result.swap_number)
-            images[(s1, s2, c.chips)] = result.image.chips
-            max_swap = max(max_swap, result.swap_number)
-            if recurrent.is_minimal(rs, c):
-                max_swap_minimal = max(max_swap_minimal, result.swap_number)
-            back = bijection.swap_number(g, s2, s1, result.image)
-            if back != result.swap_number:
-                report.fail(
-                    f"swap symmetry broke for {c} between {s1} and {s2}: "
-                    f"{result.swap_number} vs {back}"
-                )
-            round_trip, _ = stabilize(
-                delete_out_arcs(g, s1), augment_sink(result.image, result.swap_number)
-            )
-            if round_trip.chips != augment_sink(c, result.swap_number).chips:
-                report.fail(f"round trip did not return {c} augmented by {result.swap_number}")
-            if recurrent.is_minimum(rs, c) and result.swap_number != 0:
-                report.fail(f"minimum configuration {c} has swap number {result.swap_number}")
+        for c, total, minimal in zip(rs.configs, rs.sums, rs.minimal_flags):
+            k, state = bijection._swap_search(g, i1, i2, c.chips)
+            del state[i2]
+            image = tuple(state)
+            if image not in targets:
+                raise InternalCheckError("swap image is not recurrent; this cannot happen")
+            if total != g.outdeg(s2) + sum(image):
+                raise InternalCheckError("swap image does not preserve the sum statistic")
+            swaps.append(k)
+            images[(s1, s2, c.chips)] = image
+            max_swap = max(max_swap, k)
+            if minimal:
+                max_swap_minimal = max(max_swap_minimal, k)
+            back, _ = bijection._swap_search(g, i2, i1, image)
+            if back != k:
+                report.fail(f"swap symmetry broke for {c} between {s1} and {s2}: {k} vs {back}")
+            # the image augmented by k, stabilized toward s1, is c augmented by k
+            round_trip = list(image)
+            round_trip.insert(i2, g.outdeg(s2) + k)
+            _settle(round_trip, back_movers, firing_bound(g, sum(round_trip)))
+            expected = list(c.chips)
+            expected.insert(i1, g.outdeg(s1) + k)
+            if round_trip != expected:
+                report.fail(f"round trip did not return {c} augmented by {k}")
+            if total == min_sum and k != 0:
+                report.fail(f"minimum configuration {c} has swap number {k}")
         for (i, c), (j, d) in itertools.permutations(enumerate(rs.configs), 2):
-            if c.leq(d) and swaps[i] > swaps[j]:
+            if swaps[i] > swaps[j] and all(a <= b for a, b in zip(c.chips, d.chips)):
                 report.fail(f"swap numbers not monotone: {c} <= {d} but {swaps[i]} > {swaps[j]}")
         if len(set(images[(s1, s2, c.chips)] for c in rs.configs)) != len(rs.configs):
             report.fail(f"swap map is not injective from sink {s1} to {s2}")

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from .dynamics import Configuration, add, scale, stabilize
 from .errors import ConfigurationError, GraphError, InternalCheckError, SizeCapError
 from .graph import MultiDigraph, is_eulerian
-from .recurrent import (
-    bareiss_determinant,
-    cell_cap,
-    enumerate_recurrents,
-    reduced_laplacian,
-)
+from .recurrent import cell_cap, enumerate_recurrents, recurrent_count
 
 GENERAL_DIGRAPH_MAX_VERTICES = 4
 GENERAL_DIGRAPH_MAX_ARCS = 10
@@ -140,7 +135,7 @@ def class_representative(g: MultiDigraph, s: str, c: Configuration) -> Configura
     vector x, and the addition saturates every vertex, so stabilization lands
     on the recurrent member of c's class.
     """
-    n = abs(bareiss_determinant(reduced_laplacian(g, s)))
+    n = abs(recurrent_count(g, s))
     if n == 0:
         raise GraphError("degenerate host: the reduced Laplacian is singular")
     max_out = max((g.outdeg(v) for v in c.domain), default=1)

@@ -201,6 +201,18 @@ class RecurrentSet:
     def _positions(self) -> dict[tuple[int, ...], int]:
         return {member.chips: i for i, member in enumerate(self.configs)}
 
+    @cached_property
+    def minimal_flags(self) -> tuple[bool, ...]:
+        """Per member, in order: whether no other member is pointwise <= it."""
+        vectors = [c.chips for c in self.configs]
+        return tuple(
+            not any(
+                j != i and all(a <= b for a, b in zip(other, chips))
+                for j, other in enumerate(vectors)
+            )
+            for i, chips in enumerate(vectors)
+        )
+
     def index(self, c: Configuration) -> int | None:
         if c.sink != self.sink:
             return None
@@ -269,11 +281,7 @@ def _require_member(rs: RecurrentSet, c: Configuration) -> int:
 
 def is_minimal(rs: RecurrentSet, c: Configuration) -> bool:
     """No other member of the set is pointwise <= c."""
-    i = _require_member(rs, c)
-    for j, other in enumerate(rs.configs):
-        if j != i and all(a <= b for a, b in zip(other.chips, c.chips)):
-            return False
-    return True
+    return rs.minimal_flags[_require_member(rs, c)]
 
 
 def is_minimum(rs: RecurrentSet, c: Configuration) -> bool:

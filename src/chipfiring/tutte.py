@@ -27,10 +27,9 @@ from .graph import (
 from .polynomial import LaurentPolynomial
 from .recurrent import (
     _recurrent_vectors,
-    bareiss_determinant,
     enumerate_recurrents,
     kappa,
-    reduced_laplacian,
+    recurrent_count,
     support_after_sink_fire,
 )
 
@@ -139,7 +138,7 @@ def undirected_tutte_oracle(g: MultiDigraph) -> LaurentPolynomial:
 # ------------------------------------------------------------------ counting
 def arborescence_count(g: MultiDigraph, s: str) -> int:
     """Number of spanning arborescences oriented toward s (matrix-tree determinant)."""
-    return bareiss_determinant(reduced_laplacian(g, s))
+    return recurrent_count(g, s)
 
 
 def max_acyclic_unique_sink_count(g: MultiDigraph, s: str) -> int:

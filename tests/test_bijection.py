@@ -13,6 +13,8 @@ from chipfiring import (
     swap_number,
     theta,
 )
+from chipfiring.bijection import _swap_search
+from chipfiring.dynamics import add_chips
 from chipfiring.families import bidirected_complete, directed_cycle
 from chipfiring.recurrent import is_minimal, is_minimum
 
@@ -41,6 +43,35 @@ def test_swap_number_preconditions():
         swap_number(K3, "s", "s", cfg(K3, "s", a=1))
     with pytest.raises(ConfigurationError):
         swap_number(K3, "s", "a", cfg(K3, "s"))  # not recurrent
+    with pytest.raises(ConfigurationError):
+        theta(K3, "s", "s", cfg(K3, "s", a=1))
+    with pytest.raises(ConfigurationError):
+        theta(K3, "s", "a", cfg(K3, "s"))  # not recurrent
+
+
+def _reference_swap(g, s1, s2, c):
+    """The swap search on Configuration objects: add one chip to s1 and
+    stabilize on the graph with s2's out-arcs deleted, until s2 holds
+    outdeg(s2) + i chips."""
+    host = delete_out_arcs(g, s2)
+    state, _ = stabilize(host, augment_sink(c, 0))
+    i = 0
+    while state.chip(s2) != g.outdeg(s2) + i:
+        i += 1
+        state, _ = stabilize(host, add_chips(state, s1))
+    return i, state
+
+
+def test_integer_swap_search_matches_reference_loop():
+    searches = 0
+    for g in corpus():
+        for s1, s2 in itertools.permutations(g.vertices, 2):
+            i1, i2 = g.vertex_index(s1), g.vertex_index(s2)
+            for c in enumerate_recurrents(g, s1).configs:
+                i, state = _reference_swap(g, s1, s2, c)
+                assert _swap_search(g, i1, i2, c.chips) == (i, list(state.chips))
+                searches += 1
+    assert searches == 11_900
 
 
 def test_theta_examples():

@@ -36,6 +36,27 @@ def test_theta_report_observations():
     assert any("three-sink composition" in l for l in report.lines)
 
 
+THETA_REPORTS = {
+    "demo5.txt": [
+        "max swap number observed: 5",
+        "max swap number over minimal configurations: 0",
+        "three-sink composition agreed on 18/36 cases",
+    ],
+    "swapdemo.txt": [
+        "max swap number observed: 3",
+        "max swap number over minimal configurations: 1",
+        "three-sink composition agreed on 12/24 cases",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(THETA_REPORTS))
+def test_theta_report_lines_pinned(name):
+    report = run_check("theta", data_graph(name))
+    assert report.ok
+    assert report.lines == THETA_REPORTS[name]
+
+
 def test_max_sum_on_non_eulerian_is_observational():
     report = run_check("max-sum", NON_EULERIAN)
     assert report.ok  # open question: never asserted on non-Eulerian hosts

@@ -210,6 +210,17 @@ def test_minimal_minimum():
                 assert is_minimal(rs, c)
 
 
+def test_minimal_flags_match_pointwise_definition():
+    for g in corpus():
+        for s in g.vertices:
+            rs = enumerate_recurrents(g, s)
+            expected = tuple(
+                not any(d != c and d.leq(c) for d in rs.configs) for c in rs.configs
+            )
+            assert rs.minimal_flags == expected
+            assert tuple(is_minimal(rs, c) for c in rs.configs) == expected
+
+
 def test_count_matches_determinant_and_burning_uniqueness():
     for g in corpus()[:60]:
         for s in g.vertices:
