@@ -54,7 +54,6 @@ from .lattice import (
     conjecture1_check,
     equivalence_classes,
     firing_lattice,
-    lattice_membership,
     recurrent_definitional_test,
 )
 from .polynomial import LaurentPolynomial
@@ -72,7 +71,6 @@ from .recurrent import (
 from .tutte import (
     arborescence_count,
     check_recursion,
-    max_acyclic_unique_sink_count,
     pw_closed_form_check,
     tutte_gen,
     undirected_tutte_oracle,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import Configuration, _movers, _settle, firing_bound
+from .dynamics import Configuration, _movers, _settle
 from .errors import ConfigurationError, InternalCheckError, PropertyViolationError
 from .graph import MultiDigraph
 from .recurrent import enumerate_recurrents, is_recurrent, recurrent_count
@@ -57,9 +57,7 @@ def _swap_search(
     target_base = g.outdeg(g.vertices[s2])
     limit = recurrent_count(g, g.vertices[s2])
     movers = _movers(g, s2)
-    # one bound for the whole search: the chips present at its last increment
-    bound = firing_bound(g, sum(state) + limit)
-    _settle(state, movers, bound)
+    _settle(state, movers)
     i = 0
     while state[s2] != target_base + i:
         i += 1
@@ -68,7 +66,7 @@ def _swap_search(
                 f"no swap number below the group order {limit}; this cannot happen"
             )
         state[s1] += 1
-        _settle(state, movers, bound)
+        _settle(state, movers)
     return i, state
 
 

@@ -11,7 +11,7 @@ needs: stabilize against one sink while reading off the chip count on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import ConfigurationError, FiringError, NonTerminationError
 from .graph import MultiDigraph
@@ -213,31 +213,51 @@ def is_stable(g: MultiDigraph, c: Configuration) -> bool:
     )
 
 
-def firing_bound(g: MultiDigraph, total: int) -> int:
-    """Crude certified bound on the number of firings of a convergent game
-    started from ``total`` chips; it grows with ``total``."""
-    n = g.n_vertices
-    max_out = max((out for _, out, _, _ in g._firing_table), default=0)
-    return (total + g.n_arcs) * max(n, 1) * (max_out + 1) * 2**n
-
-
-def _movers(g: MultiDigraph, sink: int | None) -> list:
+# bounded, so long runs do not keep every graph they ever fired on alive
+@lru_cache(maxsize=256)
+def _movers(g: MultiDigraph, sink: int | None) -> tuple:
     """Firing-table rows of the vertices that may fire: not the sink, and
-    holding a non-loop out-arc."""
-    return [row for row in g._firing_table if row[0] != sink and row[2]]
+    holding a non-loop out-arc.
+
+    Also certifies that every game on them stops, whatever the chips: each
+    mover must reach a vertex that never fires (Björner and Lovász, 1992).
+    One backward search from those vertices decides it, in time linear in the
+    vertices plus the distinct arcs; a mover it misses raises
+    NonTerminationError naming that vertex.
+    """
+    table = g._firing_table
+    movers = tuple(row for row in table if row[0] != sink and row[2])
+    reached = [True] * len(table)
+    predecessors: list[list[int]] = [[] for _ in table]
+    for v, _, _, neighbors in movers:
+        reached[v] = False
+        for u, _ in neighbors:
+            predecessors[u].append(v)
+    stack = [v for v, done in enumerate(reached) if done]
+    while stack:
+        for v in predecessors[stack.pop()]:
+            if not reached[v]:
+                reached[v] = True
+                stack.append(v)
+    for v, *_ in movers:
+        if not reached[v]:
+            raise NonTerminationError(
+                f"vertex {g.vertices[v]!r} can fire but reaches no vertex that never fires "
+                "(a sink, or a vertex without a non-loop out-arc), so its game need not stop"
+            )
+    return movers
 
 
-def _settle(chips: list[int], movers: list, bound: int) -> list[int]:
+def _settle(chips: list[int], movers: tuple) -> list[int]:
     """Fire ``movers`` until none is firable; return per-vertex firing counts.
 
     ``chips`` is indexed by canonical vertex index and is updated in place.
     Chips sent to a vertex that is not a mover stay on it, so a sink's slot
     collects what the sink game loses.  Sweeps in canonical order, firing each
-    vertex to exhaustion in one batch; more than ``bound`` firings in total
-    raise NonTerminationError.
+    vertex to exhaustion in one batch.  ``movers`` must come from ``_movers``,
+    whose certificate guarantees that the sweeps stop.
     """
     counts = [0] * len(chips)
-    fired = 0
     progress = True
     while progress:
         progress = False
@@ -251,24 +271,21 @@ def _settle(chips: list[int], movers: list, bound: int) -> list[int]:
             for u, m in neighbors:
                 chips[u] += k * m
             counts[v] += k
-            fired += k
             progress = True
-            if fired > bound:
-                raise NonTerminationError(
-                    f"more than {bound} firings; the host graph has no global sink"
-                )
     return counts
 
 
 def stabilize(g: MultiDigraph, c: Configuration) -> tuple[Configuration, FiringRecord]:
     """Fire until no vertex is firable; returns the stable configuration and a record.
 
-    The effective host must converge: either c declares a sink (which never
-    fires), or g itself has a global sink, e.g. a ``delete_out_arcs`` result.
-    The schedule sweeps the domain in canonical vertex order, firing each vertex
-    to exhaustion; by the abelian property the outcome and the per-vertex
-    firing counts are schedule independent.  If the total number of firings
-    exceeds the certified bound the game cannot converge and an error is raised.
+    The effective host must converge: every vertex that can fire must reach
+    one that never fires, i.e. c's sink or a vertex without a non-loop out-arc
+    (on a ``delete_out_arcs`` result, the emptied vertex).  A host that fails
+    this is refused with NonTerminationError before any firing, whatever the
+    chips, since some configuration on it would fire forever.  The schedule
+    sweeps the domain in canonical vertex order, firing each vertex to
+    exhaustion; by the abelian property the outcome and the per-vertex firing
+    counts are schedule independent.
     """
     _check_host(g, c)
     chips = list(c.chips)
@@ -276,7 +293,7 @@ def stabilize(g: MultiDigraph, c: Configuration) -> tuple[Configuration, FiringR
     if c.sink is not None:
         sink = g.vertex_index(c.sink)
         chips.insert(sink, 0)
-    counts = _settle(chips, _movers(g, sink), firing_bound(g, c.total()))
+    counts = _settle(chips, _movers(g, sink))
     vanished = 0 if sink is None else chips.pop(sink)
     record = FiringRecord(g.vertices, tuple(counts), vanished)
     return Configuration(c.host, c.sink, tuple(chips)), record

@@ -18,7 +18,8 @@ class FiringError(ConfigurationError):
 
 
 class NonTerminationError(ChipFiringError, RuntimeError):
-    """Stabilization exceeded its certified firing bound (host has no global sink)."""
+    """A vertex that can fire reaches no vertex that never fires, so some game
+    on the host would not stop; raised before any firing."""
 
 
 class SizeCapError(ChipFiringError):

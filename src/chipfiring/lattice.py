@@ -13,10 +13,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .dynamics import Configuration, add, scale, stabilize
+from .dynamics import Configuration, add, beta, scale, stabilize
 from .errors import ConfigurationError, GraphError, InternalCheckError, SizeCapError
 from .graph import MultiDigraph, is_eulerian
-from .recurrent import cell_cap, enumerate_recurrents, recurrent_count
+from .recurrent import cell_cap, enumerate_recurrents, recurrent_count, reduced_laplacian
 
 GENERAL_DIGRAPH_MAX_VERTICES = 4
 GENERAL_DIGRAPH_MAX_ARCS = 10
@@ -100,10 +100,6 @@ class IntegerLattice:
         return True
 
 
-def lattice_membership(lattice: IntegerLattice, vector) -> bool:
-    return lattice.contains(vector)
-
-
 def firing_lattice(g: MultiDigraph, s: str, include_beta: bool = False) -> IntegerLattice:
     """Lattice of chip movements reachable by integer combinations of firings.
 
@@ -112,19 +108,10 @@ def firing_lattice(g: MultiDigraph, s: str, include_beta: bool = False) -> Integ
     sink-firing vector joins the generators; on Eulerian graphs it is already
     in their span.
     """
-    g.vertex_index(s)
-    others = [v for v in g.vertices if v != s]
-    generators = []
-    for v in others:
-        generators.append(
-            tuple(
-                -(g.outdeg(v) - g.loops_at(v)) if u == v else g.multiplicity(v, u)
-                for u in others
-            )
-        )
+    generators = [tuple(-x for x in row) for row in reduced_laplacian(g, s)]
     if include_beta:
-        generators.append(tuple(g.multiplicity(s, u) for u in others))
-    return IntegerLattice.from_generators(generators, len(others))
+        generators.append(beta(g, s).chips)
+    return IntegerLattice.from_generators(generators, g.n_vertices - 1)
 
 
 def class_representative(g: MultiDigraph, s: str, c: Configuration) -> Configuration:

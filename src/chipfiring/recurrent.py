@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .dynamics import Configuration, _movers, _settle, add, beta, firing_bound, stabilize
+from .dynamics import Configuration, _movers, _settle, add, beta, stabilize
 from .errors import ConfigurationError, GraphError, InternalCheckError, SettingError, SizeCapError
 from .graph import MultiDigraph, is_eulerian, remove_loops
 
@@ -132,8 +132,6 @@ def _recurrent_vectors(g: MultiDigraph, s: str) -> tuple[tuple[int, ...], ...]:
         )
     movers = _movers(g, sink)
     beta_row = g._firing_table[sink][3]
-    # one bound for all cells: the largest cell plus one sink firing
-    bound = firing_bound(g, sum(bounds) - len(bounds) + g.outdeg(s))
     once = [1] * len(bounds)
     once[sink] = 0
     found = []
@@ -142,7 +140,7 @@ def _recurrent_vectors(g: MultiDigraph, s: str) -> tuple[tuple[int, ...], ...]:
         chips = list(combo)
         for u, m in beta_row:
             chips[u] += m
-        counts = _settle(chips, movers, bound)
+        counts = _settle(chips, movers)
         chips[sink] = 0
         if tuple(chips) == combo:
             if counts != once:

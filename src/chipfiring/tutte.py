@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .errors import GraphError, HypothesisError, SizeCapError
+from .errors import GraphError, HypothesisError
 from .graph import (
     MultiDigraph,
     contract_arc,
@@ -34,9 +34,6 @@ from .recurrent import (
 )
 
 RECURSION_KINDS = ("loop", "bridge_no_reverse", "bridge_reverse", "del_contract", "mobius")
-
-MAX_BRUTE_ARCS = 18
-
 
 @lru_cache(maxsize=None)
 def tutte_gen(g: MultiDigraph, s: str) -> LaurentPolynomial:
@@ -139,67 +136,6 @@ def undirected_tutte_oracle(g: MultiDigraph) -> LaurentPolynomial:
 def arborescence_count(g: MultiDigraph, s: str) -> int:
     """Number of spanning arborescences oriented toward s (matrix-tree determinant)."""
     return recurrent_count(g, s)
-
-
-def max_acyclic_unique_sink_count(g: MultiDigraph, s: str) -> int:
-    """Count the maximum-cardinality acyclic arc subsets whose unique
-    out-degree-0 vertex is s.
-
-    Brute force over subsets of the non-loop arcs (loops close a cycle and can
-    never appear).  Desk scale only.
-    """
-    g.vertex_index(s)
-    arcs = [(t, h) for t, h in g.arcs if t != h]
-    m = len(arcs)
-    if m > MAX_BRUTE_ARCS:
-        raise SizeCapError(f"{m} non-loop arcs exceeds the brute-force cap of {MAX_BRUTE_ARCS}")
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    n = g.n_vertices
-    best = -1
-    count = 0
-    for mask in range(1 << m):
-        chosen = [arcs[i] for i in range(m) if mask >> i & 1]
-        outdeg = [0] * n
-        for t, _ in chosen:
-            outdeg[idx[t]] += 1
-        sinks = [v for v in g.vertices if outdeg[idx[v]] == 0]
-        if sinks != [s]:
-            continue
-        if _has_directed_cycle(n, [(idx[t], idx[h]) for t, h in chosen]):
-            continue
-        size = len(chosen)
-        if size > best:
-            best, count = size, 1
-        elif size == best:
-            count += 1
-    return count
-
-
-def _has_directed_cycle(n: int, arcs) -> bool:
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for t, h in arcs:
-        succ[t].append(h)
-    color = [0] * n  # 0 unseen, 1 on stack, 2 done
-    for start in range(n):
-        if color[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        color[start] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                if color[u] == 1:
-                    return True
-                if color[u] == 0:
-                    color[u] = 1
-                    stack.append((u, iter(succ[u])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = 2
-                stack.pop()
-    return False
 
 
 # --------------------------------------------------------- recursion checkers

@@ -151,6 +151,17 @@ def test_exit_codes(graph_file, capsys, tmp_path):
     assert code == 2 and "Eulerian" in err
 
 
+def test_stabilize_refuses_host_without_certificate(graph_file, capsys):
+    # two disjoint 20-cycles: the b-cycle never reaches the sink a0, so one
+    # chip on b0 would circle forever; the host is refused before any firing
+    text = "".join(f"{x}{i} {x}{(i + 1) % 20}\n" for x in "ab" for i in range(20))
+    code, out, err = run(
+        capsys, "stabilize", graph_file(text), "--sink", "a0", "--config", "b0=1"
+    )
+    assert code == 2 and out == ""
+    assert "'b0'" in err and "never fires" in err
+
+
 def test_cap_flag(graph_file, capsys, monkeypatch):
     import os
 

@@ -21,10 +21,10 @@ from chipfiring import (
     restrict,
     stabilize,
 )
-from chipfiring.dynamics import add_chips, scale
+from chipfiring.dynamics import _movers, add_chips, scale
 from chipfiring.families import bidirected_complete, directed_cycle, parallel_pair, random_eulerian
 
-from support import corpus
+from support import corpus, non_eulerian_corpus
 
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -113,6 +113,60 @@ def test_stabilize_detects_nontermination():
     c = Configuration.of(C3, {"s": 5, "a": 5, "b": 5})
     with pytest.raises(NonTerminationError):
         stabilize(C3, c)
+
+
+def _never_fires_reachable(g, sink, v):
+    """Name-based definition: v reaches the sink or a vertex without a non-loop out-arc."""
+    return any(
+        u == sink or g.outdeg(u) - g.loops_at(u) == 0 for u in g.reachable_from(v)
+    )
+
+
+def _random_digraph(rng):
+    """Seeded digraph that need not be connected: isolated vertices, loops, parallel arcs."""
+    names = [f"v{i}" for i in range(rng.randint(1, 6))]
+    arcs = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 10))]
+    return MultiDigraph(tuple(names), tuple(arcs))
+
+
+def test_movers_certificate_matches_reachability():
+    rng = random.Random(5150)
+    graphs = list(corpus()) + list(non_eulerian_corpus())
+    graphs += [_random_digraph(rng) for _ in range(300)]
+    refused = accepted = 0
+    for g in graphs:
+        for sink in (None, *g.vertices):
+            movers = [
+                v for v in g.vertices if v != sink and g.outdeg(v) - g.loops_at(v) > 0
+            ]
+            stuck = [v for v in movers if not _never_fires_reachable(g, sink, v)]
+            index = None if sink is None else g.vertex_index(sink)
+            if stuck:
+                refused += 1
+                with pytest.raises(NonTerminationError) as exc:
+                    _movers(g, index)
+                named = str(exc.value).split("'")[1]
+                assert named in stuck
+            else:
+                accepted += 1
+                rows = _movers(g, index)
+                assert [g.vertices[row[0]] for row in rows] == movers
+    # strongly connected hosts are refused at None and accepted at every sink;
+    # the random digraphs add refusals at sinks and accepted sink-free hosts
+    assert refused > 300 and accepted > 1000
+
+
+def test_stabilize_refuses_uncertified_host_before_firing():
+    # b and c only reach each other: refused for every configuration, even
+    # those whose game would stop (the zero one, or one chip on b)
+    g = MultiDigraph.of([("s", "a"), ("a", "s"), ("b", "c"), ("c", "b"), ("b", "c")])
+    for chips in ({}, {"b": 1}, {"a": 3}):
+        with pytest.raises(NonTerminationError, match="'b'"):
+            stabilize(g, cfg(g, "s", **chips))
+    # one arc back toward the sink certifies the same host
+    fixed = MultiDigraph.of(g.arcs + (("c", "s"),))
+    stable, _ = stabilize(fixed, cfg(fixed, "s", b=1))
+    assert stable.as_dict() == {"a": 0, "b": 1, "c": 0}
 
 
 def test_add_and_helpers():

@@ -18,7 +18,6 @@ from chipfiring import (
     firing_lattice,
     is_eulerian,
     is_recurrent,
-    lattice_membership,
     recurrent_definitional_test,
     stabilize,
 )
@@ -62,7 +61,6 @@ def test_column_hnf_shape():
 def test_membership_examples():
     lat = firing_lattice(C3, "s")
     assert lat.contains((0, 0))
-    assert lattice_membership(lat, (0, 0))
     for gen in lat.generators:
         assert lat.contains(gen)
         assert lat.contains([-x for x in gen])
