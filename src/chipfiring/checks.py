@@ -51,7 +51,7 @@ def check_sink_independence(g: MultiDigraph) -> CheckReport:
     report = CheckReport("sink-independence")
     for s in g.vertices:
         rs = recurrent.enumerate_recurrents(g, s)
-        raw = tuple(sorted(c.total() for c in rs.configs))
+        raw = tuple(sorted(sum(vec) for vec in rs.vectors))
         report.note(f"sink {s}: raw chip totals {raw}")
     try:
         common = bijection.check_sink_independence(g)

@@ -97,18 +97,29 @@ def _cmd_stabilize(args) -> int:
     return 0
 
 
+def _recurrents_json(rs) -> str:
+    """The bytes of ``_emit_json(rs.to_json_dict())``, from one template per member."""
+    order = sorted(range(len(rs.domain)), key=rs.domain.__getitem__)
+    keys = ",\n".join(f"        {json.dumps(rs.domain[i]).replace('%', '%%')}: %d" for i in order)
+    chips = f"{{\n{keys}\n      }}" if order else "{}"
+    member = f'    {{\n      "chips": {chips},\n      "level": %d,\n      "sum": %d\n    }}'
+    body = ",\n".join(
+        member % (*(vec[i] for i in order), lvl, total)
+        for vec, total, lvl in zip(rs.vectors, rs.sums, rs.levels)
+    )
+    return f'{{\n  "configs": [\n{body}\n  ],\n  "kappa": {rs.kappa},\n  "sink": {json.dumps(rs.sink)}\n}}'
+
+
 def _cmd_recurrents(args) -> int:
     g = parse_graph(args.graph)
     sink = args.sink or g.vertices[0]
     rs = enumerate_recurrents(g, sink)
     if args.format == "json":
-        _emit_json(rs.to_json_dict())
+        print(_recurrents_json(rs))
     else:
-        print(f"sink: {sink}")
-        print(f"kappa: {rs.kappa}")
-        print(f"count: {len(rs)}")
-        for c, total, lvl in zip(rs.configs, rs.sums, rs.levels):
-            chips = ",".join(f"{v}={x}" for v, x in c.as_dict().items())
+        print(f"sink: {sink}\nkappa: {rs.kappa}\ncount: {len(rs)}")
+        for vec, total, lvl in zip(rs.vectors, rs.sums, rs.levels):
+            chips = ",".join(f"{v}={x}" for v, x in zip(rs.domain, vec))
             print(f"  {chips}  sum={total} level={lvl}")
     return 0
 

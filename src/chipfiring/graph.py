@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import GraphError, SizeCapError
 
@@ -203,6 +203,7 @@ class BridgeCut:
     co_bridge: int
 
 
+@lru_cache(maxsize=256)
 def is_eulerian(g: MultiDigraph) -> bool:
     """True iff g is connected and every vertex has equal in- and out-degree.
 

@@ -2,15 +2,14 @@
 
 On an Eulerian host the burning test decides recurrence: c is recurrent iff
 adding one sink firing's worth of chips and stabilizing returns c, in which
-case every non-sink vertex fires exactly once.  Enumeration exhausts the
-stable cube prod_v [0, outdeg(v)-1] with that filter, run on plain integer
-lists by the firing kernel of ``dynamics``, and cross-checks the count against
-the reduced-Laplacian determinant.
+case every non-sink vertex fires exactly once.  Enumeration walks down the
+recurrent up-set of the stable cube prod_v [0, outdeg(v)-1] by reverse search,
+on plain integer lists by the firing kernel of ``dynamics``, and cross-checks
+the count against the reduced-Laplacian determinant.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -116,43 +115,65 @@ def is_recurrent(g: MultiDigraph, s: str, c: Configuration) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def _recurrent_vectors(g: MultiDigraph, s: str) -> tuple[tuple[int, ...], ...]:
-    """Chip vectors of all recurrent configurations, in lexicographic order."""
+    """Recurrent chip vectors in lexicographic order; checks the cap before the cache."""
     _require_eulerian(g)
     sink = g.vertex_index(s)
-    bounds = [g.outdeg(v) for v in g.vertices]
-    bounds[sink] = 1
-    cells = math.prod(bounds)
+    cells = math.prod(row[1] for row in g._firing_table if row[0] != sink)
     cap = cell_cap()
     if cells > cap:
         raise SizeCapError(
             f"stable cube has {cells} cells, above the cap of {cap}; "
             "use a smaller instance or raise CFG_CAP_CELLS"
         )
+    return _search(g, sink)
+
+
+@lru_cache(maxsize=None)
+def _search(g: MultiDigraph, sink: int) -> tuple[tuple[int, ...], ...]:
+    """Reverse search (Avis and Fukuda, 1996) down from the maximal stable cell.
+
+    A stable cell above a recurrent one is recurrent (Holroyd et al., 2008), so
+    recurrent c has the recurrent parent c + e_k, k the first vertex of c below
+    its maximum; only children c - e_i, i <= k, of recurrent cells are burned.
+    """
     movers = _movers(g, sink)
     beta_row = g._firing_table[sink][3]
-    once = [1] * len(bounds)
-    once[sink] = 0
+    top = tuple(out - 1 for v, out, _, _ in g._firing_table if v != sink)
+    once = [int(v != sink) for v in range(g.n_vertices)]
     found = []
-    # cells carry a 0 in the sink's slot; the burning run collects lost chips there
-    for combo in itertools.product(*(range(k) for k in bounds)):
-        chips = list(combo)
+    stack = [top]
+    while stack:
+        cell = stack.pop()
+        # the burning run collects the chips it loses in the sink's slot
+        chips = list(cell)
+        chips.insert(sink, 0)
         for u, m in beta_row:
             chips[u] += m
         counts = _settle(chips, movers)
-        chips[sink] = 0
-        if tuple(chips) == combo:
-            if counts != once:
-                raise InternalCheckError("burning run did not fire each vertex exactly once")
-            found.append(combo[:sink] + combo[sink + 1 :])
-    expected = recurrent_count(g, s)
+        del chips[sink]
+        if tuple(chips) != cell:
+            continue
+        if counts != once:
+            raise InternalCheckError("burning run did not fire each vertex exactly once")
+        found.append(cell)
+        for i, x in enumerate(cell):
+            if x:
+                stack.append(cell[:i] + (x - 1,) + cell[i + 1 :])
+            if x < top[i]:
+                break
+    found.sort()
+    expected = recurrent_count(g, g.vertices[sink])
     if len(found) != expected:
         raise InternalCheckError(
             f"enumerated {len(found)} recurrent configurations, "
             f"determinant predicts {expected}"
         )
     return tuple(found)
+
+
+# the cache lives on _search; expose it where callers and tools look for it
+_recurrent_vectors.cache_info, _recurrent_vectors.cache_clear = _search.cache_info, _search.cache_clear
 
 
 @lru_cache(maxsize=None)
@@ -174,20 +195,21 @@ def kappa(g: MultiDigraph) -> int:
 class RecurrentSet:
     """All recurrent configurations for one sink, with sums, kappa, and levels.
 
-    ``sums[i]`` is outdeg(sink) + total chips of ``configs[i]``; ``levels[i]``
-    is ``sums[i] - kappa``.  Configurations are sorted lexicographically by
-    chip vector under the canonical vertex order.
+    ``vectors[i]`` holds member i's chips on ``domain`` (V minus the sink, in
+    canonical order), sorted lexicographically; ``sums[i]`` is outdeg(sink) +
+    its total chips, ``levels[i]`` is ``sums[i] - kappa``.  ``configs`` is built
+    on first use.
     """
 
     host: MultiDigraph
     sink: str
-    configs: tuple[Configuration, ...]
+    vectors: tuple[tuple[int, ...], ...]
     sums: tuple[int, ...]
     kappa: int
     levels: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.configs)
+        return len(self.vectors)
 
     def __iter__(self):
         return iter(self.configs)
@@ -196,19 +218,26 @@ class RecurrentSet:
         return self.index(c) is not None
 
     @cached_property
+    def domain(self) -> tuple[str, ...]:
+        return tuple(v for v in self.host.vertices if v != self.sink)
+
+    @cached_property
+    def configs(self) -> tuple[Configuration, ...]:
+        return tuple(Configuration(self.host, self.sink, vec) for vec in self.vectors)
+
+    @cached_property
     def _positions(self) -> dict[tuple[int, ...], int]:
-        return {member.chips: i for i, member in enumerate(self.configs)}
+        return {vec: i for i, vec in enumerate(self.vectors)}
 
     @cached_property
     def minimal_flags(self) -> tuple[bool, ...]:
         """Per member, in order: whether no other member is pointwise <= it."""
-        vectors = [c.chips for c in self.configs]
         return tuple(
             not any(
                 j != i and all(a <= b for a, b in zip(other, chips))
-                for j, other in enumerate(vectors)
+                for j, other in enumerate(self.vectors)
             )
-            for i, chips in enumerate(vectors)
+            for i, chips in enumerate(self.vectors)
         )
 
     def index(self, c: Configuration) -> int | None:
@@ -221,8 +250,8 @@ class RecurrentSet:
             "sink": self.sink,
             "kappa": self.kappa,
             "configs": [
-                {"chips": c.as_dict(), "sum": s, "level": l}
-                for c, s, l in zip(self.configs, self.sums, self.levels)
+                {"chips": dict(zip(self.domain, vec)), "sum": s, "level": l}
+                for vec, s, l in zip(self.vectors, self.sums, self.levels)
             ],
         }
 
@@ -239,8 +268,7 @@ def enumerate_recurrents(g: MultiDigraph, s: str) -> RecurrentSet:
         raise InternalCheckError("negative level; kappa inconsistent with enumeration")
     if g.loop_count == 0 and levels and min(levels) != 0:
         raise InternalCheckError("loopless host must attain level 0")
-    configs = tuple(Configuration(g, s, vec) for vec in vectors)
-    return RecurrentSet(g, s, configs, sums, k, levels)
+    return RecurrentSet(g, s, vectors, sums, k, levels)
 
 
 def level(g: MultiDigraph, s: str, c: Configuration) -> int:

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from chipfiring.cli import main
+from chipfiring import enumerate_recurrents
+from chipfiring.cli import main, parse_graph
 
-from support import DATA
+from support import DATA, corpus
 
 C3_TEXT = "s a\na b\nb s\n"
 K3_TEXT = "s a\na s\ns b\nb s\na b\nb a\n"
@@ -180,6 +181,20 @@ def test_cap_flag(graph_file, capsys, monkeypatch):
     assert code == 3 and os.environ["CFG_CAP_CELLS"] == "1000"
 
 
+def test_cap_checked_on_every_call(graph_file, capsys, monkeypatch):
+    monkeypatch.delenv("CFG_CAP_CELLS", raising=False)
+    # one file throughout: the later calls find its enumeration in the cache
+    path = graph_file(K3_TEXT, "k3.txt")
+    code, _, _ = run(capsys, "recurrents", path)
+    assert code == 0
+    code, out, err = run(capsys, "recurrents", path, "--cap", "1")
+    assert code == 3 and out == "" and "cap" in err
+    monkeypatch.setenv("CFG_CAP_CELLS", "abc")
+    code, out, err = run(capsys, "recurrents", path)
+    assert code == 2 and out == ""
+    assert "CFG_CAP_CELLS must be a positive integer" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "-5"])
 def test_bad_cap_environment_value(graph_file, capsys, monkeypatch, value):
     monkeypatch.setenv("CFG_CAP_CELLS", value)
@@ -198,3 +213,41 @@ def test_output_is_byte_stable(graph_file, capsys):
     _, first, _ = run(capsys, "check", "--property", "sink-independence", "--seed", "11", "--count", "2")
     _, second, _ = run(capsys, "check", "--property", "sink-independence", "--seed", "11", "--count", "2")
     assert first == second
+
+
+def _reference_outputs(path, sink):
+    """Text and JSON of ``cfg recurrents`` built from the configurations and the
+    generic encoder."""
+    rs = enumerate_recurrents(parse_graph(path), sink)
+    lines = [f"sink: {sink}", f"kappa: {rs.kappa}", f"count: {len(rs)}"]
+    for c, total, lvl in zip(rs.configs, rs.sums, rs.levels):
+        chips = ",".join(f"{v}={x}" for v, x in c.as_dict().items())
+        lines.append(f"  {chips}  sum={total} level={lvl}")
+    text = "\n".join(lines) + "\n"
+    return text, json.dumps(rs.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
+# a one-vertex host prints "chips": {}; the second host has names that need
+# JSON escaping or hold a "%", in a canonical (first-mention) order that
+# sorting changes: 9 comes before 10, but "10" < "9"
+NAMED_PAIRS = [("9", "10"), ("10", '"q'), ('"q', "\u00e9"), ("\u00e9", "a\\b"), ("a\\b", "%d")]
+SPECIAL_TEXTS = ["a a\n", "".join(f"{a} {b}\n{b} {a}\n" for a, b in NAMED_PAIRS)]
+
+
+def test_recurrents_writer_matches_generic_encoder(tmp_path, capsys):
+    texts = SPECIAL_TEXTS + ["".join(f"{t} {h}\n" for t, h in g.arcs) for g in corpus()]
+    special = []
+    for i, text in enumerate(texts):
+        path = tmp_path / f"g{i}.txt"
+        path.write_text(text, encoding="utf-8")
+        for sink in parse_graph(str(path)).vertices:
+            text_out, json_out = _reference_outputs(str(path), sink)
+            assert run(capsys, "recurrents", str(path), "--sink", sink) == (0, text_out, "")
+            code, out, _ = run(capsys, "recurrents", str(path), "--sink", sink, "--format", "json")
+            assert (code, out) == (0, json_out)
+            if i < len(SPECIAL_TEXTS):
+                special.append(out)
+    assert '"chips": {}' in special[0]
+    at_9, at_q = special[1], special[3]
+    assert all(key in at_9 for key in ('"\\"q": ', '"\\u00e9": ', '"a\\\\b": ', '"%d": '))
+    assert at_q.index('"10": ') < at_q.index('"9": ')

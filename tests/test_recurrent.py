@@ -19,6 +19,7 @@ from chipfiring import (
     is_minimal,
     is_minimum,
     is_recurrent,
+    is_undirected,
     kappa,
     level,
     loop_lift,
@@ -27,7 +28,13 @@ from chipfiring import (
     stabilize,
     support_after_sink_fire,
 )
-from chipfiring.families import bidirected_complete, directed_cycle, parallel_pair
+from chipfiring.families import (
+    bidirected_complete,
+    directed_cycle,
+    parallel_pair,
+    random_eulerian,
+    undirected_graph,
+)
 from chipfiring.recurrent import (
     _recurrent_vectors,
     bareiss_determinant,
@@ -125,6 +132,46 @@ def test_enumeration_matches_single_firing_burning_test():
                     expected.append(combo)
             assert _recurrent_vectors(g, s) == tuple(expected)
     assert cells == 7_753
+
+
+def _reverse_search_hosts():
+    grid = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]
+    banana = [(i, i + 1) for i in range(3) for _ in range(3)]
+    hosts = [
+        bidirected_complete([f"k{i}" for i in range(5)]),
+        undirected_graph(6, grid),
+        undirected_graph(4, banana),
+    ]
+    rng = random.Random(31)
+    looped = []
+    while len(looped) < 4:
+        g = random_eulerian(rng, 6, 14, True)
+        if g.n_vertices >= 5 and g.loop_count and not is_undirected(g):
+            looped.append(g)
+    return hosts + looped
+
+
+def test_reverse_search_matches_cube_scan(monkeypatch):
+    import chipfiring.recurrent as recurrent
+
+    runs = [0]
+    settle = recurrent._settle
+
+    def counting(chips, movers):
+        runs[0] += 1
+        return settle(chips, movers)
+
+    monkeypatch.setattr(recurrent, "_settle", counting)
+    for g in _reverse_search_hosts():
+        for s in g.vertices:
+            cube = list(itertools.product(*(range(g.outdeg(v)) for v in g.vertices if v != s)))
+            expected = tuple(combo for combo in cube if _burns_by_single_firings(g, s, combo))
+            _recurrent_vectors.cache_clear()
+            runs[0] = 0
+            assert _recurrent_vectors(g, s) == expected
+            assert runs[0] <= 1 + len(expected) * (g.n_vertices - 1)
+            assert runs[0] < len(cube)
+    _recurrent_vectors.cache_clear()
 
 
 def test_kappa_examples():
