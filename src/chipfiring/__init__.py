@@ -54,8 +54,8 @@ from .lattice import (
     conjecture1_check,
     equivalence_classes,
     firing_lattice,
-    recurrent_definitional_test,
 )
+from .oracles import recurrent_definitional_test
 from .polynomial import LaurentPolynomial
 from .recurrent import (
     RecurrentSet,

@@ -19,12 +19,8 @@ from .bijection import theta
 from .dynamics import parse_config_literal, stabilize
 from .errors import (
     ChipFiringError,
-    ConfigurationError,
     GraphError,
-    HypothesisError,
     InternalCheckError,
-    NonTerminationError,
-    PoleError,
     PropertyViolationError,
     SizeCapError,
 )
@@ -293,9 +289,6 @@ def _run(args) -> int:
     except (PropertyViolationError, InternalCheckError) as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return VIOLATION
-    except (GraphError, ConfigurationError, HypothesisError, PoleError, NonTerminationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except ChipFiringError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

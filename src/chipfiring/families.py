@@ -106,17 +106,3 @@ def random_strongly_connected(
         if eulerian is not None and is_eulerian(g) != eulerian:
             continue
         return g
-
-
-def eulerian_corpus(
-    seed: int,
-    count: int,
-    max_vertices: int = 5,
-    max_arcs: int = 12,
-    allow_loops: bool = True,
-) -> list[MultiDigraph]:
-    """Deterministic list of seeded random Eulerian multidigraphs."""
-    rng = random.Random(seed)
-    return [
-        random_eulerian(rng, max_vertices, max_arcs, allow_loops) for _ in range(count)
-    ]

@@ -9,17 +9,12 @@ column operations only.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
-from .dynamics import Configuration, add, beta, scale, stabilize
-from .errors import ConfigurationError, GraphError, InternalCheckError, SizeCapError
+from .dynamics import Configuration, _movers, _settle, beta
+from .errors import ConfigurationError, GraphError, InternalCheckError
 from .graph import MultiDigraph, is_eulerian
-from .recurrent import cell_cap, enumerate_recurrents, recurrent_count, reduced_laplacian
-
-GENERAL_DIGRAPH_MAX_VERTICES = 4
-GENERAL_DIGRAPH_MAX_ARCS = 10
+from .recurrent import _recurrent_vectors, enumerate_recurrents, recurrent_count, reduced_laplacian
 
 
 def column_hnf(generators: tuple[tuple[int, ...], ...], dimension: int):
@@ -114,59 +109,33 @@ def firing_lattice(g: MultiDigraph, s: str, include_beta: bool = False) -> Integ
     return IntegerLattice.from_generators(generators, g.n_vertices - 1)
 
 
-def class_representative(g: MultiDigraph, s: str, c: Configuration) -> Configuration:
-    """The unique recurrent configuration equivalent to c.
-
-    Adds m copies of the all-ones configuration with m a multiple of the
-    sandpile group order N: N * x lies in the firing lattice for every integer
-    vector x, and the addition saturates every vertex, so stabilization lands
-    on the recurrent member of c's class.
-    """
+def _representative(g: MultiDigraph, s: str):
+    """Integer core of ``class_representative``: maps chips on V \\ {s} to the
+    recurrent member of their class by adding m chips on every vertex and
+    stabilizing, m a multiple of the group order N (N * x lies in the firing
+    lattice for every integer x) and at least the largest out-degree."""
     n = abs(recurrent_count(g, s))
     if n == 0:
         raise GraphError("degenerate host: the reduced Laplacian is singular")
-    max_out = max((g.outdeg(v) for v in c.domain), default=1)
-    m = n * max(1, max_out)
-    ones = Configuration(c.host, s, (1,) * len(c.domain))
-    stable, _ = stabilize(g, add(c, scale(ones, m)))
-    return stable
+    sink = g.vertex_index(s)
+    m = n * max((out for v, out, _, _ in g._firing_table if v != sink), default=1)
+    movers = _movers(g, sink)
+
+    def represent(cell) -> tuple[int, ...]:
+        chips = [x + m for x in cell]
+        chips.insert(sink, 0)
+        _settle(chips, movers)
+        del chips[sink]
+        return tuple(chips)
+
+    return represent
 
 
-def recurrent_definitional_test(g: MultiDigraph, s: str, c: Configuration) -> bool:
-    """Definition-based recurrence test, valid on any strongly connected digraph.
-
-    True iff c equals the recurrent representative of its own equivalence
-    class.  Tiny instances only; the burning test is the fast path on Eulerian
-    hosts.
-    """
-    if not g.is_strongly_connected():
-        raise GraphError("definitional test requires a strongly connected graph")
-    _check_general_caps(g)
-    return class_representative(g, s, c).chips == c.chips
-
-
-def _check_general_caps(g: MultiDigraph) -> None:
-    if g.n_vertices > GENERAL_DIGRAPH_MAX_VERTICES or g.n_arcs > GENERAL_DIGRAPH_MAX_ARCS:
-        raise SizeCapError(
-            "definitional recurrence is supported only up to "
-            f"{GENERAL_DIGRAPH_MAX_VERTICES} vertices / {GENERAL_DIGRAPH_MAX_ARCS} arcs"
-        )
-
-
-def _stable_cube(g: MultiDigraph, s: str):
-    domain = [v for v in g.vertices if v != s]
-    bounds = [g.outdeg(v) for v in domain]
-    if math.prod(bounds) > cell_cap():
-        raise SizeCapError("stable cube exceeds the enumeration cap")
-    for combo in itertools.product(*(range(k) for k in bounds)):
-        yield Configuration(g, s, combo)
-
-
-def _general_recurrents(g: MultiDigraph, s: str) -> list[Configuration]:
-    _check_general_caps(g)
-    return [
-        c for c in _stable_cube(g, s) if class_representative(g, s, c).chips == c.chips
-    ]
+def class_representative(g: MultiDigraph, s: str, c: Configuration) -> Configuration:
+    """The unique recurrent configuration equivalent to c."""
+    if c.sink != s or c.host.vertices != g.vertices:
+        raise ConfigurationError("configuration does not belong to this sink game")
+    return Configuration(c.host, s, _representative(g, s)(c.chips))
 
 
 def equivalence_classes(
@@ -174,27 +143,20 @@ def equivalence_classes(
 ) -> list[list[Configuration]]:
     """Partition the recurrent configurations by lattice equivalence.
 
-    Eulerian hosts enumerate by the burning test (and, without the sink vector,
-    every class is a singleton); other strongly connected hosts fall back to
-    the definitional test at tiny scale.
+    Works on every strongly connected host; on Eulerian hosts without the sink
+    vector every class is a singleton.
     """
-    if is_eulerian(g):
-        recurrents = list(enumerate_recurrents(g, s).configs)
-    else:
-        if not g.is_strongly_connected():
-            raise GraphError("equivalence classes need a strongly connected graph")
-        recurrents = _general_recurrents(g, s)
+    recurrents = _recurrent_vectors(g, s)
     lattice = firing_lattice(g, s, include_beta)
-    classes: list[list[Configuration]] = []
-    for c in recurrents:
+    classes: list[list[tuple[int, ...]]] = []
+    for vec in recurrents:
         for cls in classes:
-            difference = [a - b for a, b in zip(c.chips, cls[0].chips)]
-            if lattice.contains(difference):
-                cls.append(c)
+            if lattice.contains([a - b for a, b in zip(vec, cls[0])]):
+                cls.append(vec)
                 break
         else:
-            classes.append([c])
-    return classes
+            classes.append([vec])
+    return [[Configuration(g, s, vec) for vec in cls] for cls in classes]
 
 
 def conjecture1_check(g: MultiDigraph) -> dict:

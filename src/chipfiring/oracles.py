@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .dynamics import Configuration
-from .errors import SizeCapError
+from .errors import ConfigurationError, GraphError, SizeCapError
 from .graph import MultiDigraph
 
 MAX_ARB_VERTICES = 6
@@ -145,14 +145,8 @@ def _last_firable_stabilize(g: MultiDigraph, sink: str, chips: dict[str, int]) -
             raise SizeCapError("oracle stabilizer exceeded its firing guard")
 
 
-def brute_recurrents(g: MultiDigraph, s: str) -> list[Configuration]:
-    """Recurrent configurations by the definition, without the burning test.
-
-    A stable c is recurrent iff it is the stable outcome of flooding its own
-    equivalence class: add m chips everywhere with m a multiple of the group
-    order and large enough to saturate, then stabilize.
-    """
-    g.vertex_index(s)
+def _flood(g: MultiDigraph, s: str) -> int:
+    """A saturating multiple of the group order; refuses hosts above the cap."""
     if g.n_vertices > MAX_RECURRENT_VERTICES:
         raise SizeCapError(f"recurrence oracle capped at {MAX_RECURRENT_VERTICES} vertices")
     others = [v for v in g.vertices if v != s]
@@ -164,11 +158,31 @@ def brute_recurrents(g: MultiDigraph, s: str) -> list[Configuration]:
         for v in others
     ]
     order = abs(_cofactor_determinant(laplacian))
-    flood = order * (1 + max((g.outdeg(v) for v in others), default=0))
-    found = []
-    for combo in itertools.product(*(range(g.outdeg(v)) for v in others)):
-        start = dict(zip(others, combo))
-        flooded = {v: start[v] + flood for v in others}
-        if _last_firable_stabilize(g, s, flooded) == start:
-            found.append(Configuration(g, s, combo))
-    return found
+    return order * (1 + max((g.outdeg(v) for v in others), default=0))
+
+
+def _flood_fixed(g: MultiDigraph, s: str, flood: int, chips) -> bool:
+    start = dict(zip((v for v in g.vertices if v != s), chips))
+    return _last_firable_stabilize(g, s, {v: x + flood for v, x in start.items()}) == start
+
+
+def recurrent_definitional_test(g: MultiDigraph, s: str, c: Configuration) -> bool:
+    """Recurrence by the definition, valid on any strongly connected digraph.
+
+    A stable c is recurrent iff it is the stable outcome of flooding its own
+    equivalence class: add m chips everywhere with m a multiple of the group
+    order and large enough to saturate, then stabilize.
+    """
+    if not g.is_strongly_connected():
+        raise GraphError("definitional test requires a strongly connected graph")
+    if c.sink != s or c.host.vertices != g.vertices:
+        raise ConfigurationError("configuration does not belong to this sink game")
+    return _flood_fixed(g, s, _flood(g, s), c.chips)
+
+
+def brute_recurrents(g: MultiDigraph, s: str) -> list[Configuration]:
+    """The stable configurations that pass the definitional test, in cube order."""
+    g.vertex_index(s)
+    flood = _flood(g, s)
+    cube = itertools.product(*(range(g.outdeg(v)) for v in g.vertices if v != s))
+    return [Configuration(g, s, combo) for combo in cube if _flood_fixed(g, s, flood, combo)]

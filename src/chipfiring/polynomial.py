@@ -41,10 +41,6 @@ class LaurentPolynomial:
         return cls({exp: 1})
 
     @classmethod
-    def monomial(cls, exp: int, coeff: int) -> "LaurentPolynomial":
-        return cls({exp: coeff})
-
-    @classmethod
     def geometric(cls, length: int) -> "LaurentPolynomial":
         """1 + y + ... + y^(length-1); the zero polynomial for length 0."""
         if length < 0:

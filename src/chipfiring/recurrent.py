@@ -1,11 +1,12 @@
 """Recurrence testing, enumeration of recurrent configurations, and their statistics.
 
-On an Eulerian host the burning test decides recurrence: c is recurrent iff
-adding one sink firing's worth of chips and stabilizing returns c, in which
-case every non-sink vertex fires exactly once.  Enumeration walks down the
-recurrent up-set of the stable cube prod_v [0, outdeg(v)-1] by reverse search,
-on plain integer lists by the firing kernel of ``dynamics``, and cross-checks
-the count against the reduced-Laplacian determinant.
+Burning test (Speer, 1993): stable c is recurrent iff stabilizing c + b returns
+c, where b = Δᵀσ, Δ is the reduced Laplacian and σ >= 1 the least script with
+b >= 0; that run fires exactly σ.  On Eulerian hosts σ = 1 and b is one sink
+firing (Dhar).  Enumeration walks down the recurrent up-set of the stable cube
+prod_v [0, outdeg(v)-1] by reverse search on the integer firing kernel of
+``dynamics``, on any strongly connected host, and cross-checks the count
+against det Δ.  Levels and ``kappa`` need an Eulerian host.
 """
 
 from __future__ import annotations
@@ -36,6 +37,18 @@ def cell_cap() -> int:
     return cap
 
 
+def _check_cap(g: MultiDigraph, sink: int, degree: int = 1) -> None:
+    """Refuse a stable cube prod_{v != sink} outdeg(v) above the cell cap, before
+    any cache is read; ``degree=2`` sizes the cube of ``remove_loops(g)``."""
+    cells = math.prod(row[degree] for row in g._firing_table if row[0] != sink)
+    cap = cell_cap()
+    if cells > cap:
+        raise SizeCapError(
+            f"stable cube has {cells} cells, above the cap of {cap}; "
+            "use a smaller instance or raise CFG_CAP_CELLS"
+        )
+
+
 # --------------------------------------------------------------------- algebra
 def reduced_laplacian(g: MultiDigraph, s: str) -> list[list[int]]:
     """Laplacian of the loopless host with the row and column of s removed.
@@ -43,15 +56,17 @@ def reduced_laplacian(g: MultiDigraph, s: str) -> list[list[int]]:
     Rows and columns follow the canonical order of V \\ {s}; the diagonal holds
     the loopless out-degrees, off-diagonal entries are -d(v_i, v_j).
     """
-    g.vertex_index(s)
-    others = [v for v in g.vertices if v != s]
-    return [
-        [
-            g.outdeg(v) - g.loops_at(v) if v == u else -g.multiplicity(v, u)
-            for u in others
-        ]
-        for v in others
-    ]
+    sink = g.vertex_index(s)
+    rows = []
+    for v, _, drop, neighbors in g._firing_table:
+        if v != sink:
+            row = [0] * g.n_vertices
+            row[v] = drop
+            for u, m in neighbors:
+                row[u] = -m
+            del row[sink]
+            rows.append(row)
+    return rows
 
 
 def bareiss_determinant(rows) -> int:
@@ -117,16 +132,26 @@ def is_recurrent(g: MultiDigraph, s: str, c: Configuration) -> bool:
 
 def _recurrent_vectors(g: MultiDigraph, s: str) -> tuple[tuple[int, ...], ...]:
     """Recurrent chip vectors in lexicographic order; checks the cap before the cache."""
-    _require_eulerian(g)
+    if not (is_eulerian(g) or g.is_strongly_connected()):
+        raise GraphError("operation requires a strongly connected graph")
     sink = g.vertex_index(s)
-    cells = math.prod(row[1] for row in g._firing_table if row[0] != sink)
-    cap = cell_cap()
-    if cells > cap:
-        raise SizeCapError(
-            f"stable cube has {cells} cells, above the cap of {cap}; "
-            "use a smaller instance or raise CFG_CAP_CELLS"
-        )
+    _check_cap(g, sink)
     return _search(g, sink)
+
+
+def _burning_script(g: MultiDigraph, s: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The burning configuration b = Δᵀσ and its script σ >= 1, the least with
+    b >= 0, on V \\ {s}.  Raising σ_u by the least amount that clears b_u < 0
+    cannot overshoot, as raising other entries only lowers b_u."""
+    lap = reduced_laplacian(g, s)
+    script = [1] * len(lap)
+    while True:
+        burn = [sum(x * row[u] for x, row in zip(script, lap)) for u in range(len(lap))]
+        if min(burn, default=0) >= 0:
+            return tuple(burn), tuple(script)
+        for u, b in enumerate(burn):
+            if b < 0:
+                script[u] -= b // lap[u][u]
 
 
 @lru_cache(maxsize=None)
@@ -138,9 +163,10 @@ def _search(g: MultiDigraph, sink: int) -> tuple[tuple[int, ...], ...]:
     its maximum; only children c - e_i, i <= k, of recurrent cells are burned.
     """
     movers = _movers(g, sink)
-    beta_row = g._firing_table[sink][3]
+    burn, script = _burning_script(g, g.vertices[sink])
+    burn = [(u + (u >= sink), b) for u, b in enumerate(burn) if b]  # by vertex index
+    script = [*script[:sink], 0, *script[sink:]]
     top = tuple(out - 1 for v, out, _, _ in g._firing_table if v != sink)
-    once = [int(v != sink) for v in range(g.n_vertices)]
     found = []
     stack = [top]
     while stack:
@@ -148,14 +174,14 @@ def _search(g: MultiDigraph, sink: int) -> tuple[tuple[int, ...], ...]:
         # the burning run collects the chips it loses in the sink's slot
         chips = list(cell)
         chips.insert(sink, 0)
-        for u, m in beta_row:
-            chips[u] += m
+        for u, b in burn:
+            chips[u] += b
         counts = _settle(chips, movers)
         del chips[sink]
         if tuple(chips) != cell:
             continue
-        if counts != once:
-            raise InternalCheckError("burning run did not fire each vertex exactly once")
+        if counts != script:
+            raise InternalCheckError("burning run did not fire its burning script")
         found.append(cell)
         for i, x in enumerate(cell):
             if x:
@@ -176,18 +202,25 @@ def _search(g: MultiDigraph, sink: int) -> tuple[tuple[int, ...], ...]:
 _recurrent_vectors.cache_info, _recurrent_vectors.cache_clear = _search.cache_info, _search.cache_clear
 
 
-@lru_cache(maxsize=None)
 def kappa(g: MultiDigraph) -> int:
     """Minimum of outdeg(s) + total chips over recurrents of the loopless host.
 
     Computed once per host with the canonical first vertex as sink; by sink
     independence of the sum multiset any other sink gives the same value.
     """
+    _require_eulerian(g)
+    _check_cap(g, 0, degree=2)
+    return _kappa(g)
+
+
+@lru_cache(maxsize=None)
+def _kappa(g: MultiDigraph) -> int:
     bare, _ = remove_loops(g)
-    _require_eulerian(bare)
     s = bare.vertices[0]
-    vectors = _recurrent_vectors(bare, s)
-    return bare.outdeg(s) + min(sum(vec) for vec in vectors)
+    return bare.outdeg(s) + min(sum(vec) for vec in _recurrent_vectors(bare, s))
+
+
+kappa.cache_info, kappa.cache_clear = _kappa.cache_info, _kappa.cache_clear
 
 
 # ---------------------------------------------------------------- result type
@@ -259,6 +292,7 @@ class RecurrentSet:
 def enumerate_recurrents(g: MultiDigraph, s: str) -> RecurrentSet:
     """Enumerate every recurrent configuration of the sink game (g, s)."""
     g.vertex_index(s)
+    _require_eulerian(g)
     vectors = _recurrent_vectors(g, s)
     k = kappa(g)
     out_s = g.outdeg(s)

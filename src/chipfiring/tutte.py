@@ -26,6 +26,7 @@ from .graph import (
 )
 from .polynomial import LaurentPolynomial
 from .recurrent import (
+    _check_cap,
     _recurrent_vectors,
     enumerate_recurrents,
     kappa,
@@ -35,15 +36,25 @@ from .recurrent import (
 
 RECURSION_KINDS = ("loop", "bridge_no_reverse", "bridge_reverse", "del_contract", "mobius")
 
-@lru_cache(maxsize=None)
+
 def tutte_gen(g: MultiDigraph, s: str) -> LaurentPolynomial:
-    """Sum of y^level over the recurrent configurations with sink s."""
+    """Sum of y^level over the recurrent configurations with sink s; the cell
+    caps of the enumerations behind it are checked on every call, before the cache."""
     if not is_eulerian(g):
         raise GraphError("the generating polynomial is defined for Eulerian graphs")
-    g.vertex_index(s)
+    sink = g.vertex_index(s)
+    _check_cap(g, 0, degree=2)  # the cube behind kappa
+    _check_cap(g, sink)
+    return _tutte_gen(g, s)
+
+
+@lru_cache(maxsize=None)
+def _tutte_gen(g: MultiDigraph, s: str) -> LaurentPolynomial:
     k = kappa(g)
-    out_s = g.outdeg(s)
-    return LaurentPolynomial((out_s + sum(vec) - k, 1) for vec in _recurrent_vectors(g, s))
+    return LaurentPolynomial((g.outdeg(s) + sum(vec) - k, 1) for vec in _recurrent_vectors(g, s))
+
+
+tutte_gen.cache_info, tutte_gen.cache_clear = _tutte_gen.cache_info, _tutte_gen.cache_clear
 
 
 def support_filtered_gen(g: MultiDigraph, s: str, w) -> LaurentPolynomial:
@@ -139,10 +150,6 @@ def arborescence_count(g: MultiDigraph, s: str) -> int:
 
 
 # --------------------------------------------------------- recursion checkers
-def _y(exp: int) -> LaurentPolynomial:
-    return LaurentPolynomial.y(exp)
-
-
 def _tutte_any_sink(g: MultiDigraph) -> LaurentPolynomial:
     return tutte_gen(g, g.vertices[0])
 
@@ -168,7 +175,7 @@ def check_recursion(g: MultiDigraph, kind: str, site) -> bool:
     if kind == "loop":
         if tail != head:
             raise HypothesisError(f"arc {index} is not a loop")
-        return lhs == _y(1) * _tutte_any_sink(delete_arcs(g, [index]))
+        return lhs == LaurentPolynomial.y(1) * _tutte_any_sink(delete_arcs(g, [index]))
 
     if tail == head:
         raise HypothesisError(f"arc {index} is a loop")

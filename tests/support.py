@@ -11,7 +11,7 @@ import itertools
 import random
 from pathlib import Path
 
-from chipfiring import MultiDigraph, is_eulerian, parse_edge_list
+from chipfiring import Configuration, MultiDigraph, is_eulerian, parse_edge_list
 from chipfiring.families import random_eulerian, random_strongly_connected, undirected_graph
 
 DATA = Path(__file__).parent / "data"
@@ -25,6 +25,13 @@ NON_EULERIAN_SIZE = 100
 
 def data_graph(name: str) -> MultiDigraph:
     return parse_edge_list((DATA / name).read_text())
+
+
+def stable_cube(g: MultiDigraph, s: str):
+    """Every stable configuration of the sink game (g, s), in lexicographic order."""
+    bounds = [g.outdeg(v) for v in g.vertices if v != s]
+    for combo in itertools.product(*(range(k) for k in bounds)):
+        yield Configuration(g, s, combo)
 
 
 @functools.lru_cache(maxsize=None)

@@ -27,11 +27,18 @@ from chipfiring import (
 )
 from chipfiring.checks import run_check
 from chipfiring.families import bidirected_complete, parallel_pair
-from chipfiring.lattice import _stable_cube, class_representative, firing_lattice
+from chipfiring.lattice import class_representative, firing_lattice
 from chipfiring.oracles import brute_acyclic_sets, brute_arborescences
 from chipfiring.recurrent import is_minimal, is_minimum, recurrent_count
 
-from support import corpus, data_graph, non_eulerian_corpus, small_corpus, undirected_family
+from support import (
+    corpus,
+    data_graph,
+    non_eulerian_corpus,
+    small_corpus,
+    stable_cube,
+    undirected_family,
+)
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -145,7 +152,7 @@ def test_criterion_7_max_sum_property():
             continue
         for s in g.vertices:
             lat = firing_lattice(g, s)
-            for c in _stable_cube(g, s):
+            for c in stable_cube(g, s):
                 rep = class_representative(g, s, c)
                 assert lat.contains([a - b for a, b in zip(c.chips, rep.chips)])
                 assert sum(c.chips) <= sum(rep.chips)

@@ -4,7 +4,7 @@ from chipfiring import MultiDigraph
 from chipfiring.checks import PROPERTIES, run_check
 from chipfiring.families import bidirected_complete, parallel_pair
 
-from support import data_graph
+from support import data_graph, non_eulerian_corpus
 
 K3 = bidirected_complete(["s", "a", "b"])
 NON_EULERIAN = MultiDigraph.of([("s", "a"), ("a", "b"), ("b", "s"), ("a", "s")])
@@ -55,6 +55,22 @@ def test_theta_report_lines_pinned(name):
     report = run_check("theta", data_graph(name))
     assert report.ok
     assert report.lines == THETA_REPORTS[name]
+
+
+MAX_SUM_EULERIAN = ["every stable configuration is bounded by its recurrent representative"]
+MAX_SUM_NON_EULERIAN = [
+    "non-Eulerian host: observed 0 stable configurations outweighing their representative "
+    "(open question, not asserted)"
+]
+
+
+def test_max_sum_report_lines_pinned():
+    for g in (K3, data_graph("demo5.txt")):
+        report = run_check("max-sum", g)
+        assert report.ok and report.lines == MAX_SUM_EULERIAN
+    for g in non_eulerian_corpus()[:30]:
+        report = run_check("max-sum", g)
+        assert report.ok and report.lines == MAX_SUM_NON_EULERIAN
 
 
 def test_max_sum_on_non_eulerian_is_observational():

@@ -182,17 +182,18 @@ def test_cap_flag(graph_file, capsys, monkeypatch):
 
 
 def test_cap_checked_on_every_call(graph_file, capsys, monkeypatch):
-    monkeypatch.delenv("CFG_CAP_CELLS", raising=False)
     # one file throughout: the later calls find its enumeration in the cache
     path = graph_file(K3_TEXT, "k3.txt")
-    code, _, _ = run(capsys, "recurrents", path)
-    assert code == 0
-    code, out, err = run(capsys, "recurrents", path, "--cap", "1")
-    assert code == 3 and out == "" and "cap" in err
-    monkeypatch.setenv("CFG_CAP_CELLS", "abc")
-    code, out, err = run(capsys, "recurrents", path)
-    assert code == 2 and out == ""
-    assert "CFG_CAP_CELLS must be a positive integer" in err
+    for command in ("recurrents", "tutte"):
+        monkeypatch.delenv("CFG_CAP_CELLS", raising=False)
+        code, _, _ = run(capsys, command, path)
+        assert code == 0
+        code, out, err = run(capsys, command, path, "--cap", "1")
+        assert code == 3 and out == "" and "cap" in err
+        monkeypatch.setenv("CFG_CAP_CELLS", "abc")
+        code, out, err = run(capsys, command, path)
+        assert code == 2 and out == ""
+        assert "CFG_CAP_CELLS must be a positive integer" in err
 
 
 @pytest.mark.parametrize("value", ["abc", "-5"])

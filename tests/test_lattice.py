@@ -22,11 +22,12 @@ from chipfiring import (
     stabilize,
 )
 from chipfiring.errors import ConfigurationError
-from chipfiring.families import bidirected_complete, directed_cycle
-from chipfiring.lattice import _stable_cube, class_representative, column_hnf
+from chipfiring.families import bidirected_complete, directed_cycle, random_strongly_connected
+from chipfiring.lattice import class_representative, column_hnf
 from chipfiring.oracles import brute_recurrents
+from chipfiring.recurrent import _recurrent_vectors, recurrent_count
 
-from support import corpus, non_eulerian_corpus, small_corpus
+from support import corpus, non_eulerian_corpus, small_corpus, stable_cube
 
 C3 = directed_cycle(["s", "a", "b"])
 K3 = bidirected_complete(["s", "a", "b"])
@@ -151,7 +152,7 @@ def test_class_representative_is_recurrent_and_equivalent():
     for g in small_corpus()[:25]:
         s = g.vertices[rng.randrange(g.n_vertices)]
         lat = firing_lattice(g, s)
-        for c in itertools.islice(_stable_cube(g, s), 12):
+        for c in itertools.islice(stable_cube(g, s), 12):
             rep = class_representative(g, s, c)
             assert is_recurrent(g, s, rep)
             assert lat.contains([a - b for a, b in zip(c.chips, rep.chips)])
@@ -160,7 +161,7 @@ def test_class_representative_is_recurrent_and_equivalent():
 def test_recurrents_maximize_chip_total_in_class():
     for g in small_corpus()[:30]:
         for s in g.vertices:
-            for c in _stable_cube(g, s):
+            for c in stable_cube(g, s):
                 rep = class_representative(g, s, c)
                 assert sum(c.chips) <= sum(rep.chips)
 
@@ -170,7 +171,7 @@ def test_definitional_test_matches_burning_on_eulerian():
         if g.n_arcs > 10:
             continue
         for s in g.vertices:
-            for c in _stable_cube(g, s):
+            for c in stable_cube(g, s):
                 assert recurrent_definitional_test(g, s, c) == is_recurrent(g, s, c)
 
 
@@ -206,12 +207,45 @@ def test_sink_vector_merges_classes_on_non_eulerian_host():
 
 
 def test_general_recurrents_match_oracle():
-    for g in non_eulerian_corpus()[:25]:
-        s = g.vertices[0]
-        classes = equivalence_classes(g, s, include_beta=False)
-        members = sorted(c.chips for cls in classes for c in cls)
-        oracle = sorted(c.chips for c in brute_recurrents(g, s))
-        assert members == oracle
+    pairs = 0
+    for g in non_eulerian_corpus():
+        for s in g.vertices:
+            oracle = [c.chips for c in brute_recurrents(g, s)]
+            assert list(_recurrent_vectors(g, s)) == oracle
+            classes = equivalence_classes(g, s, include_beta=False)
+            assert sorted(c.chips for cls in classes for c in cls) == oracle
+            pairs += 1
+    assert pairs == 265
+
+
+def test_general_recurrents_beyond_oracle_size():
+    # hosts with 5 or 6 vertices and up to 24 arcs: the class representative,
+    # on the flooding path, is the reference
+    rng = random.Random(5150)
+    hosts = []
+    while len(hosts) < 30:
+        g = random_strongly_connected(rng, 6, 24, eulerian=False)
+        if g.n_vertices >= 5:
+            hosts.append(g)
+    for g in hosts:
+        for s in g.vertices:
+            cube = stable_cube(g, s)
+            fixed = [c.chips for c in cube if class_representative(g, s, c).chips == c.chips]
+            vectors = _recurrent_vectors(g, s)
+            assert list(vectors) == fixed
+            assert len(vectors) == recurrent_count(g, s)
+        report = conjecture1_check(g)
+        assert set(report["sinks"]) == set(g.vertices) and not report["eulerian"]
+
+
+def test_general_recurrents_example_beyond_old_caps():
+    g = MultiDigraph.of(
+        [("s", "a"), ("a", "b"), ("b", "c"), ("c", "d"), ("d", "s"),
+         ("a", "s"), ("b", "s"), ("c", "a"), ("d", "b")]
+    )
+    counts = {s: len(_recurrent_vectors(g, s)) for s in g.vertices}
+    assert counts == {"s": 12, "a": 7, "b": 4, "c": 2, "d": 1}
+    assert conjecture1_check(g)["sinks"] == {s: [5] for s in g.vertices}
 
 
 def test_conjecture1_examples():

@@ -8,6 +8,7 @@ from chipfiring import (
     ConfigurationError,
     GraphError,
     MultiDigraph,
+    SettingError,
     SizeCapError,
     add,
     beta,
@@ -36,6 +37,7 @@ from chipfiring.families import (
     undirected_graph,
 )
 from chipfiring.recurrent import (
+    _burning_script,
     _recurrent_vectors,
     bareiss_determinant,
     recurrent_count,
@@ -82,6 +84,12 @@ def test_is_recurrent_examples():
         is_recurrent(K3, "s", cfg(K3, "s", a=5))  # unstable
     with pytest.raises(GraphError):
         is_recurrent(MultiDigraph.of([("s", "a"), ("a", "b"), ("b", "s"), ("a", "s")]), "s", None)
+
+
+def test_burning_script_is_one_sink_firing_on_eulerian_hosts():
+    for g in corpus():
+        for s in g.vertices:
+            assert _burning_script(g, s) == (beta(g, s).chips, (1,) * (g.n_vertices - 1))
 
 
 def test_enumerate_examples():
@@ -178,6 +186,23 @@ def test_kappa_examples():
     assert kappa(C3) == 1
     assert kappa(K3) == 3 == K3.n_arcs // 2
     assert kappa(BANANA) == 2 == BANANA.n_arcs // 2
+
+
+def test_kappa_checks_cap_on_cached_hosts(monkeypatch):
+    monkeypatch.delenv("CFG_CAP_CELLS", raising=False)
+    looped = MultiDigraph.of([("s", "a"), ("a", "s"), ("a", "a"), ("s", "s")])
+    assert kappa(looped) == 1  # now cached; the loopless host's cube at sink s has one cell
+    monkeypatch.setenv("CFG_CAP_CELLS", "1")
+    assert kappa(looped) == 1
+    refused = bidirected_complete(["p", "q", "r"])
+    monkeypatch.delenv("CFG_CAP_CELLS")
+    assert kappa(refused) == 3  # now cached; its cube at sink p has 4 cells
+    monkeypatch.setenv("CFG_CAP_CELLS", "3")
+    with pytest.raises(SizeCapError):
+        kappa(refused)
+    monkeypatch.setenv("CFG_CAP_CELLS", "abc")
+    with pytest.raises(SettingError):
+        kappa(looped)
 
 
 def test_kappa_sink_independent_and_undirected_formula():
