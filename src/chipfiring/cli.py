@@ -8,8 +8,8 @@ inputs and seed.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -28,7 +28,7 @@ from .families import random_eulerian
 from .graph import MultiDigraph, is_eulerian, parse_edge_list
 from .lattice import conjecture1_check
 from .oracles import brute_acyclic_sets, brute_arborescences, brute_recurrents
-from .recurrent import enumerate_recurrents
+from .recurrent import CELL_CAP, enumerate_recurrents
 from .tutte import tutte_gen
 
 USAGE_ERROR = 2
@@ -263,24 +263,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cap = getattr(args, "cap", None)
-    if cap is None:
-        return _run(args)
-    if cap < 1:
+    if cap is not None and cap < 1:
         print("error: --cap must be positive", file=sys.stderr)
         return USAGE_ERROR
-    # the cap reaches the library through CFG_CAP_CELLS for this call only
-    previous = os.environ.get("CFG_CAP_CELLS")
-    os.environ["CFG_CAP_CELLS"] = str(cap)
-    try:
-        return _run(args)
-    finally:
-        if previous is None:
-            os.environ.pop("CFG_CAP_CELLS", None)
-        else:
-            os.environ["CFG_CAP_CELLS"] = previous
+    # the cap holds in a copy of the context, so it ends with this call
+    return contextvars.copy_context().run(_run, args, cap)
 
 
-def _run(args) -> int:
+def _run(args, cap: int | None) -> int:
+    CELL_CAP.set(cap)
     try:
         return args.func(args)
     except SizeCapError as exc:

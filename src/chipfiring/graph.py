@@ -111,6 +111,11 @@ class MultiDigraph:
             for i, row in enumerate(rows)
         )
 
+    @cached_property
+    def _cube_cells(self) -> dict[tuple[int, int], int]:
+        """Memo of ``recurrent._check_cap``: cube size by (sink index, degree column)."""
+        return {}
+
     def outdeg(self, v: str) -> int:
         """Out-degree including loops."""
         self.vertex_index(v)

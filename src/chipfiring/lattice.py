@@ -2,9 +2,10 @@
 
 The lattice is spanned by the firing vectors of the non-sink vertices
 (diagonal entry -(outdeg - loops), off-diagonal entries the arc
-multiplicities), optionally extended by the sink-firing vector.  Membership is
-decided against a column-style Hermite normal form computed with integer
-column operations only.
+multiplicities), optionally extended by the sink-firing vector.  A
+column-style Hermite normal form, computed with integer column operations
+only, gives every vector a canonical residue modulo the lattice; membership
+and the class partition both read it.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ def column_hnf(generators: tuple[tuple[int, ...], ...], dimension: int):
 
 @dataclass(frozen=True)
 class IntegerLattice:
-    """Subgroup of Z^dimension spanned by integer generator vectors."""
+    """Subgroup of Z^dimension spanned by integer generator vectors; ``basis``
+    is its column HNF, each column zero above its positive pivot."""
 
     dimension: int
     generators: tuple[tuple[int, ...], ...]
@@ -73,26 +75,25 @@ class IntegerLattice:
         basis, pivots = column_hnf(generators, dimension)
         return cls(dimension, generators, basis, pivots)
 
-    def contains(self, vector) -> bool:
-        """Exact membership by back-substitution against the triangular basis."""
+    def residue(self, vector) -> tuple[int, ...]:
+        """Canonical representative of vector + L (Cohen, 1993, 2.4): reduced at
+        each pivot row, in row order, into [0, pivot) by the pivot column, so
+        residue(x) == residue(y) exactly when x - y lies in L."""
         x = [int(v) for v in vector]
         if len(x) != self.dimension:
             raise ConfigurationError(
                 f"vector has dimension {len(x)}, lattice has {self.dimension}"
             )
-        next_pivot = 0
-        for row in range(self.dimension):
-            if next_pivot < len(self.pivots) and self.pivots[next_pivot][0] == row:
-                col = self.basis[self.pivots[next_pivot][1]]
-                quotient, remainder = divmod(x[row], col[row])
-                if remainder:
-                    return False
-                if quotient:
-                    x = [a - quotient * b for a, b in zip(x, col)]
-                next_pivot += 1
-            elif x[row] != 0:
-                return False
-        return True
+        for row, j in self.pivots:
+            col = self.basis[j]
+            quotient = x[row] // col[row]
+            if quotient:
+                x = [a - quotient * b for a, b in zip(x, col)]
+        return tuple(x)
+
+    def contains(self, vector) -> bool:
+        """Exact membership: the residue of a lattice vector is zero."""
+        return not any(self.residue(vector))
 
 
 def firing_lattice(g: MultiDigraph, s: str, include_beta: bool = False) -> IntegerLattice:
@@ -138,25 +139,27 @@ def class_representative(g: MultiDigraph, s: str, c: Configuration) -> Configura
     return Configuration(c.host, s, _representative(g, s)(c.chips))
 
 
+def _classes(g: MultiDigraph, s: str, include_beta: bool) -> list[list[tuple[int, ...]]]:
+    """Recurrent chip vectors grouped by lattice residue; classes in order of
+    their first member, members in enumeration order."""
+    residue = firing_lattice(g, s, include_beta).residue
+    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for vec in _recurrent_vectors(g, s):
+        classes.setdefault(residue(vec), []).append(vec)
+    return list(classes.values())
+
+
 def equivalence_classes(
     g: MultiDigraph, s: str, include_beta: bool = False
 ) -> list[list[Configuration]]:
     """Partition the recurrent configurations by lattice equivalence.
 
+    One pass keyed on ``IntegerLattice.residue``, linear in |Rec|.  Classes
+    come in order of their first member and members in lexicographic order.
     Works on every strongly connected host; on Eulerian hosts without the sink
     vector every class is a singleton.
     """
-    recurrents = _recurrent_vectors(g, s)
-    lattice = firing_lattice(g, s, include_beta)
-    classes: list[list[tuple[int, ...]]] = []
-    for vec in recurrents:
-        for cls in classes:
-            if lattice.contains([a - b for a, b in zip(vec, cls[0])]):
-                cls.append(vec)
-                break
-        else:
-            classes.append([vec])
-    return [[Configuration(g, s, vec) for vec in cls] for cls in classes]
+    return [[Configuration(g, s, vec) for vec in cls] for cls in _classes(g, s, include_beta)]
 
 
 def conjecture1_check(g: MultiDigraph) -> dict:
@@ -173,9 +176,8 @@ def conjecture1_check(g: MultiDigraph) -> dict:
     eulerian = is_eulerian(g)
     per_sink: dict[str, list[int]] = {}
     for s in g.vertices:
-        classes = equivalence_classes(g, s, include_beta=True)
         maxima = sorted(
-            max(g.outdeg(s) + sum(c.chips) for c in cls) for cls in classes
+            g.outdeg(s) + max(map(sum, cls)) for cls in _classes(g, s, include_beta=True)
         )
         per_sink[s] = maxima
         if eulerian:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -22,9 +23,15 @@ from .graph import MultiDigraph, is_eulerian, remove_loops
 
 DEFAULT_CELL_CAP = 20_000_000
 
+# a cap set for the current context (``cfg --cap``); it beats CFG_CAP_CELLS
+CELL_CAP: ContextVar[int | None] = ContextVar("CELL_CAP", default=None)
+
 
 def cell_cap() -> int:
-    """Enumeration cap in stable-cube cells; override with CFG_CAP_CELLS."""
+    """Enumeration cap in stable-cube cells: CELL_CAP if set, else CFG_CAP_CELLS."""
+    cap = CELL_CAP.get()
+    if cap is not None:
+        return cap
     raw = os.environ.get("CFG_CAP_CELLS")
     if raw is None:
         return DEFAULT_CELL_CAP
@@ -39,8 +46,13 @@ def cell_cap() -> int:
 
 def _check_cap(g: MultiDigraph, sink: int, degree: int = 1) -> None:
     """Refuse a stable cube prod_{v != sink} outdeg(v) above the cell cap, before
-    any cache is read; ``degree=2`` sizes the cube of ``remove_loops(g)``."""
-    cells = math.prod(row[degree] for row in g._firing_table if row[0] != sink)
+    any cache is read; ``degree=2`` sizes the cube of ``remove_loops(g)``.  The
+    size is computed once per (graph, sink, degree), the cap read every call."""
+    cells = g._cube_cells.get((sink, degree))
+    if cells is None:
+        cells = g._cube_cells[sink, degree] = math.prod(
+            row[degree] for row in g._firing_table if row[0] != sink
+        )
     cap = cell_cap()
     if cells > cap:
         raise SizeCapError(

@@ -181,6 +181,23 @@ def test_cap_flag(graph_file, capsys, monkeypatch):
     assert code == 3 and os.environ["CFG_CAP_CELLS"] == "1000"
 
 
+def test_cap_flag_beats_environment_and_ends_with_the_call(graph_file, capsys, monkeypatch):
+    from chipfiring.errors import SettingError
+    from chipfiring.recurrent import CELL_CAP, cell_cap
+
+    monkeypatch.setenv("CFG_CAP_CELLS", "abc")
+    path = graph_file(K3_TEXT, "k3.txt")
+    code, out, _ = run(capsys, "recurrents", path, "--cap", "1000")
+    assert code == 0 and out  # a bad environment value is ignored under --cap
+    assert CELL_CAP.get() is None
+    with pytest.raises(SettingError):
+        cell_cap()
+    monkeypatch.setenv("CFG_CAP_CELLS", "1")
+    code, out, _ = run(capsys, "tutte", path, "--cap", "1000")
+    assert code == 0 and out
+    code, out, err = run(capsys, "tutte", path)
+    assert code == 3 and out == "" and "cap of 1;" in err
+
 def test_cap_checked_on_every_call(graph_file, capsys, monkeypatch):
     # one file throughout: the later calls find its enumeration in the cache
     path = graph_file(K3_TEXT, "k3.txt")

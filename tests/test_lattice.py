@@ -48,6 +48,27 @@ def bounded_search_member(generators, vector, bound=6):
     return False
 
 
+def axis_generators(rng):
+    """Scale k_i on axis i of a 1- to 4-dimensional lattice, with the scales;
+    x lies in it iff k_i divides x_i for every i."""
+    dim = rng.randint(1, 4)
+    scales = [rng.randint(1, 5) for _ in range(dim)]
+    gens = [tuple(scales[i] if j == i else 0 for j in range(dim)) for i in range(dim)]
+    return gens, scales
+
+
+def line_generators(rng):
+    """One to three generators of a sublattice of Z, the multiples of their gcd."""
+    return [(rng.randint(-9, 9),) for _ in range(rng.randint(1, 3))]
+
+
+def dense_generators(rng):
+    """One to four generators with entries in [-5, 5], like those of the closure
+    property test but in dimension 1 to 4, with the dimension."""
+    dim = rng.randint(1, 4)
+    return [tuple(rng.randint(-5, 5) for _ in range(dim)) for _ in range(rng.randint(1, 4))], dim
+
+
 def test_column_hnf_shape():
     basis, pivots = column_hnf(((2, 1), (1, 2)), 2)
     assert len(basis) == 2 and len(pivots) == 2
@@ -67,17 +88,16 @@ def test_membership_examples():
         assert lat.contains([-x for x in gen])
     with pytest.raises(ConfigurationError):
         lat.contains((1, 2, 3))
+    with pytest.raises(ConfigurationError):
+        lat.residue((1, 2, 3))
 
 
 def test_membership_against_divisibility_oracle():
     # axis-aligned lattices have an exact membership rule: coordinatewise divisibility
     rng = random.Random(17)
     for _ in range(80):
-        dim = rng.randint(1, 4)
-        scales = [rng.randint(1, 5) for _ in range(dim)]
-        gens = [
-            tuple(scales[i] if j == i else 0 for j in range(dim)) for i in range(dim)
-        ]
+        gens, scales = axis_generators(rng)
+        dim = len(scales)
         lat = IntegerLattice.from_generators(gens, dim)
         for _ in range(10):
             probe = tuple(rng.randint(-8, 8) for _ in range(dim))
@@ -87,7 +107,7 @@ def test_membership_against_divisibility_oracle():
 def test_membership_against_gcd_oracle():
     rng = random.Random(23)
     for _ in range(80):
-        gens = [(rng.randint(-9, 9),) for _ in range(rng.randint(1, 3))]
+        gens = line_generators(rng)
         lat = IntegerLattice.from_generators(gens, 1)
         g = math.gcd(*(abs(x) for x, in gens)) if gens else 0
         for probe in range(-12, 13):
@@ -115,6 +135,75 @@ def test_membership_closure_properties(gens, coeffs, probe):
     assert lat.contains(probe) == lat.contains([-x for x in probe])  # negation closed
     if bounded_search_member(gens, list(probe)):
         assert lat.contains(probe)  # bound-6 search certifies membership
+
+
+def test_residue_is_a_canonical_coset_representative():
+    rng = random.Random(29)
+    same = differ = 0
+    for trial in range(300):
+        family = trial % 3
+        if family == 0:
+            gens, scales = axis_generators(rng)
+            dim = len(scales)
+        elif family == 1:
+            gens, dim = line_generators(rng), 1
+        else:
+            gens, dim = dense_generators(rng)
+        lat = IntegerLattice.from_generators(gens, dim)
+        for _ in range(8):
+            x = tuple(rng.randint(-8, 8) for _ in range(dim))
+            y = list(x)
+            if rng.random() < 0.5:  # shift by a lattice member
+                for gen in gens:
+                    c = rng.randint(-3, 3)
+                    y = [a + c * b for a, b in zip(y, gen)]
+            else:
+                y = [rng.randint(-8, 8) for _ in range(dim)]
+            rx, ry = lat.residue(x), lat.residue(y)
+            member = lat.contains([a - b for a, b in zip(x, y)])
+            assert (rx == ry) == member
+            same += member
+            differ += not member
+            assert lat.residue(rx) == rx
+            assert lat.contains([a - b for a, b in zip(x, rx)])
+            for row, j in lat.pivots:
+                assert 0 <= rx[row] < lat.basis[j][row]
+            # independent rules where the lattice has a closed form
+            if family == 0:
+                assert rx == tuple(a % k for a, k in zip(x, scales))
+            elif family == 1:
+                g = math.gcd(*(v for v, in gens))
+                assert rx == ((x[0] % g,) if g else x)
+    assert same > 300 and differ > 300
+
+
+def pairwise_classes(g, s, include_beta):
+    """The partition by pairwise membership against each class's first member."""
+    lat = firing_lattice(g, s, include_beta)
+    classes = []
+    for vec in _recurrent_vectors(g, s):
+        for cls in classes:
+            if lat.contains([a - b for a, b in zip(vec, cls[0])]):
+                cls.append(vec)
+                break
+        else:
+            classes.append([vec])
+    return classes
+
+
+def test_residue_classes_match_pairwise_partition():
+    triples = merged = 0
+    for g in corpus() + non_eulerian_corpus():
+        for s in g.vertices:
+            for include_beta in (False, True):
+                classes = equivalence_classes(g, s, include_beta)
+                assert [[c.chips for c in cls] for cls in classes] == pairwise_classes(
+                    g, s, include_beta
+                )
+                triples += 1
+                merged += any(len(cls) > 1 for cls in classes)
+    assert triples == 1956
+    assert merged > 0  # the corpora exercise classes with several members
 
 
 def test_eulerian_classes_are_singletons():

@@ -205,6 +205,25 @@ def test_kappa_checks_cap_on_cached_hosts(monkeypatch):
         kappa(looped)
 
 
+def test_cube_size_computed_once_per_sink_and_degree(monkeypatch):
+    from chipfiring import recurrent
+
+    monkeypatch.delenv("CFG_CAP_CELLS", raising=False)
+    looped = MultiDigraph.of([("p", "q"), ("q", "p"), ("q", "r"), ("r", "q"), ("q", "q")])
+    recurrent._check_cap(looped, 0)
+    recurrent._check_cap(looped, 0, degree=2)
+    assert looped._cube_cells == {(0, 1): 3, (0, 2): 2}
+
+    def refuse(cells):
+        raise AssertionError("cube size recomputed")
+
+    monkeypatch.setattr(recurrent.math, "prod", refuse)
+    recurrent._check_cap(looped, 0)
+    monkeypatch.setenv("CFG_CAP_CELLS", "2")  # the cap is still read on every call
+    with pytest.raises(SizeCapError):
+        recurrent._check_cap(looped, 0)
+    recurrent._check_cap(looped, 0, degree=2)
+
 def test_kappa_sink_independent_and_undirected_formula():
     from chipfiring import is_undirected
 
