@@ -1,5 +1,9 @@
 """Command-line front end.
 
+``COMMANDS`` is the one table of subcommands, their handlers and options;
+``parse_args`` reads argv against it in one walk with argparse's grammar, but
+builds no parser and loads no locale, so a call pays only for its tokens.
+
 Exit codes: 0 success, 1 property violation (or internal invariant failure),
 2 usage or input error, 3 size cap exceeded.  Output is byte-stable for fixed
 inputs and seed.
@@ -7,12 +11,15 @@ inputs and seed.
 
 from __future__ import annotations
 
-import argparse
 import contextvars
 import json
 import random
+import re
 import sys
+from collections.abc import Callable
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import NamedTuple, NoReturn
 
 from . import checks
 from .bijection import theta
@@ -131,8 +138,7 @@ def _cmd_tutte(args) -> int:
         "consistent": consistent,
     }
     if args.eval is not None:
-        y0 = Fraction(args.eval)
-        data["eval"] = {"at": str(y0), "value": str(reference.eval(y0))}
+        data["eval"] = {"at": str(args.eval), "value": str(reference.eval(args.eval))}
     if args.format == "json":
         _emit_json(data)
     else:
@@ -151,19 +157,20 @@ def _cmd_swap(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    graphs: list[tuple[str, MultiDigraph]] = []
+def _check_inputs(args):
+    """The graphs ``check`` runs on, one at a time: the file, then the seeded family."""
     if args.graph:
-        graphs.append((args.graph, parse_graph(args.graph)))
+        yield args.graph, parse_graph(args.graph)
     if args.seed is not None:
         rng = random.Random(args.seed)
         for i in range(args.count):
-            graphs.append((f"random[{i}]", random_eulerian(rng)))
-    if not graphs:
-        print("check needs a graph file, a --seed, or both", file=sys.stderr)
-        return USAGE_ERROR
-    all_ok = True
-    for name, g in graphs:
+            yield f"random[{i}]", random_eulerian(rng)
+
+
+def _cmd_check(args) -> int:
+    all_ok, checked = True, False
+    for name, g in _check_inputs(args):
+        checked = True
         report = checks.run_check(args.property, g)
         all_ok &= report.ok
         status = "ok" if report.ok else "FAILED"
@@ -171,6 +178,9 @@ def _cmd_check(args) -> int:
         if args.verbose or not report.ok:
             for line in report.lines:
                 print(f"  {line}")
+    if not checked:
+        print("check needs a graph file, a --seed, or both", file=sys.stderr)
+        return USAGE_ERROR
     return 0 if all_ok else VIOLATION
 
 
@@ -199,70 +209,241 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cfg",
-        description="Chip-firing games on Eulerian multidigraphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option(NamedTuple):
+    """One ``--name`` option.  ``kind`` reads its value: ``str`` keeps it, a
+    converter such as ``int`` converts it, a tuple lists the accepted values,
+    and ``bool`` makes a flag that takes no value."""
 
-    def add(name, func, help_text, graph_required=True):
-        p = sub.add_parser(name, help=help_text)
-        if graph_required:
-            p.add_argument("graph", help="edge-list file: 'tail head [multiplicity]' per line")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=None,
-            help="enumeration cap in stable-cube cells (default from CFG_CAP_CELLS)",
-        )
-        p.set_defaults(func=func)
-        return p
+    default: object = None
+    kind: object = str
+    required: bool = False
+    help: str = ""
 
-    add("info", _cmd_info, "describe a graph")
 
-    p = add("stabilize", _cmd_stabilize, "stabilize a configuration for a sink")
-    p.add_argument("--sink", required=True)
-    p.add_argument("--config", default="", help="chip literal, e.g. 'a=2,b=1'")
+class Command(NamedTuple):
+    func: Callable[[SimpleNamespace], int]
+    help: str
+    graph_required: bool
+    options: dict[str, Option]
 
-    p = add("recurrents", _cmd_recurrents, "enumerate recurrent configurations")
-    p.add_argument("--sink", default=None)
 
-    p = add("tutte", _cmd_tutte, "generating polynomial and per-sink agreement")
-    p.add_argument("--eval", default=None, help="also evaluate at a rational point, e.g. 2 or 3/2")
+_CAP = Option(None, int, help="enumeration cap in stable-cube cells (default from CFG_CAP_CELLS)")
+_GRAPH_HELP = "edge-list file: 'tail head [multiplicity]' per line"
 
-    p = add("swap", _cmd_swap, "transport a recurrent configuration to another sink")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--config", default="", help="chip literal for the source sink game")
 
-    p = sub.add_parser("check", help="run a property suite; nonzero exit on violation")
-    p.add_argument("graph", nargs="?", default=None)
-    p.add_argument("--property", required=True, choices=checks.PROPERTIES)
-    p.add_argument("--seed", type=int, default=None, help="also run on seeded random graphs")
-    p.add_argument("--count", type=int, default=25, help="number of random graphs")
-    p.add_argument("--verbose", action="store_true")
-    p.add_argument("--cap", type=int, default=None)
-    p.set_defaults(func=_cmd_check)
+def _on_graph(func, help_text: str, **options: Option) -> Command:
+    """A command that needs a graph file and takes ``--format`` and ``--cap``."""
+    options = {"format": Option("text", ("text", "json")), "cap": _CAP, **options}
+    return Command(func, help_text, True, options)
 
-    add("conjecture1", _cmd_conjecture1, "per-sink class-maxima report")
 
-    p = add("oracle", _cmd_oracle, "brute-force reference values")
-    p.add_argument("--sink", default=None)
-    p.add_argument(
-        "--which",
-        required=True,
-        choices=("arborescences", "acyclic", "recurrents"),
-    )
+COMMANDS = {
+    "info": _on_graph(_cmd_info, "describe a graph"),
+    "stabilize": _on_graph(
+        _cmd_stabilize,
+        "stabilize a configuration for a sink",
+        sink=Option(required=True),
+        config=Option("", help="chip literal, e.g. 'a=2,b=1'"),
+    ),
+    "recurrents": _on_graph(_cmd_recurrents, "enumerate recurrent configurations", sink=Option()),
+    "tutte": _on_graph(
+        _cmd_tutte,
+        "generating polynomial and per-sink agreement",
+        eval=Option(None, Fraction, help="also evaluate at a rational point, e.g. 2 or 3/2"),
+    ),
+    "swap": _on_graph(
+        _cmd_swap,
+        "transport a recurrent configuration to another sink",
+        source=Option(required=True),
+        target=Option(required=True),
+        config=Option("", help="chip literal for the source sink game"),
+    ),
+    "check": Command(
+        _cmd_check,
+        "run a property suite; nonzero exit on violation",
+        False,
+        {
+            "property": Option(None, checks.PROPERTIES, required=True),
+            "seed": Option(None, int, help="also run on seeded random graphs"),
+            "count": Option(25, int, help="number of random graphs (default 25)"),
+            "verbose": Option(False, bool),
+            "cap": _CAP,
+        },
+    ),
+    "conjecture1": _on_graph(_cmd_conjecture1, "per-sink class-maxima report"),
+    "oracle": _on_graph(
+        _cmd_oracle,
+        "brute-force reference values",
+        sink=Option(),
+        which=Option(None, ("arborescences", "acyclic", "recurrents"), required=True),
+    ),
+}
+_TOP_USAGE = "usage: cfg [-h] {" + ",".join(COMMANDS) + "} ..."
 
-    return parser
+
+class _Refused(Exception):
+    """A usage error; ``parse_args`` prints it under the usage line and exits 2."""
+
+
+def _show_help(text: str) -> NoReturn:
+    print(text)
+    raise SystemExit(0)
+
+
+def _metavar(name: str, option: Option) -> str:
+    if option.kind is bool:
+        return ""
+    if isinstance(option.kind, tuple):
+        return " {" + ",".join(option.kind) + "}"
+    return " " + name.upper()
+
+
+def _command_usage(name: str, command: Command) -> str:
+    words = ["usage: cfg", name, "[-h]"]
+    for key, option in command.options.items():
+        word = f"--{key}{_metavar(key, option)}"
+        words.append(word if option.required else f"[{word}]")
+    words.append("graph" if command.graph_required else "[graph]")
+    return " ".join(words)
+
+
+def _command_help(name: str, command: Command) -> str:
+    rows = [("graph", _GRAPH_HELP)]
+    rows += [(f"--{key}{_metavar(key, o)}", o.help) for key, o in command.options.items()]
+    rows.append(("-h, --help", "show this help and exit"))
+    lines = [_command_usage(name, command), "", command.help, ""]
+    for flag, text in rows:
+        lines.append(f"  {flag:<24}{text}" if len(flag) < 24 else f"  {flag}\n{'':26}{text}")
+    return "\n".join(line.rstrip() for line in lines)
+
+
+def _top_help() -> str:
+    lines = [_TOP_USAGE, "", "Chip-firing games on Eulerian multidigraphs.", "", "commands:"]
+    lines += [f"  {name:<13}{command.help}" for name, command in COMMANDS.items()]
+    lines += ["", "Run 'cfg <command> -h' for the options of one command."]
+    return "\n".join(lines)
+
+
+def _classify(token: str, names) -> tuple[str | None, str | None] | None:
+    """Read ``token`` the way argparse does: ``None`` for a positional, else
+    ``(name, value after '=')``, where ``name`` is ``None`` for an unknown option.
+
+    ``-``, ``--``, ``-5``, ``-.5`` and a word with a space that names no option
+    are positionals; a unique prefix of ``--name`` names it, an ambiguous one
+    is refused; ``-hX`` is ``-h`` with the value ``X``.
+    """
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    if token[:2] != "--":
+        if token[1] == "h":
+            return "help", token[2:] or None
+        if re.fullmatch(r"-\d+|-\d*\.\d+", token):
+            return None
+    else:
+        head, eq, value = token[2:].partition("=")
+        value = value if eq else None
+        if head in names:
+            return head, value
+        matches = [name for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            raise _Refused(f"ambiguous option: {token} could match --{', --'.join(matches)}")
+        if matches:
+            return matches[0], value
+    return None if " " in token else (None, None)
+
+
+def _read_value(key: str, spec: Option, text: str):
+    if isinstance(spec.kind, tuple):
+        if text not in spec.kind:
+            choices = ", ".join(spec.kind)
+            raise _Refused(f"argument --{key}: invalid choice: {text!r} (choose from {choices})")
+        return text
+    try:
+        return spec.kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise _Refused(f"argument --{key}: invalid {spec.kind.__name__} value: {text!r}") from None
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read ``argv`` (without the program name) against ``COMMANDS`` in one walk.
+
+    Returns a namespace with ``command``, ``graph``, each option of the
+    command and ``func``, its handler.  Takes ``--name value`` and
+    ``--name=value`` with any unique prefix of ``name``, options on either
+    side of the positional, and ``--`` before a positional that starts with
+    ``-``.  ``-h``/``--help`` prints help to stdout and raises
+    ``SystemExit(0)``; a usage error prints the usage line and the reason to
+    stderr and raises ``SystemExit(2)``.  As in argparse, unknown options and
+    extra positionals are refused only after the walk, so a later ``-h`` helps.
+    """
+    name = command = None
+    try:
+        extras = []
+        for at, token in enumerate(argv):
+            option = _classify(token, ("help",))
+            if option is None:
+                break
+            if option[0] is None:
+                extras.append(token)
+            elif option[1] is not None:
+                raise _Refused(f"argument --help: ignored explicit argument {option[1]!r}")
+            else:
+                _show_help(_top_help())
+        else:
+            raise _Refused("a command is required")
+        name = argv[at]
+        command = COMMANDS.get(name)
+        if command is None:
+            raise _Refused(f"invalid command: {name!r} (choose from {', '.join(COMMANDS)})")
+
+        names = (*command.options, "help")
+        args = {"command": name, "graph": None}
+        args.update((key, option.default) for key, option in command.options.items())
+        tokens = iter(argv[at + 1 :])
+        only_positionals = False
+        for token in tokens:
+            if token == "--" and not only_positionals:
+                only_positionals = True
+                continue
+            option = None if only_positionals else _classify(token, names)
+            if option is None:
+                if args["graph"] is None:
+                    args["graph"] = token
+                else:
+                    extras.append(token)
+                continue
+            key, value = option
+            if key is None:
+                extras.append(token)
+            elif key == "help" or command.options[key].kind is bool:
+                if value is not None:
+                    raise _Refused(f"argument --{key}: ignored explicit argument {value!r}")
+                if key == "help":
+                    _show_help(_command_help(name, command))
+                args[key] = True
+            else:
+                if value is None:
+                    value = next(tokens, None)
+                    if value in (None, "--") or _classify(value, names) is not None:
+                        raise _Refused(f"argument --{key}: expected one argument")
+                args[key] = _read_value(key, command.options[key], value)
+        missing = ["graph"] if command.graph_required and args["graph"] is None else []
+        missing += [f"--{k}" for k, o in command.options.items() if o.required and args[k] is None]
+        if missing:
+            raise _Refused(f"the following arguments are required: {', '.join(missing)}")
+        if extras:
+            raise _Refused(f"unrecognized arguments: {' '.join(extras)}")
+    except _Refused as exc:
+        usage = _command_usage(name, command) if command else _TOP_USAGE
+        prog = f"cfg {name}" if command else "cfg"
+        print(f"{usage}\n{prog}: error: {exc}", file=sys.stderr)
+        raise SystemExit(USAGE_ERROR) from None
+    return SimpleNamespace(**args, func=command.func)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cap = getattr(args, "cap", None)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    cap = args.cap
     if cap is not None and cap < 1:
         print("error: --cap must be positive", file=sys.stderr)
         return USAGE_ERROR

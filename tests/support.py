@@ -6,12 +6,23 @@ and the two reconstructed demo graphs under tests/data/.
 
 from __future__ import annotations
 
+import argparse
 import functools
 import itertools
 import random
 from pathlib import Path
 
-from chipfiring import Configuration, MultiDigraph, is_eulerian, parse_edge_list
+from chipfiring import Configuration, MultiDigraph, checks, is_eulerian, parse_edge_list
+from chipfiring.cli import (
+    _cmd_check,
+    _cmd_conjecture1,
+    _cmd_info,
+    _cmd_oracle,
+    _cmd_recurrents,
+    _cmd_stabilize,
+    _cmd_swap,
+    _cmd_tutte,
+)
 from chipfiring.families import random_eulerian, random_strongly_connected, undirected_graph
 
 DATA = Path(__file__).parent / "data"
@@ -120,3 +131,65 @@ def simple_undirected_connected() -> tuple[MultiDigraph, ...]:
 
 def eulerian_members(graphs):
     return [g for g in graphs if is_eulerian(g)]
+
+
+# The argparse parser that ``cfg`` used before ``cli.parse_args``, kept as the
+# reference its differential test compares against.
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cfg",
+        description="Chip-firing games on Eulerian multidigraphs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, func, help_text, graph_required=True):
+        p = sub.add_parser(name, help=help_text)
+        if graph_required:
+            p.add_argument("graph", help="edge-list file: 'tail head [multiplicity]' per line")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument(
+            "--cap",
+            type=int,
+            default=None,
+            help="enumeration cap in stable-cube cells (default from CFG_CAP_CELLS)",
+        )
+        p.set_defaults(func=func)
+        return p
+
+    add("info", _cmd_info, "describe a graph")
+
+    p = add("stabilize", _cmd_stabilize, "stabilize a configuration for a sink")
+    p.add_argument("--sink", required=True)
+    p.add_argument("--config", default="", help="chip literal, e.g. 'a=2,b=1'")
+
+    p = add("recurrents", _cmd_recurrents, "enumerate recurrent configurations")
+    p.add_argument("--sink", default=None)
+
+    p = add("tutte", _cmd_tutte, "generating polynomial and per-sink agreement")
+    p.add_argument("--eval", default=None, help="also evaluate at a rational point, e.g. 2 or 3/2")
+
+    p = add("swap", _cmd_swap, "transport a recurrent configuration to another sink")
+    p.add_argument("--source", required=True)
+    p.add_argument("--target", required=True)
+    p.add_argument("--config", default="", help="chip literal for the source sink game")
+
+    p = sub.add_parser("check", help="run a property suite; nonzero exit on violation")
+    p.add_argument("graph", nargs="?", default=None)
+    p.add_argument("--property", required=True, choices=checks.PROPERTIES)
+    p.add_argument("--seed", type=int, default=None, help="also run on seeded random graphs")
+    p.add_argument("--count", type=int, default=25, help="number of random graphs")
+    p.add_argument("--verbose", action="store_true")
+    p.add_argument("--cap", type=int, default=None)
+    p.set_defaults(func=_cmd_check)
+
+    add("conjecture1", _cmd_conjecture1, "per-sink class-maxima report")
+
+    p = add("oracle", _cmd_oracle, "brute-force reference values")
+    p.add_argument("--sink", default=None)
+    p.add_argument(
+        "--which",
+        required=True,
+        choices=("arborescences", "acyclic", "recurrents"),
+    )
+
+    return parser

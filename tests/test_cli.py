@@ -1,11 +1,18 @@
+import io
 import json
+import shlex
+import sys
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
-from chipfiring import enumerate_recurrents
-from chipfiring.cli import main, parse_graph
+from chipfiring import checks, cli, enumerate_recurrents
+from chipfiring.cli import main, parse_args, parse_graph
+from chipfiring.families import random_eulerian
 
-from support import DATA, corpus
+from support import DATA, build_parser, corpus
 
 C3_TEXT = "s a\na b\nb s\n"
 K3_TEXT = "s a\na s\ns b\nb s\na b\nb a\n"
@@ -108,6 +115,24 @@ def test_check_seeded_family(capsys):
 def test_check_requires_input(capsys):
     code, _, err = run(capsys, "check", "--property", "theta")
     assert code == 2 and "seed" in err
+    code, out, err = run(capsys, "check", "--property", "theta", "--seed", "1", "--count", "0")
+    assert (code, out) == (2, "") and "seed" in err
+
+
+def test_check_reports_each_seeded_graph_before_generating_the_next(capsys, monkeypatch):
+    argv = ("check", "--property", "theta", "--seed", "7", "--count", "3")
+    _, whole, _ = run(capsys, *argv)
+    printed_before = []
+
+    def counting(rng):
+        printed_before.append(capsys.readouterr().out)
+        return random_eulerian(rng)
+
+    monkeypatch.setattr(cli, "random_eulerian", counting)
+    code, last, _ = run(capsys, *argv)
+    assert code == 0
+    assert printed_before == ["", "random[0]: ok\n", "random[1]: ok\n"]
+    assert "".join(printed_before) + last == whole
 
 
 def test_conjecture1(graph_file, capsys):
@@ -130,7 +155,7 @@ def test_oracle(graph_file, capsys):
 
 
 def test_exit_codes(graph_file, capsys, tmp_path):
-    # usage error from argparse
+    # usage error from parse_args: exit 2 before any work
     with pytest.raises(SystemExit) as exc:
         main(["tutte"])
     assert exc.value.code == 2
@@ -269,3 +294,179 @@ def test_recurrents_writer_matches_generic_encoder(tmp_path, capsys):
     at_9, at_q = special[1], special[3]
     assert all(key in at_9 for key in ('"\\"q": ', '"\\u00e9": ', '"a\\\\b": ', '"%d": '))
     assert at_q.index('"10": ') < at_q.index('"9": ')
+
+
+@pytest.mark.parametrize("value", ["abc", "1/0", ""])
+def test_bad_eval_is_a_usage_error_before_any_work(graph_file, capsys, monkeypatch, value):
+    def not_reached(*args):
+        raise AssertionError("tutte_gen ran for an --eval value that cannot be read")
+
+    monkeypatch.setattr(cli, "tutte_gen", not_reached)
+    with pytest.raises(SystemExit) as exc:
+        main(["tutte", graph_file(K3_TEXT), "--eval", value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and "--eval" in captured.err
+
+
+def test_main_reads_sys_argv(graph_file, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["cfg", "info", graph_file(C3_TEXT), "--format=json"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["arc_count"] == 3
+
+
+# -------------------------------------------- parse_args against argparse
+
+README_LINES = [
+    "cfg info k3.txt",
+    "cfg recurrents k3.txt --sink s --format json",
+    "cfg stabilize k3.txt --sink s --config 'a=2,b=2'",
+    "cfg tutte k3.txt --eval 2",
+    "cfg swap k3.txt --source s --target a --config 'a=1,b=0'",
+    "cfg check k3.txt --property sink-independence --verbose",
+    "cfg check --property recursions --seed 7 --count 10",
+    "cfg conjecture1 k3.txt --format json",
+    "cfg oracle k3.txt --sink s --which arborescences",
+]
+
+# the argv shapes of perfbench's operations
+PERFBENCH_ARGVS = [
+    *(["check", "g00.txt", "--property", p] for p in checks.PROPERTIES),
+    ["tutte", "k7.txt", "--eval", "2"],
+    ["recurrents", "k7.txt", "--sink", "k0", "--format", "json"],
+    ["conjecture1", "grid3x3.txt"],
+]
+
+REJECTED = {
+    "missing command": [],
+    "unknown command": ["bogus", "g.txt"],
+    "missing required option": ["stabilize", "g.txt"],
+    "bad choice": ["info", "g.txt", "--format", "xml"],
+    "bad int": ["check", "--property", "theta", "--seed", "x"],
+    "unknown option": ["info", "g.txt", "--colour", "red"],
+    "ambiguous prefix": ["stabilize", "g.txt", "--sink", "s", "--c", "a=1"],
+    "extra positional": ["info", "g.txt", "h.txt"],
+    "missing graph": ["tutte", "--eval", "2"],
+    "missing value": ["recurrents", "g.txt", "--sink"],
+    "flag with a value": ["check", "--property", "theta", "--verbose=yes"],
+}
+
+# values for each option: accepted ones, argparse's look-alikes (-5, -.5, a
+# space) and ones the option refuses
+OPTION_VALUES = {
+    "format": ["text", "json", "xml"],
+    "cap": ["5", "-5", "+7", "abc", ""],
+    "sink": ["s", "-1", "a b", "-x y", "", "-x"],
+    "config": ["a=2,b=1", "", "-a=1", "--a b"],
+    "eval": ["2", "3/2", "-.5", "-1/2", " 4 ", "abc", "1/0", ""],
+    "source": ["s", "-2"],
+    "target": ["a", "--t"],
+    "property": [*checks.PROPERTIES, "bogus"],
+    "seed": ["7", "-3", "x"],
+    "count": ["2", "0", "1.5"],
+    "verbose": [None, "1"],
+    "which": ["arborescences", "acyclic", "recurrents", "trees"],
+}
+REQUIRED = {
+    "stabilize": {"sink": "s"},
+    "swap": {"source": "s", "target": "a"},
+    "check": {"property": "theta"},
+    "oracle": {"which": "acyclic"},
+}
+
+
+def parser_argvs() -> list[list[str]]:
+    """Every command and option, both value forms, every prefix of every option
+    name, options before and after the positional, help requests and the
+    rejected shapes above; no argv twice."""
+    argvs = [["-h"], ["--help"], ["--he"], ["--hel=x"], ["-x", "info", "g.txt"], ["-5"], [""]]
+    argvs += [shlex.split(line)[1:] for line in README_LINES] + PERFBENCH_ARGVS
+    argvs += REJECTED.values()
+    for name, command in cli.COMMANDS.items():
+        required = REQUIRED.get(name, {})
+        needed = [token for key, value in required.items() for token in (f"--{key}", value)]
+        argvs += [
+            [name],
+            [name, "g.txt"],
+            [name, *needed],
+            [name, "g.txt", *needed],
+            [name, *needed, "g.txt"],
+            [name, "g.txt", "h.txt", *needed],
+            [name, "-h"],
+            [name, "--h"],
+            [name, "g.txt", "--help"],
+            [name, "g.txt", *needed, "--bogus"],
+            [name, "g.txt", *needed, "--bogus=1"],
+            [name, *needed, "--", "-g.txt"],
+            [name, "--", "g.txt", "h.txt", *needed],
+        ]
+        for key in command.options:
+            rest = [token for k, v in required.items() if k != key for token in (f"--{k}", v)]
+            for cut in range(3, len(key) + 3):
+                flag = f"--{key}"[:cut]
+                argvs.append([name, "g.txt", *rest, flag])
+                for value in OPTION_VALUES[key]:
+                    forms = [[flag]] if value is None else [[flag, value], [f"{flag}={value}"]]
+                    for tokens in forms:
+                        argvs.append([name, *tokens, "g.txt", *rest])
+                        argvs.append([name, "g.txt", *rest, *tokens])
+    return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
+
+
+def _outcome(parse, argv):
+    """(exit code or None, stdout, namespace or None) of one parse."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            return None, out.getvalue(), parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), None
+
+
+def compare_with_argparse(argvs) -> Counter:
+    """Parse each argv with ``parse_args`` and the argparse reference, assert
+    that they agree and count the outcomes.
+
+    Accepted argvs give equal attributes and the same handler, with
+    ``--eval`` read as a ``Fraction``; an ``--eval`` that ``Fraction``
+    refuses, which argparse kept as text, is a usage error.  Help exits 0
+    with text on stdout; every other rejection exits 2 with stdout empty.
+    """
+    reference = build_parser()
+    counts = Counter()
+    for argv in argvs:
+        ref_code, ref_out, ref_args = _outcome(reference.parse_args, argv)
+        code, out, args = _outcome(parse_args, argv)
+        if ref_args is not None:
+            expected = {key: value for key, value in vars(ref_args).items() if key != "func"}
+            if expected.get("eval") is not None:
+                try:
+                    expected["eval"] = Fraction(expected["eval"])
+                except (ValueError, ZeroDivisionError):
+                    assert (code, out) == (2, ""), argv
+                    counts["eval refused"] += 1
+                    continue
+            assert (code, out) == (None, ""), argv
+            assert {key: value for key, value in vars(args).items() if key != "func"} == expected, argv
+            assert args.func is ref_args.func, argv
+            counts["accepted"] += 1
+        elif ref_code == 0:
+            assert code == 0 and out.startswith("usage: cfg"), argv
+            counts["help"] += 1
+        else:
+            assert (ref_code, ref_out) == (2, ""), argv
+            assert (code, out) == (2, ""), argv
+            counts["rejected"] += 1
+    return counts
+
+
+def test_parse_args_agrees_with_argparse():
+    argvs = parser_argvs()
+    counts = compare_with_argparse(argvs)
+    assert sum(counts.values()) == len(argvs)
+    assert counts["accepted"] >= 500 and counts["rejected"] >= 500
+    assert counts["help"] >= 24 and counts["eval refused"] >= 10
+    for shape in [shlex.split(line)[1:] for line in README_LINES] + PERFBENCH_ARGVS:
+        assert compare_with_argparse([shape]) == {"accepted": 1}, shape
+    for reason, argv in REJECTED.items():
+        assert compare_with_argparse([argv]) == {"rejected": 1}, reason
