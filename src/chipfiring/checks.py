@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import bijection, lattice, recurrent, tutte
-from .dynamics import Configuration, _movers, _settle, add, beta, stabilize
+from .dynamics import Configuration, _movers, _settle
 from .errors import InternalCheckError, PropertyViolationError
 from .graph import MultiDigraph, is_bridge, is_eulerian, reverse_partner
 
@@ -111,13 +111,14 @@ def check_theta(g: MultiDigraph) -> CheckReport:
     images: dict[tuple[str, str, tuple[int, ...]], tuple[int, ...]] = {}
     for s1, s2 in itertools.permutations(g.vertices, 2):
         rs = recurrents[s1]
+        config = partial(Configuration, g, s1)  # for report lines only
         i1, i2 = g.vertex_index(s1), g.vertex_index(s2)
         targets = recurrents[s2]._positions
         back_movers = _movers(g, i1)
         min_sum = min(rs.sums)
         swaps = []
-        for c, total, minimal in zip(rs.configs, rs.sums, rs.minimal_flags):
-            k, state = bijection._swap_search(g, i1, i2, c.chips)
+        for vec, total, minimal in zip(rs.vectors, rs.sums, rs.minimal_flags):
+            k, state = bijection._swap_search(g, i1, i2, vec)
             del state[i2]
             image = tuple(state)
             if image not in targets:
@@ -125,27 +126,32 @@ def check_theta(g: MultiDigraph) -> CheckReport:
             if total != g.outdeg(s2) + sum(image):
                 raise InternalCheckError("swap image does not preserve the sum statistic")
             swaps.append(k)
-            images[(s1, s2, c.chips)] = image
+            images[(s1, s2, vec)] = image
             max_swap = max(max_swap, k)
             if minimal:
                 max_swap_minimal = max(max_swap_minimal, k)
             back, _ = bijection._swap_search(g, i2, i1, image)
             if back != k:
-                report.fail(f"swap symmetry broke for {c} between {s1} and {s2}: {k} vs {back}")
+                report.fail(
+                    f"swap symmetry broke for {config(vec)} between {s1} and {s2}: {k} vs {back}"
+                )
             # the image augmented by k, stabilized toward s1, is c augmented by k
             round_trip = list(image)
             round_trip.insert(i2, g.outdeg(s2) + k)
             _settle(round_trip, back_movers)
-            expected = list(c.chips)
+            expected = list(vec)
             expected.insert(i1, g.outdeg(s1) + k)
             if round_trip != expected:
-                report.fail(f"round trip did not return {c} augmented by {k}")
+                report.fail(f"round trip did not return {config(vec)} augmented by {k}")
             if total == min_sum and k != 0:
-                report.fail(f"minimum configuration {c} has swap number {k}")
-        for (i, c), (j, d) in itertools.permutations(enumerate(rs.configs), 2):
-            if swaps[i] > swaps[j] and all(a <= b for a, b in zip(c.chips, d.chips)):
-                report.fail(f"swap numbers not monotone: {c} <= {d} but {swaps[i]} > {swaps[j]}")
-        if len(set(images[(s1, s2, c.chips)] for c in rs.configs)) != len(rs.configs):
+                report.fail(f"minimum configuration {config(vec)} has swap number {k}")
+        for (i, c), (j, d) in itertools.permutations(enumerate(rs.vectors), 2):
+            if swaps[i] > swaps[j] and all(a <= b for a, b in zip(c, d)):
+                report.fail(
+                    f"swap numbers not monotone: {config(c)} <= {config(d)} "
+                    f"but {swaps[i]} > {swaps[j]}"
+                )
+        if len(set(images[(s1, s2, vec)] for vec in rs.vectors)) != len(rs.vectors):
             report.fail(f"swap map is not injective from sink {s1} to {s2}")
     report.note(f"max swap number observed: {max_swap}")
     report.note(f"max swap number over minimal configurations: {max_swap_minimal}")
@@ -154,9 +160,9 @@ def check_theta(g: MultiDigraph) -> CheckReport:
         composed_equal = 0
         composed_total = 0
         for s1, s2, s3 in itertools.permutations(g.vertices[:3], 3):
-            for c in recurrents[s1].configs:
-                direct = images[(s1, s3, c.chips)]
-                via = images[(s2, s3, images[(s1, s2, c.chips)])]
+            for vec in recurrents[s1].vectors:
+                direct = images[(s1, s3, vec)]
+                via = images[(s2, s3, images[(s1, s2, vec)])]
                 composed_total += 1
                 composed_equal += direct == via
         report.note(
@@ -206,14 +212,27 @@ def check_max_sum(g: MultiDigraph) -> CheckReport:
 
 
 def check_burning_uniqueness(g: MultiDigraph) -> CheckReport:
+    """Each burning run of a recurrent fires every non-sink vertex once.
+
+    On the integer kernel: the run settles the chip vector plus the sink's
+    firing row, with the sink's slot collecting the chips that vanish.
+    """
     report = CheckReport("burning-uniqueness")
     for s in g.vertices:
         rs = recurrent.enumerate_recurrents(g, s)
-        for c in rs.configs:
-            _, record = stabilize(g, add(c, beta(g, s)))
-            bad = {v: record.count(v) for v in c.domain if record.count(v) != 1}
+        sink = g.vertex_index(s)
+        movers = _movers(g, sink)
+        sink_firing = g._firing_table[sink][3]
+        for vec in rs.vectors:
+            chips = list(vec)
+            chips.insert(sink, 0)
+            for u, m in sink_firing:
+                chips[u] += m
+            counts = _settle(chips, movers)
+            del counts[sink]
+            bad = {v: k for v, k in zip(rs.domain, counts) if k != 1}
             if bad:
-                report.fail(f"burning run of {c} fired {bad}")
+                report.fail(f"burning run of {Configuration(g, s, vec)} fired {bad}")
         report.note(f"sink {s}: all {len(rs)} burning runs fired each vertex once")
     return report
 

@@ -29,13 +29,14 @@ from .errors import (
     GraphError,
     InternalCheckError,
     PropertyViolationError,
+    SettingError,
     SizeCapError,
 )
 from .families import random_eulerian
 from .graph import MultiDigraph, is_eulerian, parse_edge_list
 from .lattice import conjecture1_check
 from .oracles import brute_acyclic_sets, brute_arborescences, brute_recurrents
-from .recurrent import CELL_CAP, enumerate_recurrents
+from .recurrent import CELL_CAP, enumerate_recurrents, environment_cap
 from .tutte import tutte_gen
 
 USAGE_ERROR = 2
@@ -138,7 +139,12 @@ def _cmd_tutte(args) -> int:
         "consistent": consistent,
     }
     if args.eval is not None:
-        data["eval"] = {"at": str(args.eval), "value": str(reference.eval(args.eval))}
+        try:
+            data["eval"] = {"at": str(args.eval), "value": str(reference.eval(args.eval))}
+        except ValueError as exc:  # str() refuses integers past Python's digit limit
+            raise ChipFiringError(
+                f"the value at the --eval point cannot be printed: {exc}"
+            ) from None
     if args.format == "json":
         _emit_json(data)
     else:
@@ -227,6 +233,24 @@ class Command(NamedTuple):
     options: dict[str, Option]
 
 
+# Fraction expands a decimal exponent eagerly (1e9999999 takes seconds), and
+# one above Python's default digit limit gives a value str() refuses to print
+MAX_EVAL_EXPONENT = 4300
+
+
+def rational(text: str) -> Fraction:
+    """``Fraction(text)``, refusing a decimal exponent above MAX_EVAL_EXPONENT
+    in size before it is expanded.  In Fraction's grammar an ``e`` can only
+    start the exponent, so text whose part after it is no integer is refused."""
+    _, marker, exponent = text.lower().rpartition("e")
+    if marker and abs(int(exponent)) > MAX_EVAL_EXPONENT:
+        raise _Refused(
+            f"argument --eval: exponent of {text!r} is out of range "
+            f"(at most {MAX_EVAL_EXPONENT} in size)"
+        )
+    return Fraction(text)
+
+
 _CAP = Option(None, int, help="enumeration cap in stable-cube cells (default from CFG_CAP_CELLS)")
 _GRAPH_HELP = "edge-list file: 'tail head [multiplicity]' per line"
 
@@ -249,7 +273,7 @@ COMMANDS = {
     "tutte": _on_graph(
         _cmd_tutte,
         "generating polynomial and per-sink agreement",
-        eval=Option(None, Fraction, help="also evaluate at a rational point, e.g. 2 or 3/2"),
+        eval=Option(None, rational, help="also evaluate at a rational point, e.g. 2 or 3/2"),
     ),
     "swap": _on_graph(
         _cmd_swap,
@@ -447,6 +471,13 @@ def main(argv=None) -> int:
     if cap is not None and cap < 1:
         print("error: --cap must be positive", file=sys.stderr)
         return USAGE_ERROR
+    if cap is None:
+        # read CFG_CAP_CELLS once per run; an invalid value leaves the cap unset,
+        # so the first cap check raises it and commands that check none still run
+        try:
+            cap = environment_cap()
+        except SettingError:
+            pass
     # the cap holds in a copy of the context, so it ends with this call
     return contextvars.copy_context().run(_run, args, cap)
 

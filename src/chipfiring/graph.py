@@ -35,6 +35,11 @@ class MultiDigraph:
         for i, (tail, head) in enumerate(self.arcs):
             if tail not in declared or head not in declared:
                 raise GraphError(f"arc {i} ({tail} -> {head}) uses an undeclared vertex")
+        # the dataclass hash, computed once: every cache keyed on a graph asks for it
+        object.__setattr__(self, "_hash", hash((self.vertices, self.arcs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, arcs, vertices=()) -> "MultiDigraph":
@@ -312,15 +317,18 @@ def reverse_partner(g: MultiDigraph, index: int) -> int | None:
     return None
 
 
+# bounded like is_eulerian; a recursion suite asks about each arc twice
+@lru_cache(maxsize=1024)
 def is_bridge(g: MultiDigraph, index: int) -> bool:
     """True iff deleting the arc destroys strong connectivity.
 
-    Requires g strongly connected.  Loops are never bridges.
+    Requires g strongly connected.  Loops are never bridges.  Memoized per
+    (graph, arc), so one deletion test serves every later call.
     """
     if not g.is_strongly_connected():
         raise GraphError("bridge test requires a strongly connected graph")
-    g.arc(index)
-    return not delete_arcs(g, [index]).is_strongly_connected()
+    tail, head = g.arc(index)
+    return tail != head and not delete_arcs(g, [index]).is_strongly_connected()
 
 
 def bridge_cut(g: MultiDigraph, index: int) -> BridgeCut:

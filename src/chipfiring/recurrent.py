@@ -30,8 +30,11 @@ CELL_CAP: ContextVar[int | None] = ContextVar("CELL_CAP", default=None)
 def cell_cap() -> int:
     """Enumeration cap in stable-cube cells: CELL_CAP if set, else CFG_CAP_CELLS."""
     cap = CELL_CAP.get()
-    if cap is not None:
-        return cap
+    return environment_cap() if cap is None else cap
+
+
+def environment_cap() -> int:
+    """CFG_CAP_CELLS, or the default when it is unset; SettingError if invalid."""
     raw = os.environ.get("CFG_CAP_CELLS")
     if raw is None:
         return DEFAULT_CELL_CAP

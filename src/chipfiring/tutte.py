@@ -28,10 +28,10 @@ from .polynomial import LaurentPolynomial
 from .recurrent import (
     _check_cap,
     _recurrent_vectors,
+    cell_cap,
     enumerate_recurrents,
     kappa,
     recurrent_count,
-    support_after_sink_fire,
 )
 
 RECURSION_KINDS = ("loop", "bridge_no_reverse", "bridge_reverse", "del_contract", "mobius")
@@ -58,14 +58,21 @@ tutte_gen.cache_info, tutte_gen.cache_clear = _tutte_gen.cache_info, _tutte_gen.
 
 
 def support_filtered_gen(g: MultiDigraph, s: str, w) -> LaurentPolynomial:
-    """Sum of y^level over recurrents whose post-sink-firing support contains w."""
+    """Sum of y^level over recurrents whose post-sink-firing support contains w.
+
+    That support is ``support_after_sink_fire``: on chip vectors, every v in w
+    is an out-neighbor of s with at least outdeg(v) - d(s, v) chips.
+    """
     w = frozenset(w)
     rs = enumerate_recurrents(g, s)
-    terms = []
-    for c, lvl in zip(rs.configs, rs.levels):
-        if w <= support_after_sink_fire(g, s, c):
-            terms.append((lvl, 1))
-    return LaurentPolynomial(terms)
+    if not w <= set(g.out_neighbors(s)):
+        return LaurentPolynomial.zero()
+    need = [(rs.domain.index(v), g.outdeg(v) - g.multiplicity(s, v)) for v in w]
+    return LaurentPolynomial(
+        (lvl, 1)
+        for vec, lvl in zip(rs.vectors, rs.levels)
+        if all(vec[slot] >= least for slot, least in need)
+    )
 
 
 # ---------------------------------------------------------- undirected oracle
@@ -230,16 +237,24 @@ def _check_mobius(g: MultiDigraph, s: str) -> bool:
     if not neighbors:
         raise HypothesisError(f"vertex {s!r} has no out-neighbors besides itself")
     lhs = tutte_gen(g, s)
-    k_g = kappa(g)
+    k_g, cap = kappa(g), cell_cap()
     rhs = LaurentPolynomial.zero()
     for r in range(1, len(neighbors) + 1):
         for w in itertools.combinations(neighbors, r):
-            term = _contraction_term(g, s, w, k_g)
+            term = _contraction_term(g, s, w, k_g, cap)
             rhs = rhs + term if r % 2 == 1 else rhs - term
     return lhs == rhs
 
 
-def _contraction_term(g: MultiDigraph, s: str, w, k_g: int) -> LaurentPolynomial:
+# Shared by the Möbius check of s and the closed-form check of each subset w;
+# holds every (sink, subset) pair of a graph that has at most 4096 of them.
+@lru_cache(maxsize=4096)
+def _contraction_term(
+    g: MultiDigraph, s: str, w: tuple[str, ...], k_g: int, cap: int
+) -> LaurentPolynomial:
+    """The term of w, in canonical order, in the Möbius expansion at sink s.
+    ``cap`` is the cell cap in force: a term is not reused under a lower cap,
+    which must still refuse the contracted graph."""
     contracted = contract_vertices(g, set(w) | {s})
     arcs_into_w = sum(g.multiplicity(s, v) for v in w)
     factor = LaurentPolynomial.one()
@@ -263,5 +278,5 @@ def pw_closed_form_check(g: MultiDigraph, s: str, w) -> bool:
     if not w <= neighbors:
         raise HypothesisError(f"{sorted(w)} is not a subset of the out-neighbors of {s!r}")
     lhs = support_filtered_gen(g, s, w)
-    rhs = _contraction_term(g, s, tuple(sorted(w, key=g.vertex_index)), kappa(g))
+    rhs = _contraction_term(g, s, tuple(sorted(w, key=g.vertex_index)), kappa(g), cell_cap())
     return lhs == rhs

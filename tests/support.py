@@ -12,7 +12,17 @@ import itertools
 import random
 from pathlib import Path
 
-from chipfiring import Configuration, MultiDigraph, checks, is_eulerian, parse_edge_list
+from chipfiring import (
+    Configuration,
+    MultiDigraph,
+    add,
+    beta,
+    checks,
+    enumerate_recurrents,
+    is_eulerian,
+    parse_edge_list,
+    stabilize,
+)
 from chipfiring.cli import (
     _cmd_check,
     _cmd_conjecture1,
@@ -193,3 +203,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     return parser
+
+
+# ``check_burning_uniqueness`` as it ran before the integer kernel, one
+# ``stabilize`` on Configuration objects per recurrent; the reference its
+# differential test compares against.
+def reference_burning_uniqueness(g: MultiDigraph) -> checks.CheckReport:
+    report = checks.CheckReport("burning-uniqueness")
+    for s in g.vertices:
+        rs = enumerate_recurrents(g, s)
+        for c in rs.configs:
+            _, record = stabilize(g, add(c, beta(g, s)))
+            bad = {v: record.count(v) for v in c.domain if record.count(v) != 1}
+            if bad:
+                report.fail(f"burning run of {c} fired {bad}")
+        report.note(f"sink {s}: all {len(rs)} burning runs fired each vertex once")
+    return report

@@ -1,10 +1,13 @@
+import hashlib
+
 import pytest
 
-from chipfiring import MultiDigraph
+from chipfiring import Configuration, MultiDigraph, checks, dynamics, enumerate_recurrents
 from chipfiring.checks import PROPERTIES, run_check
+from chipfiring.cli import main
 from chipfiring.families import bidirected_complete, parallel_pair
 
-from support import data_graph, non_eulerian_corpus
+from support import DATA, corpus, data_graph, non_eulerian_corpus, reference_burning_uniqueness
 
 K3 = bidirected_complete(["s", "a", "b"])
 NON_EULERIAN = MultiDigraph.of([("s", "a"), ("a", "b"), ("b", "s"), ("a", "s")])
@@ -86,3 +89,96 @@ def test_recursions_on_loopy_banana():
     assert any(line.startswith("del_contract") for line in report.lines)
     assert any(line.startswith("mobius") for line in report.lines)
     assert any(line.startswith("closed form") for line in report.lines)
+
+
+# sha256 of `cfg check <input> --property P --verbose` stdout, recorded before
+# the suites moved onto chip vectors; every report line is covered
+VERBOSE_REPORT_DIGESTS = {
+    "sink-independence": (
+        "82b9b72c0dc1494718884ae6cdf7e7ea1d46d2f355982b3009493ba02da502d5",
+        "9855e60d8703100b9fc0188898d0dcb30d97aea653590b20a06186fde4088939",
+        "bbcb7cff6f51652afad16ee195b03c7d15fe28925b5a8c9424209ecb54021cba",
+    ),
+    "recursions": (
+        "f508e8d86cf2b5c0eb31cbad8ac481e1fcf0ca56bcac2f68f35cafa93ca36298",
+        "e54a6b7b8a29516c82e108d2f31733f113c0a3fc91e3dd25ab1679be5f303ab6",
+        "30cc218b43f9fe6a073fbbe1c8fdc3e9d2d4144ecc4ddfd48a9c629341412172",
+    ),
+    "theta": (
+        "0ef53a5f30655fa12fe9643ba9ba3ae27481146a6dce2508bb4b1bfb7638e8b8",
+        "39a802f12422f864b78c10ac836f05d4301b15200283350e44cb0861b801263a",
+        "5724737e5c6ea17e39c47d2e7adff5af9d2f089a61ae33c41d9b41728e14d8eb",
+    ),
+    "max-sum": (
+        "3d16314c86b8e5cd1c7cba43256670e6b9fdfdc9bc6062ac14a3ca244f26a321",
+        "a27b6a13955a61c38c1d86cedd1f4969f9c8b0d807436385abf7845496d3d3b7",
+        "a172fab37b2547b82a8adf888406e6d004732199e46bdd29901e5a8a68cbf552",
+    ),
+    "burning-uniqueness": (
+        "6ca29239ec71484b7cbd5750593adf35203cc2983d0e1479a715b30cd792591a",
+        "7520fd8781816394857606dd14d59dd47593e1bf585081b706ab7ba2fcfa322c",
+        "5fb67d0461333343f7d3566f8f7f3ce3adca01839b89233e34f8016be3d51172",
+    ),
+}
+VERBOSE_REPORT_INPUTS = (
+    ["tests/data/demo5.txt"],
+    ["tests/data/swapdemo.txt"],
+    ["--seed", "7", "--count", "25"],
+)
+
+
+@pytest.mark.parametrize("prop", PROPERTIES)
+def test_verbose_reports_pinned(prop, capsys, monkeypatch):
+    monkeypatch.chdir(DATA.parent.parent)  # the file names are part of the report
+    for argv, digest in zip(VERBOSE_REPORT_INPUTS, VERBOSE_REPORT_DIGESTS[prop]):
+        assert main(["check", *argv, "--property", prop, "--verbose"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (prop, argv)
+
+
+def test_burning_uniqueness_kernel_matches_stabilize_reference():
+    for g in (K3, data_graph("demo5.txt"), data_graph("swapdemo.txt"), *corpus()[:80]):
+        assert run_check("burning-uniqueness", g) == reference_burning_uniqueness(g)
+
+
+def _settle_firing_twice(real, vertex: int, run: int):
+    """``_settle`` that reports one extra firing of ``vertex`` on its ``run``-th call."""
+    calls = [0]
+
+    def settle(chips, movers):
+        counts = real(chips, movers)
+        calls[0] += 1
+        if calls[0] == run:
+            counts[vertex] += 1
+        return counts
+
+    return settle
+
+
+def test_burning_uniqueness_reports_a_double_firing_like_the_reference(monkeypatch):
+    g = data_graph("demo5.txt")
+    for s in g.vertices:
+        enumerate_recurrents(g, s)  # enumerated before any _settle is patched
+    real = dynamics._settle
+    # the third run has sink s (index 0) and fires v2 (index 2) twice
+    monkeypatch.setattr(dynamics, "_settle", _settle_firing_twice(real, 2, 3))
+    expected = reference_burning_uniqueness(g)
+    monkeypatch.setattr(dynamics, "_settle", real)
+    monkeypatch.setattr(checks, "_settle", _settle_firing_twice(real, 2, 3))
+    report = run_check("burning-uniqueness", g)
+    assert not report.ok and report == expected
+    violations = [line for line in report.lines if line.startswith("VIOLATION")]
+    assert len(violations) == 1
+    assert violations[0].startswith("VIOLATION: burning run of Configuration(sink='s', ")
+    assert violations[0].endswith(" fired {'v2': 2}")
+
+
+@pytest.mark.parametrize("prop", PROPERTIES)
+def test_passing_suites_build_no_configuration(prop, monkeypatch):
+    graphs = corpus()[:40]
+    built = []
+    real = Configuration.__post_init__
+    monkeypatch.setattr(Configuration, "__post_init__", lambda c: built.append(c) or real(c))
+    for g in graphs:
+        assert run_check(prop, g).ok
+    assert built == []

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import shlex
 import sys
 from collections import Counter
@@ -246,6 +247,43 @@ def test_bad_cap_environment_value(graph_file, capsys, monkeypatch, value):
     code, out, err = run(capsys, "recurrents", path)
     assert code == 2 and out == ""
     assert "CFG_CAP_CELLS must be a positive integer" in err
+    # commands that check no cap still run under the bad value
+    for argv in (
+        ["stabilize", path, "--sink", f"e{value}", "--config", f"f{value}=2"],
+        ["oracle", path, "--which", "arborescences"],
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+
+
+class _CountingEnviron(dict):
+    """An environment that counts reads of CFG_CAP_CELLS."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        if key == "CFG_CAP_CELLS":
+            self.reads += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("setting", [None, "5000000"])
+def test_cap_environment_read_once_per_run(graph_file, capsys, monkeypatch, setting):
+    from chipfiring.tutte import tutte_gen
+
+    environ = _CountingEnviron(os.environ)
+    environ.pop("CFG_CAP_CELLS", None)
+    if setting is not None:
+        environ["CFG_CAP_CELLS"] = setting
+    monkeypatch.setattr(os, "environ", environ)
+    path = str(DATA / "demo5.txt")
+    code, _, _ = run(capsys, "check", path, "--property", "recursions")
+    assert code == 0 and environ.reads == 1
+    # library callers outside the CLI still read it on every call
+    g = parse_graph(path)
+    tutte_gen(g, g.vertices[0])
+    tutte_gen(g, g.vertices[0])
+    assert environ.reads >= 3
 
 
 def test_output_is_byte_stable(graph_file, capsys):
@@ -307,6 +345,32 @@ def test_bad_eval_is_a_usage_error_before_any_work(graph_file, capsys, monkeypat
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == "" and "--eval" in captured.err
+
+
+@pytest.mark.parametrize("value", ["1e5000", "2.5E-5000", "1_0e4_301"])
+def test_eval_exponent_out_of_range_is_a_usage_error_before_any_work(
+    graph_file, capsys, monkeypatch, value
+):
+    def not_reached(*args):
+        raise AssertionError("tutte_gen ran for an --eval exponent out of range")
+
+    monkeypatch.setattr(cli, "tutte_gen", not_reached)
+    with pytest.raises(SystemExit) as exc:
+        main(["tutte", graph_file(K3_TEXT), "--eval", value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and "--eval" in captured.err and "out of range" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_value_past_the_digit_limit_exits_2(capsys, fmt):
+    path = str(DATA / "demo5.txt")  # 2 + 3y + y^2: the point prints, its value does not
+    for value in ("1e4300", "1e2200"):
+        code, out, err = run(capsys, "tutte", path, "--eval", value, "--format", fmt)
+        assert code == 2 and out == ""
+        assert "value at the --eval point cannot be printed" in err
+    code, out, _ = run(capsys, "tutte", path, "--eval", "1e2000", "--format", fmt)
+    assert code == 0 and str(2 + 3 * 10**2000 + 10**4000) in out
 
 
 def test_main_reads_sys_argv(graph_file, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 
 from chipfiring import (
@@ -16,9 +18,10 @@ from chipfiring import (
     remove_loops,
     reverse_partner,
 )
+from chipfiring import graph
 from chipfiring.families import bidirected_complete, directed_cycle, parallel_pair
 
-from support import corpus, simple_undirected_connected
+from support import corpus, non_eulerian_corpus, simple_undirected_connected
 
 C3 = directed_cycle(["s", "a", "b"])
 K3 = bidirected_complete(["s", "a", "b"])
@@ -202,3 +205,40 @@ def test_firing_table_matches_queries():
             assert out == g.outdeg(v) and drop == out - g.loops_at(v)
             assert [g.vertices[j] for j, _ in neighbors] == list(g.out_neighbors(v))
             assert all(m == g.multiplicity(v, g.vertices[j]) for j, m in neighbors)
+
+
+def test_equal_graphs_built_separately_share_hash_and_cache_entries():
+    first = parse_edge_list("p q\nq p\nq q\n")
+    second = MultiDigraph.of([("p", "q"), ("q", "p"), ("q", "q")])
+    assert first is not second and first == second
+    assert hash(first) == hash(second) == hash((first.vertices, first.arcs))
+    reordered = MultiDigraph.of([("q", "p"), ("p", "q"), ("q", "q")])
+    assert reordered != first  # equality still compares vertex and arc order
+
+    @lru_cache(maxsize=8)
+    def token(g):
+        return object()
+
+    assert token(first) is token(second)
+    assert token.cache_info().hits == 1 and token.cache_info().misses == 1
+
+
+def test_memoized_bridge_test_matches_a_fresh_deletion_test():
+    for g in corpus() + non_eulerian_corpus():
+        for i, (tail, head) in enumerate(g.arcs):
+            fresh = tail != head and not delete_arcs(g, [i]).is_strongly_connected()
+            assert is_bridge(g, i) == fresh
+            assert is_bridge(g, i) == fresh  # answered by the memo
+
+
+def test_bridge_test_deletes_each_non_loop_arc_once(monkeypatch):
+    deleted = []
+    real = graph.delete_arcs
+    monkeypatch.setattr(graph, "delete_arcs", lambda g, arcs: deleted.append(arcs) or real(g, arcs))
+    is_bridge.cache_clear()
+    graphs = tuple(dict.fromkeys(corpus()[:50]))
+    for g in graphs:
+        for _ in range(2):
+            for i in range(g.n_arcs):
+                is_bridge(g, i)
+    assert len(deleted) == sum(g.n_arcs - g.loop_count for g in graphs)

@@ -23,6 +23,8 @@ from chipfiring.families import (
     doubled_cycle,
     parallel_pair,
 )
+from chipfiring import enumerate_recurrents, support_after_sink_fire, tutte
+from chipfiring.checks import run_check
 from chipfiring.oracles import brute_acyclic_sets
 from chipfiring.tutte import support_filtered_gen
 
@@ -189,3 +191,61 @@ def test_undirected_specialization_checked():
     assert is_undirected(k4)
     assert check_recursion(k4, "del_contract", 0)
     assert check_recursion(BANANA, "del_contract", 1)
+
+
+def _reference_support_filtered_gen(g, s, w):
+    """``support_filtered_gen`` on Configuration objects, as it ran before chip vectors."""
+    rs = enumerate_recurrents(g, s)
+    return LaurentPolynomial(
+        (lvl, 1)
+        for c, lvl in zip(rs.configs, rs.levels)
+        if frozenset(w) <= support_after_sink_fire(g, s, c)
+    )
+
+
+def test_vector_support_filter_matches_configuration_reference():
+    for g in corpus():
+        for s in g.vertices:
+            neighbors = g.out_neighbors(s)
+            for r in range(1, len(neighbors) + 1):
+                for w in itertools.combinations(neighbors, r):
+                    assert support_filtered_gen(g, s, w) == _reference_support_filtered_gen(g, s, w)
+    # subsets reaching outside the out-neighbors filter everything out, as before
+    for w in (["s"], ["b"], ["a", "b"], ["nowhere"]):
+        assert support_filtered_gen(C3, "s", w) == _reference_support_filtered_gen(C3, "s", w)
+        assert support_filtered_gen(C3, "s", w).is_zero
+
+
+def test_recursion_suite_computes_each_contraction_term_once(monkeypatch):
+    # one contraction per (sink, subset): the Möbius check and the closed-form
+    # check of the same subset share it
+    graphs = tuple(dict.fromkeys(corpus()[:30]))
+    contractions = []
+    real = tutte.contract_vertices
+    monkeypatch.setattr(
+        tutte, "contract_vertices", lambda g, w: contractions.append(w) or real(g, w)
+    )
+    tutte._contraction_term.cache_clear()
+    for g in graphs:
+        assert run_check("recursions", g).ok
+    assert len(contractions) == sum(
+        2 ** len(g.out_neighbors(s)) - 1 for g in graphs for s in g.vertices
+    )
+
+
+def test_contraction_term_cache_respects_a_lowered_cap():
+    from chipfiring.errors import SizeCapError
+    from chipfiring.recurrent import CELL_CAP
+
+    # a term computed under one cap is not served under a lower one
+    k4 = bidirected_complete(["p", "q", "r", "t"])
+    assert check_recursion(k4, "mobius", "p")
+    k_g = tutte.kappa(k4)
+    token = CELL_CAP.set(1)
+    try:
+        with pytest.raises(SizeCapError):
+            tutte._check_mobius(k4, "p")
+        with pytest.raises(SizeCapError):
+            tutte._contraction_term(k4, "p", ("q",), k_g, 1)
+    finally:
+        CELL_CAP.reset(token)
