@@ -16,7 +16,6 @@ from .dynamics import (
     beta,
     fire,
     is_firable,
-    is_stable,
     parse_config_literal,
     restrict,
     stabilize,

@@ -38,36 +38,40 @@ class SwapResult:
         }
 
 
-def _swap_search(
-    g: MultiDigraph, s1: int, s2: int, chips: tuple[int, ...]
-) -> tuple[int, list[int]]:
-    """Find the least i with stabilized chip count outdeg(s2) + i on s2.
+def _swapper(g: MultiDigraph, s1: int, s2: int):
+    """Integer core of the swap map from sink index ``s1`` to ``s2``, set up once
+    per pair.
 
-    Integer core: ``s1`` and ``s2`` are vertex indices and ``chips`` is a
-    recurrent chip vector of the sink game with sink s1.  Returns the swap
-    number and the final full-domain state.  Firing every vertex but s2 on g's
-    own firing table is stabilization on ``delete_out_arcs(g, s2)``, with s2's
-    slot collecting the chips.  Each increment adds one chip to s1 and settles
-    the previous state, which equals stabilizing the freshly augmented
+    ``swap(chips)`` takes a recurrent chip vector of the sink game with sink s1
+    and finds the least i with stabilized chip count outdeg(s2) + i on s2; it
+    returns i and the final full-domain state.  Firing every vertex but s2 on
+    g's own firing table is stabilization on ``delete_out_arcs(g, s2)``, with
+    s2's slot collecting the chips.  Each increment adds one chip to s1 and
+    settles the previous state, which equals stabilizing the freshly augmented
     configuration.  The search is certified to stop before the sandpile group
     order.
     """
-    state = list(chips)
-    state.insert(s1, g.outdeg(g.vertices[s1]))
-    target_base = g.outdeg(g.vertices[s2])
+    source_base = g._firing_table[s1][1]
+    target_base = g._firing_table[s2][1]
     limit = recurrent_count(g, g.vertices[s2])
     movers = _movers(g, s2)
-    _settle(state, movers)
-    i = 0
-    while state[s2] != target_base + i:
-        i += 1
-        if i >= limit:
-            raise InternalCheckError(
-                f"no swap number below the group order {limit}; this cannot happen"
-            )
-        state[s1] += 1
+
+    def swap(chips: tuple[int, ...]) -> tuple[int, list[int]]:
+        state = list(chips)
+        state.insert(s1, source_base)
         _settle(state, movers)
-    return i, state
+        i = 0
+        while state[s2] != target_base + i:
+            i += 1
+            if i >= limit:
+                raise InternalCheckError(
+                    f"no swap number below the group order {limit}; this cannot happen"
+                )
+            state[s1] += 1
+            _settle(state, movers)
+        return i, state
+
+    return swap
 
 
 def _swap_sinks(g: MultiDigraph, s1: str, s2: str, c: Configuration) -> tuple[int, int]:
@@ -82,14 +86,14 @@ def _swap_sinks(g: MultiDigraph, s1: str, s2: str, c: Configuration) -> tuple[in
 def swap_number(g: MultiDigraph, s1: str, s2: str, c: Configuration) -> int:
     """Least i such that augmenting by i and stabilizing toward s2 leaves
     outdeg(s2) + i chips on s2."""
-    i, _ = _swap_search(g, *_swap_sinks(g, s1, s2, c), c.chips)
+    i, _ = _swapper(g, *_swap_sinks(g, s1, s2, c))(c.chips)
     return i
 
 
 def theta(g: MultiDigraph, s1: str, s2: str, c: Configuration) -> SwapResult:
     """Transport c from sink s1 to sink s2, preserving the sum statistic."""
     i1, i2 = _swap_sinks(g, s1, s2, c)
-    i, state = _swap_search(g, i1, i2, c.chips)
+    i, state = _swapper(g, i1, i2)(c.chips)
     del state[i2]
     image = Configuration(c.host, s2, tuple(state))
     if not is_recurrent(g, s2, image):

@@ -113,34 +113,36 @@ def check_theta(g: MultiDigraph) -> CheckReport:
         rs = recurrents[s1]
         config = partial(Configuration, g, s1)  # for report lines only
         i1, i2 = g.vertex_index(s1), g.vertex_index(s2)
+        out1, out2 = g.outdeg(s1), g.outdeg(s2)
+        swap, swap_back = bijection._swapper(g, i1, i2), bijection._swapper(g, i2, i1)
         targets = recurrents[s2]._positions
         back_movers = _movers(g, i1)
         min_sum = min(rs.sums)
         swaps = []
         for vec, total, minimal in zip(rs.vectors, rs.sums, rs.minimal_flags):
-            k, state = bijection._swap_search(g, i1, i2, vec)
+            k, state = swap(vec)
             del state[i2]
             image = tuple(state)
             if image not in targets:
                 raise InternalCheckError("swap image is not recurrent; this cannot happen")
-            if total != g.outdeg(s2) + sum(image):
+            if total != out2 + sum(image):
                 raise InternalCheckError("swap image does not preserve the sum statistic")
             swaps.append(k)
             images[(s1, s2, vec)] = image
             max_swap = max(max_swap, k)
             if minimal:
                 max_swap_minimal = max(max_swap_minimal, k)
-            back, _ = bijection._swap_search(g, i2, i1, image)
+            back, _ = swap_back(image)
             if back != k:
                 report.fail(
                     f"swap symmetry broke for {config(vec)} between {s1} and {s2}: {k} vs {back}"
                 )
             # the image augmented by k, stabilized toward s1, is c augmented by k
             round_trip = list(image)
-            round_trip.insert(i2, g.outdeg(s2) + k)
+            round_trip.insert(i2, out2 + k)
             _settle(round_trip, back_movers)
             expected = list(vec)
-            expected.insert(i1, g.outdeg(s1) + k)
+            expected.insert(i1, out1 + k)
             if round_trip != expected:
                 report.fail(f"round trip did not return {config(vec)} augmented by {k}")
             if total == min_sum and k != 0:
@@ -214,21 +216,16 @@ def check_max_sum(g: MultiDigraph) -> CheckReport:
 def check_burning_uniqueness(g: MultiDigraph) -> CheckReport:
     """Each burning run of a recurrent fires every non-sink vertex once.
 
-    On the integer kernel: the run settles the chip vector plus the sink's
-    firing row, with the sink's slot collecting the chips that vanish.
+    Each run is the enumeration's own burning test; ``enumerate_recurrents``
+    admits Eulerian hosts only, where it burns with one sink firing (Dhar).
     """
     report = CheckReport("burning-uniqueness")
     for s in g.vertices:
         rs = recurrent.enumerate_recurrents(g, s)
         sink = g.vertex_index(s)
-        movers = _movers(g, sink)
-        sink_firing = g._firing_table[sink][3]
+        burn, _ = recurrent._burner(g, sink)
         for vec in rs.vectors:
-            chips = list(vec)
-            chips.insert(sink, 0)
-            for u, m in sink_firing:
-                chips[u] += m
-            counts = _settle(chips, movers)
+            counts, _ = burn(vec)
             del counts[sink]
             bad = {v: k for v, k in zip(rs.domain, counts) if k != 1}
             if bad:

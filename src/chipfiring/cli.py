@@ -185,7 +185,10 @@ def _cmd_check(args) -> int:
             for line in report.lines:
                 print(f"  {line}")
     if not checked:
-        print("check needs a graph file, a --seed, or both", file=sys.stderr)
+        if args.seed is None:
+            print("check needs a graph file, a --seed, or both", file=sys.stderr)
+        else:
+            print(f"check --seed needs --count of at least 1, got {args.count}", file=sys.stderr)
         return USAGE_ERROR
     return 0 if all_ok else VIOLATION
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import ConfigurationError, FiringError, NonTerminationError
-from .graph import MultiDigraph
+from .graph import MultiDigraph, _reach
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,6 @@ class FiringRecord:
     def as_dict(self) -> dict[str, int]:
         return dict(zip(self.vertices, self.counts))
 
-    @property
-    def total_firings(self) -> int:
-        return sum(self.counts)
-
 
 def _check_same_domain(c: Configuration, d: Configuration) -> None:
     if c.host != d.host or c.sink != d.sink:
@@ -129,22 +125,6 @@ def add(c: Configuration, d: Configuration) -> Configuration:
     """Pointwise sum of two configurations with the same host and domain."""
     _check_same_domain(c, d)
     return Configuration(c.host, c.sink, tuple(a + b for a, b in zip(c.chips, d.chips)))
-
-
-def scale(c: Configuration, m: int) -> Configuration:
-    if m < 0:
-        raise ConfigurationError("scale factor must be nonnegative")
-    return Configuration(c.host, c.sink, tuple(m * a for a in c.chips))
-
-
-def add_chips(c: Configuration, v: str, k: int = 1) -> Configuration:
-    """Return c with k extra chips on v."""
-    i = c._slot.get(v)
-    if i is None:
-        raise ConfigurationError(f"vertex {v!r} is not in the configuration domain")
-    chips = list(c.chips)
-    chips[i] += k
-    return Configuration(c.host, c.sink, tuple(chips))
 
 
 def beta(g: MultiDigraph, s: str) -> Configuration:
@@ -207,12 +187,6 @@ def fire(g: MultiDigraph, c: Configuration, v: str) -> Configuration:
     return Configuration(c.host, c.sink, tuple(chips))
 
 
-def is_stable(g: MultiDigraph, c: Configuration) -> bool:
-    return not any(
-        is_firable(g, c, v) for v in c.domain
-    )
-
-
 # bounded, so long runs do not keep every graph they ever fired on alive
 @lru_cache(maxsize=256)
 def _movers(g: MultiDigraph, sink: int | None) -> tuple:
@@ -225,20 +199,9 @@ def _movers(g: MultiDigraph, sink: int | None) -> tuple:
     vertices plus the distinct arcs; a mover it misses raises
     NonTerminationError naming that vertex.
     """
-    table = g._firing_table
-    movers = tuple(row for row in table if row[0] != sink and row[2])
-    reached = [True] * len(table)
-    predecessors: list[list[int]] = [[] for _ in table]
-    for v, _, _, neighbors in movers:
-        reached[v] = False
-        for u, _ in neighbors:
-            predecessors[u].append(v)
-    stack = [v for v, done in enumerate(reached) if done]
-    while stack:
-        for v in predecessors[stack.pop()]:
-            if not reached[v]:
-                reached[v] = True
-                stack.append(v)
+    movers = tuple(row for row in g._firing_table if row[0] != sink and row[2])
+    moving = {row[0] for row in movers}
+    reached = _reach([v for v in range(g.n_vertices) if v not in moving], g._predecessors)
     for v, *_ in movers:
         if not reached[v]:
             raise NonTerminationError(

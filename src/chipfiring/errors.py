@@ -48,7 +48,3 @@ class InternalCheckError(ChipFiringError, AssertionError):
 
 class PoleError(ChipFiringError, ZeroDivisionError):
     """Evaluation of a Laurent polynomial with negative exponents at zero."""
-
-
-class ExactnessError(ChipFiringError, ArithmeticError):
-    """An exact polynomial division left a nonzero remainder."""

@@ -75,13 +75,6 @@ class MultiDigraph:
         return v in self._index
 
     @cached_property
-    def _outdeg(self) -> dict[str, int]:
-        d = dict.fromkeys(self.vertices, 0)
-        for tail, _ in self.arcs:
-            d[tail] += 1
-        return d
-
-    @cached_property
     def _indeg(self) -> dict[str, int]:
         d = dict.fromkeys(self.vertices, 0)
         for _, head in self.arcs:
@@ -123,8 +116,7 @@ class MultiDigraph:
 
     def outdeg(self, v: str) -> int:
         """Out-degree including loops."""
-        self.vertex_index(v)
-        return self._outdeg[v]
+        return self._firing_table[self.vertex_index(v)][1]
 
     def indeg(self, v: str) -> int:
         """In-degree including loops."""
@@ -146,9 +138,7 @@ class MultiDigraph:
 
     def out_neighbors(self, v: str) -> tuple[str, ...]:
         """Distinct heads of arcs leaving v, in canonical order; v itself excluded."""
-        self.vertex_index(v)
-        heads = {head for tail, head in self.arcs if tail == v and head != v}
-        return tuple(u for u in self.vertices if u in heads)
+        return tuple(self.vertices[u] for u in self._successors[self.vertex_index(v)])
 
     def arc(self, index: int) -> Arc:
         if not 0 <= index < len(self.arcs):
@@ -156,52 +146,52 @@ class MultiDigraph:
         return self.arcs[index]
 
     # ----------------------------------------------------------- connectivity
-    def _reachable(self, start: str, adjacency: dict[str, set[str]]) -> set[str]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return seen
+    @cached_property
+    def _successors(self) -> tuple[tuple[int, ...], ...]:
+        """Distinct non-loop out-neighbours by vertex index, read off the firing table."""
+        return tuple(tuple(u for u, _ in row[3]) for row in self._firing_table)
 
     @cached_property
-    def _forward(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for tail, head in self.arcs:
-            adj[tail].add(head)
-        return adj
-
-    @cached_property
-    def _backward(self) -> dict[str, set[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for tail, head in self.arcs:
-            adj[head].add(tail)
-        return adj
+    def _predecessors(self) -> tuple[tuple[int, ...], ...]:
+        tails: list[list[int]] = [[] for _ in self.vertices]
+        for v, heads in enumerate(self._successors):
+            for u in heads:
+                tails[u].append(v)
+        return tuple(map(tuple, tails))
 
     def is_weakly_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        both = {v: self._forward[v] | self._backward[v] for v in self.vertices}
-        return len(self._reachable(self.vertices[0], both)) == self.n_vertices
+        return bool(self.vertices) and all(_reach((0,), self._successors, self._predecessors))
 
     def is_strongly_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        root = self.vertices[0]
         return (
-            len(self._reachable(root, self._forward)) == self.n_vertices
-            and len(self._reachable(root, self._backward)) == self.n_vertices
+            bool(self.vertices)
+            and all(_reach((0,), self._successors))
+            and all(_reach((0,), self._predecessors))
         )
 
     def reachable_from(self, start: str) -> frozenset[str]:
-        self.vertex_index(start)
-        return frozenset(self._reachable(start, self._forward))
+        reached = _reach((self.vertex_index(start),), self._successors)
+        return frozenset(v for v, r in zip(self.vertices, reached) if r)
 
     def __repr__(self):
         return f"MultiDigraph({list(self.vertices)!r}, {list(self.arcs)!r})"
+
+
+def _reach(starts, *tables, skip: tuple[int, int] | None = None) -> list[bool]:
+    """Which vertex indices a search from ``starts`` reaches along the rows of
+    ``tables`` (vertex index -> indices it leads to), never taking the step ``skip``."""
+    reached = [False] * len(tables[0])
+    for v in starts:
+        reached[v] = True
+    stack = list(starts)
+    while stack:
+        v = stack.pop()
+        for table in tables:
+            for u in table[v]:
+                if not reached[u] and (v, u) != skip:
+                    reached[u] = True
+                    stack.append(u)
+    return reached
 
 
 @dataclass(frozen=True)
@@ -223,7 +213,7 @@ def is_eulerian(g: MultiDigraph) -> bool:
     """
     if not g.vertices:
         return False
-    if any(g._indeg[v] != g._outdeg[v] for v in g.vertices):
+    if any(g._indeg[v] != row[1] for v, row in zip(g.vertices, g._firing_table)):
         return False
     return g.is_weakly_connected()
 
@@ -322,13 +312,17 @@ def reverse_partner(g: MultiDigraph, index: int) -> int | None:
 def is_bridge(g: MultiDigraph, index: int) -> bool:
     """True iff deleting the arc destroys strong connectivity.
 
-    Requires g strongly connected.  Loops are never bridges.  Memoized per
-    (graph, arc), so one deletion test serves every later call.
+    Requires g strongly connected.  Loops and parallel arcs are never bridges;
+    an arc t -> h of multiplicity 1 is one iff h is unreachable from t without
+    it.  Memoized per (graph, arc), so one search serves every later call.
     """
     if not g.is_strongly_connected():
         raise GraphError("bridge test requires a strongly connected graph")
     tail, head = g.arc(index)
-    return tail != head and not delete_arcs(g, [index]).is_strongly_connected()
+    if tail == head or g._mult[tail, head] > 1:
+        return False
+    t, h = g._index[tail], g._index[head]
+    return not _reach((t,), g._successors, skip=(t, h))[h]
 
 
 def bridge_cut(g: MultiDigraph, index: int) -> BridgeCut:
@@ -340,8 +334,10 @@ def bridge_cut(g: MultiDigraph, index: int) -> BridgeCut:
     """
     if not is_bridge(g, index):
         raise GraphError(f"arc {index} is not a bridge")
-    tail, _ = g.arc(index)
-    cut = delete_arcs(g, [index]).reachable_from(tail)
+    tail, head = g.arc(index)
+    start = g._index[tail]
+    reached = _reach((start,), g._successors, skip=(start, g._index[head]))
+    cut = frozenset(v for v, r in zip(g.vertices, reached) if r)
     outward = [i for i, (t, h) in enumerate(g.arcs) if t in cut and h not in cut]
     inward = [i for i, (t, h) in enumerate(g.arcs) if t not in cut and h in cut]
     if outward != [index] or len(inward) != 1:

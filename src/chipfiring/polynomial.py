@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ExactnessError, PoleError
+from .errors import PoleError
 
 
 class LaurentPolynomial:
@@ -47,10 +47,6 @@ class LaurentPolynomial:
             raise ValueError("geometric length must be nonnegative")
         return cls({e: 1 for e in range(length)})
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LaurentPolynomial":
-        return cls((e, c) for e, c in data["terms"])
-
     # ----------------------------------------------------------------- queries
     @property
     def terms(self) -> tuple[tuple[int, int], ...]:
@@ -63,14 +59,6 @@ class LaurentPolynomial:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    @property
-    def min_exp(self) -> int | None:
-        return min(self._terms) if self._terms else None
-
-    @property
-    def max_exp(self) -> int | None:
-        return max(self._terms) if self._terms else None
 
     @property
     def is_polynomial(self) -> bool:
@@ -147,22 +135,6 @@ class LaurentPolynomial:
         if y0 == 0 and not self.is_polynomial:
             raise PoleError("evaluation at 0 with negative exponents")
         return sum((c * y0**e for e, c in self._terms.items()), Fraction(0))
-
-    def divexact_one_minus_y(self) -> "LaurentPolynomial":
-        """Exact division by (1 - y); the remainder must vanish."""
-        if self.is_zero:
-            return LaurentPolynomial.zero()
-        lo, hi = self.min_exp, self.max_exp
-        out: dict[int, int] = {}
-        running = 0
-        for e in range(lo, hi + 1):
-            running += self.coefficient(e)
-            if running:
-                out[e] = running
-        # quotient q satisfies p = q - y*q, so the trailing carry must cancel
-        if running:
-            raise ExactnessError("(1 - y) does not divide this polynomial exactly")
-        return LaurentPolynomial(out)
 
     # ------------------------------------------------------------- rendering
     def to_text(self) -> str:

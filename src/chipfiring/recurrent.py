@@ -17,7 +17,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .dynamics import Configuration, _movers, _settle, add, beta, stabilize
+from .dynamics import Configuration, _movers, _settle
 from .errors import ConfigurationError, GraphError, InternalCheckError, SettingError, SizeCapError
 from .graph import MultiDigraph, is_eulerian, remove_loops
 
@@ -124,22 +124,24 @@ def _require_eulerian(g: MultiDigraph) -> None:
 def is_recurrent(g: MultiDigraph, s: str, c: Configuration) -> bool:
     """Burning test: stable c is recurrent iff stabilize(c + beta) == c.
 
-    Valid on Eulerian hosts, loops allowed.  When the test succeeds, the firing
-    record is additionally required to show each non-sink vertex firing exactly
-    once; anything else is an internal bug.
+    Valid on Eulerian hosts, loops allowed, where ``_burner``'s script is one
+    firing of the sink.  When the test succeeds, the run is additionally
+    required to fire each non-sink vertex exactly once; anything else is an
+    internal bug.
     """
     _require_eulerian(g)
     if c.sink != s or c.host.vertices != g.vertices:
         raise ConfigurationError("configuration does not belong to this sink game")
-    stable, _ = stabilize(g, c)
-    if stable.chips != c.chips:
+    sink = g.vertex_index(s)
+    if any(c.chips[v - (v > sink)] >= out for v, out, _, _ in _movers(g, sink)):
         raise ConfigurationError("burning test requires a stable configuration")
-    result, record = stabilize(g, add(c, beta(g, s)))
-    if result.chips != c.chips:
+    burn, script = _burner(g, sink)
+    counts, returned = burn(c.chips)
+    if not returned:
         return False
-    if any(record.count(v) != 1 for v in c.domain):
+    if counts != script:
         raise InternalCheckError(
-            f"burning run of a recurrent configuration fired {record.as_dict()}, "
+            f"burning run of a recurrent configuration fired {dict(zip(g.vertices, counts))}, "
             "expected exactly one firing per non-sink vertex"
         )
     return True
@@ -169,6 +171,32 @@ def _burning_script(g: MultiDigraph, s: str) -> tuple[tuple[int, ...], tuple[int
                 script[u] -= b // lap[u][u]
 
 
+# bounded like _movers; one entry per (graph, sink) burned
+@lru_cache(maxsize=256)
+def _burner(g: MultiDigraph, sink: int):
+    """Speer's burning test for sink index ``sink``, set up once.
+
+    Returns ``burn`` and the script σ by vertex index, 0 on the sink.
+    ``burn(cell)`` settles a chip vector of V \\ {sink} plus b, the sink's slot
+    collecting the chips lost, and returns the firing counts by vertex index
+    and whether the run returned ``cell``.
+    """
+    movers = _movers(g, sink)
+    b, script = _burning_script(g, g.vertices[sink])
+    b = [(u + (u >= sink), x) for u, x in enumerate(b) if x]  # by vertex index
+
+    def burn(cell: tuple[int, ...]) -> tuple[list[int], bool]:
+        chips = list(cell)
+        chips.insert(sink, 0)
+        for u, x in b:
+            chips[u] += x
+        counts = _settle(chips, movers)
+        del chips[sink]
+        return counts, tuple(chips) == cell
+
+    return burn, [*script[:sink], 0, *script[sink:]]
+
+
 @lru_cache(maxsize=None)
 def _search(g: MultiDigraph, sink: int) -> tuple[tuple[int, ...], ...]:
     """Reverse search (Avis and Fukuda, 1996) down from the maximal stable cell.
@@ -177,23 +205,14 @@ def _search(g: MultiDigraph, sink: int) -> tuple[tuple[int, ...], ...]:
     recurrent c has the recurrent parent c + e_k, k the first vertex of c below
     its maximum; only children c - e_i, i <= k, of recurrent cells are burned.
     """
-    movers = _movers(g, sink)
-    burn, script = _burning_script(g, g.vertices[sink])
-    burn = [(u + (u >= sink), b) for u, b in enumerate(burn) if b]  # by vertex index
-    script = [*script[:sink], 0, *script[sink:]]
+    burn, script = _burner(g, sink)
     top = tuple(out - 1 for v, out, _, _ in g._firing_table if v != sink)
     found = []
     stack = [top]
     while stack:
         cell = stack.pop()
-        # the burning run collects the chips it loses in the sink's slot
-        chips = list(cell)
-        chips.insert(sink, 0)
-        for u, b in burn:
-            chips[u] += b
-        counts = _settle(chips, movers)
-        del chips[sink]
-        if tuple(chips) != cell:
+        counts, returned = burn(cell)
+        if not returned:
             continue
         if counts != script:
             raise InternalCheckError("burning run did not fire its burning script")
@@ -279,13 +298,15 @@ class RecurrentSet:
 
     @cached_property
     def minimal_flags(self) -> tuple[bool, ...]:
-        """Per member, in order: whether no other member is pointwise <= it."""
+        """Per member, in order: whether no other member is pointwise <= it.
+
+        The members form an up-set of the stable cube, so a member below c puts
+        some c - e_i into the set as well; those n - 1 cells decide it.
+        """
+        members = self._positions
         return tuple(
-            not any(
-                j != i and all(a <= b for a, b in zip(other, chips))
-                for j, other in enumerate(self.vectors)
-            )
-            for i, chips in enumerate(self.vectors)
+            not any(x and vec[:i] + (x - 1,) + vec[i + 1 :] in members for i, x in enumerate(vec))
+            for vec in self.vectors
         )
 
     def index(self, c: Configuration) -> int | None:

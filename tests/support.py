@@ -18,6 +18,7 @@ from chipfiring import (
     add,
     beta,
     checks,
+    delete_arcs,
     enumerate_recurrents,
     is_eulerian,
     parse_edge_list,
@@ -139,6 +140,13 @@ def simple_undirected_connected() -> tuple[MultiDigraph, ...]:
     return tuple(out)
 
 
+def random_digraph(rng: random.Random) -> MultiDigraph:
+    """Seeded digraph that need not be connected: isolated vertices, loops, parallel arcs."""
+    names = [f"v{i}" for i in range(rng.randint(1, 6))]
+    arcs = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 10))]
+    return MultiDigraph(tuple(names), tuple(arcs))
+
+
 def eulerian_members(graphs):
     return [g for g in graphs if is_eulerian(g)]
 
@@ -219,3 +227,54 @@ def reference_burning_uniqueness(g: MultiDigraph) -> checks.CheckReport:
                 report.fail(f"burning run of {c} fired {bad}")
         report.note(f"sink {s}: all {len(rs)} burning runs fired each vertex once")
     return report
+
+
+# Reachability by a plain search over the arc list, with arcs deleted through
+# ``delete_arcs``: the reference for the integer search in ``graph``.
+def reference_reached(g: MultiDigraph, start: str) -> frozenset[str]:
+    seen, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for tail, head in g.arcs:
+            if tail == v and head not in seen:
+                seen.add(head)
+                stack.append(head)
+    return frozenset(seen)
+
+
+def _with_arcs(g: MultiDigraph, arcs) -> MultiDigraph:
+    return MultiDigraph(g.vertices, tuple(arcs))
+
+
+def reference_strongly_connected(g: MultiDigraph) -> bool:
+    if not g.vertices:
+        return False
+    reverse = _with_arcs(g, ((h, t) for t, h in g.arcs))
+    root, everything = g.vertices[0], frozenset(g.vertices)
+    return reference_reached(g, root) == reference_reached(reverse, root) == everything
+
+
+def reference_weakly_connected(g: MultiDigraph) -> bool:
+    both = _with_arcs(g, g.arcs + tuple((h, t) for t, h in g.arcs))
+    return bool(g.vertices) and reference_reached(both, g.vertices[0]) == frozenset(g.vertices)
+
+
+def reference_is_bridge(g: MultiDigraph, index: int) -> bool:
+    tail, head = g.arcs[index]
+    return tail != head and not reference_strongly_connected(delete_arcs(g, [index]))
+
+
+def reference_bridge_cut_set(g: MultiDigraph, index: int) -> frozenset[str]:
+    return reference_reached(delete_arcs(g, [index]), g.arcs[index][0])
+
+
+# ``RecurrentSet.minimal_flags`` as a scan over every pair of members; the
+# reference its differential test compares against.
+def reference_minimal_flags(vectors) -> tuple[bool, ...]:
+    return tuple(
+        not any(
+            j != i and all(a <= b for a, b in zip(other, chips))
+            for j, other in enumerate(vectors)
+        )
+        for i, chips in enumerate(vectors)
+    )

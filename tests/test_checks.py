@@ -2,9 +2,10 @@ import hashlib
 
 import pytest
 
-from chipfiring import Configuration, MultiDigraph, checks, dynamics, enumerate_recurrents
+from chipfiring import Configuration, MultiDigraph, dynamics, enumerate_recurrents, recurrent
 from chipfiring.checks import PROPERTIES, run_check
 from chipfiring.cli import main
+from chipfiring.errors import GraphError
 from chipfiring.families import bidirected_complete, parallel_pair
 
 from support import DATA, corpus, data_graph, non_eulerian_corpus, reference_burning_uniqueness
@@ -141,6 +142,21 @@ def test_burning_uniqueness_kernel_matches_stabilize_reference():
         assert run_check("burning-uniqueness", g) == reference_burning_uniqueness(g)
 
 
+def test_burning_uniqueness_refuses_non_eulerian_hosts_like_the_reference(tmp_path, capsys):
+    # the suite burns with one sink firing only because it runs on no other host
+    message = "operation requires an Eulerian graph"
+    for g in (NON_EULERIAN, *non_eulerian_corpus()):
+        with pytest.raises(GraphError, match=message):
+            run_check("burning-uniqueness", g)
+        with pytest.raises(GraphError, match=message):
+            reference_burning_uniqueness(g)
+    path = tmp_path / "non_eulerian.txt"
+    path.write_text("s a\na b\nb s\na s\n")
+    assert main(["check", str(path), "--property", "burning-uniqueness"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def _settle_firing_twice(real, vertex: int, run: int):
     """``_settle`` that reports one extra firing of ``vertex`` on its ``run``-th call."""
     calls = [0]
@@ -164,7 +180,7 @@ def test_burning_uniqueness_reports_a_double_firing_like_the_reference(monkeypat
     monkeypatch.setattr(dynamics, "_settle", _settle_firing_twice(real, 2, 3))
     expected = reference_burning_uniqueness(g)
     monkeypatch.setattr(dynamics, "_settle", real)
-    monkeypatch.setattr(checks, "_settle", _settle_firing_twice(real, 2, 3))
+    monkeypatch.setattr(recurrent, "_settle", _settle_firing_twice(real, 2, 3))
     report = run_check("burning-uniqueness", g)
     assert not report.ok and report == expected
     violations = [line for line in report.lines if line.startswith("VIOLATION")]

@@ -120,6 +120,13 @@ def test_check_requires_input(capsys):
     assert (code, out) == (2, "") and "seed" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_check_names_a_count_below_one(capsys, count):
+    code, out, err = run(capsys, "check", "--property", "theta", "--seed", "1", "--count", count)
+    assert (code, out) == (2, "")
+    assert "--count" in err and count in err and "graph file" not in err
+
+
 def test_check_reports_each_seeded_graph_before_generating_the_next(capsys, monkeypatch):
     argv = ("check", "--property", "theta", "--seed", "7", "--count", "3")
     _, whole, _ = run(capsys, *argv)

@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 
 import pytest
@@ -19,9 +20,24 @@ from chipfiring import (
     reverse_partner,
 )
 from chipfiring import graph
-from chipfiring.families import bidirected_complete, directed_cycle, parallel_pair
+from chipfiring.families import (
+    bidirected_complete,
+    directed_cycle,
+    parallel_pair,
+    random_strongly_connected,
+)
 
-from support import corpus, non_eulerian_corpus, simple_undirected_connected
+from support import (
+    corpus,
+    non_eulerian_corpus,
+    random_digraph,
+    reference_bridge_cut_set,
+    reference_is_bridge,
+    reference_reached,
+    reference_strongly_connected,
+    reference_weakly_connected,
+    simple_undirected_connected,
+)
 
 C3 = directed_cycle(["s", "a", "b"])
 K3 = bidirected_complete(["s", "a", "b"])
@@ -231,14 +247,70 @@ def test_memoized_bridge_test_matches_a_fresh_deletion_test():
             assert is_bridge(g, i) == fresh  # answered by the memo
 
 
-def test_bridge_test_deletes_each_non_loop_arc_once(monkeypatch):
-    deleted = []
-    real = graph.delete_arcs
-    monkeypatch.setattr(graph, "delete_arcs", lambda g, arcs: deleted.append(arcs) or real(g, arcs))
+def test_bridge_test_searches_each_single_arc_once(monkeypatch):
+    searches = []
+    real = graph._reach
+
+    def counting(starts, *tables, skip=None):
+        if skip is not None:
+            searches.append(skip)
+        return real(starts, *tables, skip=skip)
+
+    monkeypatch.setattr(graph, "_reach", counting)
     is_bridge.cache_clear()
     graphs = tuple(dict.fromkeys(corpus()[:50]))
     for g in graphs:
         for _ in range(2):
             for i in range(g.n_arcs):
                 is_bridge(g, i)
-    assert len(deleted) == sum(g.n_arcs - g.loop_count for g in graphs)
+    # loops and parallel arcs are answered without a search
+    assert len(searches) == sum(
+        1 for g in graphs for t, h in g.arcs if t != h and g.multiplicity(t, h) == 1
+    )
+
+
+def _reachability_hosts():
+    """Both corpora and seeded strongly connected hosts, Eulerian or not, plus
+    each with one arc deleted, which is often not strongly connected."""
+    rng = random.Random(6021)
+    seeded = tuple(random_strongly_connected(rng, 6, 14, eulerian=None) for _ in range(150))
+    hosts = corpus() + non_eulerian_corpus() + seeded
+    hosts += tuple(delete_arcs(g, [rng.randrange(g.n_arcs)]) for g in hosts)
+    return hosts + tuple(random_digraph(rng) for _ in range(150))
+
+
+def test_connectivity_matches_arc_list_reference():
+    seen = set()
+    for g in _reachability_hosts():
+        strong, weak = reference_strongly_connected(g), reference_weakly_connected(g)
+        assert g.is_strongly_connected() == strong
+        assert g.is_weakly_connected() == weak
+        for v in g.vertices:
+            assert g.reachable_from(v) == reference_reached(g, v)
+        seen.add((strong, weak))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_bridges_match_arc_list_reference():
+    bridges = cuts = 0
+    for g in _reachability_hosts():
+        if not reference_strongly_connected(g):
+            with pytest.raises(GraphError):
+                is_bridge(g, 0)
+            continue
+        for i in range(g.n_arcs):
+            expected = reference_is_bridge(g, i)
+            assert is_bridge(g, i) == expected
+            if not expected:
+                continue
+            bridges += 1
+            cut = reference_bridge_cut_set(g, i)
+            outward = sum(1 for t, h in g.arcs if t in cut and h not in cut)
+            inward = sum(1 for t, h in g.arcs if t not in cut and h in cut)
+            if outward == inward == 1:
+                assert bridge_cut(g, i).cut_set == cut
+                cuts += 1
+            else:
+                with pytest.raises(GraphError):
+                    bridge_cut(g, i)
+    assert bridges > 500 and cuts > 200

@@ -44,7 +44,7 @@ from chipfiring.recurrent import (
     reduced_laplacian,
 )
 
-from support import corpus, small_corpus
+from support import corpus, reference_minimal_flags, small_corpus
 
 C3 = directed_cycle(["s", "a", "b"])
 K3 = bidirected_complete(["s", "a", "b"])
@@ -310,6 +310,17 @@ def test_minimal_flags_match_pointwise_definition():
             )
             assert rs.minimal_flags == expected
             assert tuple(is_minimal(rs, c) for c in rs.configs) == expected
+
+
+def test_minimal_flags_match_pairwise_scan():
+    rng = random.Random(8128)
+    members = 0
+    for g in corpus() + tuple(random_eulerian(rng, 6, 16, True) for _ in range(150)):
+        for s in g.vertices:
+            rs = enumerate_recurrents(g, s)
+            assert rs.minimal_flags == reference_minimal_flags(rs.vectors)
+            members += len(rs)
+    assert members > 10_000
 
 
 def test_count_matches_determinant_and_burning_uniqueness():
