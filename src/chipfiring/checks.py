@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import bijection, lattice, recurrent, tutte
-from .dynamics import Configuration, _movers, _settle
+from .dynamics import Configuration
 from .errors import InternalCheckError, PropertyViolationError
 from .graph import MultiDigraph, is_bridge, is_eulerian, reverse_partner
 
@@ -102,71 +102,62 @@ def check_theta(g: MultiDigraph) -> CheckReport:
 
     The sets are burning-tested and certified by the determinant count, so the
     swap search runs on the integer core directly, and the image is recurrent
-    exactly when it is a member of the target sink's set.
+    exactly when it is a member of the target sink's set.  Each member is
+    searched once per ordered pair; the reverse pair's searches are the swaps back.
     """
     report = CheckReport("theta")
     recurrents = {s: recurrent.enumerate_recurrents(g, s) for s in g.vertices}
-    max_swap = 0
-    max_swap_minimal = 0
-    images: dict[tuple[str, str, tuple[int, ...]], tuple[int, ...]] = {}
+    # per ordered pair, per source member: its swap number, its image's index
+    numbers: dict[tuple[str, str], list[int]] = {}
+    images: dict[tuple[str, str], list[int]] = {}
     for s1, s2 in itertools.permutations(g.vertices, 2):
-        rs = recurrents[s1]
-        config = partial(Configuration, g, s1)  # for report lines only
-        i1, i2 = g.vertex_index(s1), g.vertex_index(s2)
-        out1, out2 = g.outdeg(s1), g.outdeg(s2)
-        swap, swap_back = bijection._swapper(g, i1, i2), bijection._swapper(g, i2, i1)
-        targets = recurrents[s2]._positions
-        back_movers = _movers(g, i1)
-        min_sum = min(rs.sums)
-        swaps = []
-        for vec, total, minimal in zip(rs.vectors, rs.sums, rs.minimal_flags):
+        i2, targets = g.vertex_index(s2), recurrents[s2]._positions
+        swap, out2 = bijection._swapper(g, g.vertex_index(s1), i2), g.outdeg(s2)
+        ks, js = numbers[s1, s2], images[s1, s2] = [], []
+        for vec, total in zip(recurrents[s1].vectors, recurrents[s1].sums):
             k, state = swap(vec)
             del state[i2]
-            image = tuple(state)
-            if image not in targets:
+            j = targets.get(tuple(state))
+            if j is None:
                 raise InternalCheckError("swap image is not recurrent; this cannot happen")
-            if total != out2 + sum(image):
+            if total != out2 + sum(state):
                 raise InternalCheckError("swap image does not preserve the sum statistic")
-            swaps.append(k)
-            images[(s1, s2, vec)] = image
-            max_swap = max(max_swap, k)
-            if minimal:
-                max_swap_minimal = max(max_swap_minimal, k)
-            back, _ = swap_back(image)
-            if back != k:
+            ks.append(k)
+            js.append(j)
+    max_swap = max_swap_minimal = 0
+    for (s1, s2), ks in numbers.items():
+        rs, config = recurrents[s1], partial(Configuration, g, s1)  # for report lines only
+        js, back, back_js = images[s1, s2], numbers[s2, s1], images[s2, s1]
+        max_swap = max(max_swap, *ks)
+        max_swap_minimal = max(max_swap_minimal, *itertools.compress(ks, rs.minimal_flags))
+        min_sum = min(rs.sums)
+        for i, (vec, total, k, j) in enumerate(zip(rs.vectors, rs.sums, ks, js)):
+            if back[j] != k:
                 report.fail(
-                    f"swap symmetry broke for {config(vec)} between {s1} and {s2}: {k} vs {back}"
+                    f"swap symmetry broke for {config(vec)} between {s1} and {s2}: "
+                    f"{k} vs {back[j]}"
                 )
-            # the image augmented by k, stabilized toward s1, is c augmented by k
-            round_trip = list(image)
-            round_trip.insert(i2, out2 + k)
-            _settle(round_trip, back_movers)
-            expected = list(vec)
-            expected.insert(i1, out1 + k)
-            if round_trip != expected:
+            elif back_js[j] != i:  # equal numbers: the swap back ended in the round trip's state
                 report.fail(f"round trip did not return {config(vec)} augmented by {k}")
             if total == min_sum and k != 0:
                 report.fail(f"minimum configuration {config(vec)} has swap number {k}")
-        for (i, c), (j, d) in itertools.permutations(enumerate(rs.vectors), 2):
-            if swaps[i] > swaps[j] and all(a <= b for a, b in zip(c, d)):
+        for lo, hi in rs.covers:  # covering steps join every comparable pair of members
+            if ks[lo] > ks[hi]:
                 report.fail(
-                    f"swap numbers not monotone: {config(c)} <= {config(d)} "
-                    f"but {swaps[i]} > {swaps[j]}"
+                    f"swap numbers not monotone: {config(rs.vectors[lo])} <= "
+                    f"{config(rs.vectors[hi])} but {ks[lo]} > {ks[hi]}"
                 )
-        if len(set(images[(s1, s2, vec)] for vec in rs.vectors)) != len(rs.vectors):
+        if len(set(js)) != len(js):
             report.fail(f"swap map is not injective from sink {s1} to {s2}")
     report.note(f"max swap number observed: {max_swap}")
     report.note(f"max swap number over minimal configurations: {max_swap_minimal}")
     # composition across three sinks: experiment only, nothing is asserted
     if g.n_vertices >= 3:
-        composed_equal = 0
-        composed_total = 0
+        composed_equal = composed_total = 0
         for s1, s2, s3 in itertools.permutations(g.vertices[:3], 3):
-            for vec in recurrents[s1].vectors:
-                direct = images[(s1, s3, vec)]
-                via = images[(s2, s3, images[(s1, s2, vec)])]
+            for direct, j in zip(images[s1, s3], images[s1, s2]):
                 composed_total += 1
-                composed_equal += direct == via
+                composed_equal += direct == images[s2, s3][j]
         report.note(
             f"three-sink composition agreed on {composed_equal}/{composed_total} cases"
         )

@@ -2,16 +2,18 @@
 
 Everything here is deliberately independent of the main algorithms: own
 determinant (cofactor expansion), own stabilizer (different schedule), own
-acyclicity test.  Only the graph and configuration value types are shared.
+acyclicity test and Tutte deletion-contraction.  Only value types are shared.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .dynamics import Configuration
 from .errors import ConfigurationError, GraphError, SizeCapError
-from .graph import MultiDigraph
+from .graph import MultiDigraph, is_undirected
+from .polynomial import LaurentPolynomial
 
 MAX_ARB_VERTICES = 6
 MAX_ACYCLIC_ARCS = 18
@@ -146,7 +148,10 @@ def _last_firable_stabilize(g: MultiDigraph, sink: str, chips: dict[str, int]) -
 
 
 def _flood(g: MultiDigraph, s: str) -> int:
-    """A saturating multiple of the group order; refuses hosts above the cap."""
+    """A saturating multiple of the group order; refuses hosts above the cap or
+    not strongly connected (their reduced Laplacian may be singular)."""
+    if not g.is_strongly_connected():
+        raise GraphError("definitional test requires a strongly connected graph")
     if g.n_vertices > MAX_RECURRENT_VERTICES:
         raise SizeCapError(f"recurrence oracle capped at {MAX_RECURRENT_VERTICES} vertices")
     others = [v for v in g.vertices if v != s]
@@ -173,8 +178,6 @@ def recurrent_definitional_test(g: MultiDigraph, s: str, c: Configuration) -> bo
     equivalence class: add m chips everywhere with m a multiple of the group
     order and large enough to saturate, then stabilize.
     """
-    if not g.is_strongly_connected():
-        raise GraphError("definitional test requires a strongly connected graph")
     if c.sink != s or c.host.vertices != g.vertices:
         raise ConfigurationError("configuration does not belong to this sink game")
     return _flood_fixed(g, s, _flood(g, s), c.chips)
@@ -186,3 +189,77 @@ def brute_recurrents(g: MultiDigraph, s: str) -> list[Configuration]:
     flood = _flood(g, s)
     cube = itertools.product(*(range(g.outdeg(v)) for v in g.vertices if v != s))
     return [Configuration(g, s, combo) for combo in cube if _flood_fixed(g, s, flood, combo)]
+
+
+# ---------------------------------------------------------- undirected oracle
+def _canonical_multigraph(vertices, edges):
+    order = sorted(vertices)
+    relabel = {v: i for i, v in enumerate(order)}
+    return len(order), tuple(sorted((relabel[a], relabel[b]) for a, b in edges))
+
+
+def _multigraph_connected(n: int, edges) -> bool:
+    if n == 0:
+        return False
+    adj = {i: set() for i in range(n)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for u in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == n
+
+
+def _merge_endpoint(edges, keep: int, drop: int):
+    renamed = [(keep if x == drop else x, keep if y == drop else y) for x, y in edges]
+    return [(min(x, y), max(x, y)) for x, y in renamed]
+
+
+@lru_cache(maxsize=None)
+def _tutte_at_x1(n: int, edges) -> LaurentPolynomial:
+    """T(1, y) of a connected undirected multigraph by deletion-contraction.
+
+    Loops contribute a factor y, bridges a factor 1 (the x of a bridge,
+    evaluated at x = 1), everything else splits into delete + contract.
+    """
+    core = [e for e in edges if e[0] != e[1]]
+    n_loops = len(edges) - len(core)
+    if n_loops:
+        return LaurentPolynomial.y(n_loops) * _tutte_at_x1(n, tuple(core))
+    if not core:
+        return LaurentPolynomial.one()
+    a, b = core[0]
+    rest = core[1:]
+    contracted = _tutte_at_x1(
+        *_canonical_multigraph(set(range(n)) - {b}, _merge_endpoint(rest, a, b))
+    )
+    if (a, b) not in rest and not _multigraph_connected(n, tuple(rest)):
+        return contracted  # bridge: the x factor is 1
+    deleted = _tutte_at_x1(*_canonical_multigraph(range(n), rest))
+    return deleted + contracted
+
+
+def undirected_tutte_oracle(g: MultiDigraph) -> LaurentPolynomial:
+    """T_G(1, y) of an undirected graph given as a symmetric digraph.
+
+    Each reverse arc pair stands for one undirected edge, each directed loop
+    for one undirected loop.  Computed by classical deletion-contraction,
+    independently of any chip-firing machinery.
+    """
+    if not is_undirected(g):
+        raise GraphError("the classical oracle needs symmetric arc multiplicities")
+    if not g.is_weakly_connected():
+        raise GraphError("the classical oracle needs a connected graph")
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    edges = []
+    for v, u in itertools.combinations(g.vertices, 2):
+        edges.extend([(min(idx[v], idx[u]), max(idx[v], idx[u]))] * g.multiplicity(v, u))
+    for v in g.vertices:
+        edges.extend([(idx[v], idx[v])] * g.loops_at(v))
+    return _tutte_at_x1(*_canonical_multigraph(range(g.n_vertices), edges))

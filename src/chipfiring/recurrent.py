@@ -297,17 +297,22 @@ class RecurrentSet:
         return {vec: i for i, vec in enumerate(self.vectors)}
 
     @cached_property
-    def minimal_flags(self) -> tuple[bool, ...]:
-        """Per member, in order: whether no other member is pointwise <= it.
-
-        The members form an up-set of the stable cube, so a member below c puts
-        some c - e_i into the set as well; those n - 1 cells decide it.
-        """
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Index pairs (i, j) with vectors[j] = vectors[i] + e_t; the members form
+        an up-set of the stable cube, so these steps join any two comparable ones."""
         members = self._positions
         return tuple(
-            not any(x and vec[:i] + (x - 1,) + vec[i + 1 :] in members for i, x in enumerate(vec))
-            for vec in self.vectors
+            (members[below], j)
+            for j, vec in enumerate(self.vectors)
+            for t, x in enumerate(vec)
+            if x and (below := vec[:t] + (x - 1,) + vec[t + 1 :]) in members
         )
+
+    @cached_property
+    def minimal_flags(self) -> tuple[bool, ...]:
+        """Per member, in order: whether no other member is <= it (no cover ends at it)."""
+        covered = {j for _, j in self.covers}
+        return tuple(j not in covered for j in range(len(self.vectors)))
 
     def index(self, c: Configuration) -> int | None:
         if c.sink != self.sink:

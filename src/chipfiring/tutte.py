@@ -24,6 +24,7 @@ from .graph import (
     is_undirected,
     reverse_partner,
 )
+from .oracles import undirected_tutte_oracle  # re-exported for existing callers
 from .polynomial import LaurentPolynomial
 from .recurrent import (
     _check_cap,
@@ -73,81 +74,6 @@ def support_filtered_gen(g: MultiDigraph, s: str, w) -> LaurentPolynomial:
         for vec, lvl in zip(rs.vectors, rs.levels)
         if all(vec[slot] >= least for slot, least in need)
     )
-
-
-# ---------------------------------------------------------- undirected oracle
-def _canonical_multigraph(vertices, edges):
-    order = sorted(vertices)
-    relabel = {v: i for i, v in enumerate(order)}
-    return len(order), tuple(sorted((relabel[a], relabel[b]) for a, b in edges))
-
-
-def _multigraph_connected(n: int, edges) -> bool:
-    if n == 0:
-        return False
-    adj = {i: set() for i in range(n)}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == n
-
-
-def _merge_endpoint(edges, keep: int, drop: int):
-    renamed = [(keep if x == drop else x, keep if y == drop else y) for x, y in edges]
-    return [(min(x, y), max(x, y)) for x, y in renamed]
-
-
-@lru_cache(maxsize=None)
-def _tutte_at_x1(n: int, edges) -> LaurentPolynomial:
-    """T(1, y) of a connected undirected multigraph by deletion-contraction.
-
-    Loops contribute a factor y, bridges a factor 1 (the x of a bridge,
-    evaluated at x = 1), everything else splits into delete + contract.
-    """
-    core = [e for e in edges if e[0] != e[1]]
-    n_loops = len(edges) - len(core)
-    if n_loops:
-        return LaurentPolynomial.y(n_loops) * _tutte_at_x1(n, tuple(core))
-    if not core:
-        return LaurentPolynomial.one()
-    a, b = core[0]
-    rest = list(core)
-    rest.remove((a, b))
-    contracted = _tutte_at_x1(
-        *_canonical_multigraph(set(range(n)) - {b}, _merge_endpoint(rest, a, b))
-    )
-    if (a, b) not in rest and not _multigraph_connected(n, tuple(rest)):
-        return contracted  # bridge: the x factor is 1
-    deleted = _tutte_at_x1(*_canonical_multigraph(range(n), rest))
-    return deleted + contracted
-
-
-def undirected_tutte_oracle(g: MultiDigraph) -> LaurentPolynomial:
-    """T_G(1, y) of an undirected graph given as a symmetric digraph.
-
-    Each reverse arc pair stands for one undirected edge, each directed loop
-    for one undirected loop.  Computed by classical deletion-contraction,
-    independently of any chip-firing machinery.
-    """
-    if not is_undirected(g):
-        raise GraphError("the classical oracle needs symmetric arc multiplicities")
-    if not g.is_weakly_connected():
-        raise GraphError("the classical oracle needs a connected graph")
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    edges = []
-    for v, u in itertools.combinations(g.vertices, 2):
-        edges.extend([(min(idx[v], idx[u]), max(idx[v], idx[u]))] * g.multiplicity(v, u))
-    for v in g.vertices:
-        edges.extend([(idx[v], idx[v])] * g.loops_at(v))
-    return _tutte_at_x1(*_canonical_multigraph(range(g.n_vertices), edges))
 
 
 # ------------------------------------------------------------------ counting

@@ -10,20 +10,25 @@ import argparse
 import functools
 import itertools
 import random
+from functools import partial
 from pathlib import Path
 
 from chipfiring import (
     Configuration,
+    InternalCheckError,
     MultiDigraph,
     add,
     beta,
+    bijection,
     checks,
     delete_arcs,
     enumerate_recurrents,
     is_eulerian,
     parse_edge_list,
+    recurrent,
     stabilize,
 )
+from chipfiring.checks import CheckReport
 from chipfiring.cli import (
     _cmd_check,
     _cmd_conjecture1,
@@ -34,6 +39,7 @@ from chipfiring.cli import (
     _cmd_swap,
     _cmd_tutte,
 )
+from chipfiring.dynamics import _movers, _settle
 from chipfiring.families import random_eulerian, random_strongly_connected, undirected_graph
 
 DATA = Path(__file__).parent / "data"
@@ -278,3 +284,82 @@ def reference_minimal_flags(vectors) -> tuple[bool, ...]:
         )
         for i, chips in enumerate(vectors)
     )
+
+
+# ``check_theta`` as it ran with a second swap search per member, the swap
+# back, a separate round-trip settle and a scan over every pair of members;
+# the reference its differential test compares against.
+def reference_theta(g: MultiDigraph) -> CheckReport:
+    """Sink-swap suite on chip vectors of the enumerated recurrent sets.
+
+    The sets are burning-tested and certified by the determinant count, so the
+    swap search runs on the integer core directly, and the image is recurrent
+    exactly when it is a member of the target sink's set.
+    """
+    report = CheckReport("theta")
+    recurrents = {s: recurrent.enumerate_recurrents(g, s) for s in g.vertices}
+    max_swap = 0
+    max_swap_minimal = 0
+    images: dict[tuple[str, str, tuple[int, ...]], tuple[int, ...]] = {}
+    for s1, s2 in itertools.permutations(g.vertices, 2):
+        rs = recurrents[s1]
+        config = partial(Configuration, g, s1)  # for report lines only
+        i1, i2 = g.vertex_index(s1), g.vertex_index(s2)
+        out1, out2 = g.outdeg(s1), g.outdeg(s2)
+        swap, swap_back = bijection._swapper(g, i1, i2), bijection._swapper(g, i2, i1)
+        targets = recurrents[s2]._positions
+        back_movers = _movers(g, i1)
+        min_sum = min(rs.sums)
+        swaps = []
+        for vec, total, minimal in zip(rs.vectors, rs.sums, rs.minimal_flags):
+            k, state = swap(vec)
+            del state[i2]
+            image = tuple(state)
+            if image not in targets:
+                raise InternalCheckError("swap image is not recurrent; this cannot happen")
+            if total != out2 + sum(image):
+                raise InternalCheckError("swap image does not preserve the sum statistic")
+            swaps.append(k)
+            images[(s1, s2, vec)] = image
+            max_swap = max(max_swap, k)
+            if minimal:
+                max_swap_minimal = max(max_swap_minimal, k)
+            back, _ = swap_back(image)
+            if back != k:
+                report.fail(
+                    f"swap symmetry broke for {config(vec)} between {s1} and {s2}: {k} vs {back}"
+                )
+            # the image augmented by k, stabilized toward s1, is c augmented by k
+            round_trip = list(image)
+            round_trip.insert(i2, out2 + k)
+            _settle(round_trip, back_movers)
+            expected = list(vec)
+            expected.insert(i1, out1 + k)
+            if round_trip != expected:
+                report.fail(f"round trip did not return {config(vec)} augmented by {k}")
+            if total == min_sum and k != 0:
+                report.fail(f"minimum configuration {config(vec)} has swap number {k}")
+        for (i, c), (j, d) in itertools.permutations(enumerate(rs.vectors), 2):
+            if swaps[i] > swaps[j] and all(a <= b for a, b in zip(c, d)):
+                report.fail(
+                    f"swap numbers not monotone: {config(c)} <= {config(d)} "
+                    f"but {swaps[i]} > {swaps[j]}"
+                )
+        if len(set(images[(s1, s2, vec)] for vec in rs.vectors)) != len(rs.vectors):
+            report.fail(f"swap map is not injective from sink {s1} to {s2}")
+    report.note(f"max swap number observed: {max_swap}")
+    report.note(f"max swap number over minimal configurations: {max_swap_minimal}")
+    # composition across three sinks: experiment only, nothing is asserted
+    if g.n_vertices >= 3:
+        composed_equal = 0
+        composed_total = 0
+        for s1, s2, s3 in itertools.permutations(g.vertices[:3], 3):
+            for vec in recurrents[s1].vectors:
+                direct = images[(s1, s3, vec)]
+                via = images[(s2, s3, images[(s1, s2, vec)])]
+                composed_total += 1
+                composed_equal += direct == via
+        report.note(
+            f"three-sink composition agreed on {composed_equal}/{composed_total} cases"
+        )
+    return report

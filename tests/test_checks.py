@@ -2,13 +2,27 @@ import hashlib
 
 import pytest
 
-from chipfiring import Configuration, MultiDigraph, dynamics, enumerate_recurrents, recurrent
+from chipfiring import (
+    Configuration,
+    MultiDigraph,
+    bijection,
+    dynamics,
+    enumerate_recurrents,
+    recurrent,
+)
 from chipfiring.checks import PROPERTIES, run_check
 from chipfiring.cli import main
 from chipfiring.errors import GraphError
 from chipfiring.families import bidirected_complete, parallel_pair
 
-from support import DATA, corpus, data_graph, non_eulerian_corpus, reference_burning_uniqueness
+from support import (
+    DATA,
+    corpus,
+    data_graph,
+    non_eulerian_corpus,
+    reference_burning_uniqueness,
+    reference_theta,
+)
 
 K3 = bidirected_complete(["s", "a", "b"])
 NON_EULERIAN = MultiDigraph.of([("s", "a"), ("a", "b"), ("b", "s"), ("a", "s")])
@@ -59,6 +73,99 @@ def test_theta_report_lines_pinned(name):
     report = run_check("theta", data_graph(name))
     assert report.ok
     assert report.lines == THETA_REPORTS[name]
+
+
+def test_theta_matches_two_search_reference():
+    for g in (*corpus()[:80], data_graph("demo5.txt"), data_graph("swapdemo.txt")):
+        assert run_check("theta", g) == reference_theta(g)
+
+
+def test_theta_searches_each_member_once_per_sink_pair(monkeypatch):
+    g = data_graph("demo5.txt")
+    real, set_ups, searches = bijection._swapper, [], []
+
+    def counted(graph, s1, s2):
+        swap = real(graph, s1, s2)
+        set_ups.append((s1, s2))
+        return lambda vec: searches.append(vec) or swap(vec)
+
+    monkeypatch.setattr(bijection, "_swapper", counted)
+    assert run_check("theta", g).ok
+    n = g.n_vertices
+    assert sorted(set_ups) == [(a, b) for a in range(n) for b in range(n) if a != b]
+    assert len(searches) == (n - 1) * sum(len(enumerate_recurrents(g, s)) for s in g.vertices)
+
+
+def _theta_under(monkeypatch, g, mutate):
+    """The suite's and the reference's reports when the swap search from sink
+    index 0 to 1 answers ``mutate(swap, vec)`` instead of ``swap(vec)``."""
+    real = bijection._swapper
+
+    def swapper(graph, s1, s2):
+        swap = real(graph, s1, s2)
+        return (lambda vec: mutate(swap, vec)) if (s1, s2) == (0, 1) else swap
+
+    monkeypatch.setattr(bijection, "_swapper", swapper)
+    return run_check("theta", g), reference_theta(g)
+
+
+def _raising(chips: tuple[int, ...], by: int):
+    """A mutation that reports ``by`` more for the member ``chips``, with the
+    true final state."""
+
+    def mutate(swap, vec):
+        k, state = swap(vec)
+        return k + by * (vec == chips), state
+
+    return mutate
+
+
+def test_theta_reports_a_raised_swap_number_like_the_reference(monkeypatch):
+    g = data_graph("demo5.txt")
+    top = enumerate_recurrents(g, g.vertices[0]).vectors[-1]  # the maximal member
+    for report in _theta_under(monkeypatch, g, _raising(top, 1)):
+        assert report.ok is False
+        assert any(line.startswith("VIOLATION: swap symmetry broke for") for line in report.lines)
+
+
+def test_theta_reports_non_monotone_swap_numbers_like_the_reference(monkeypatch):
+    g = data_graph("demo5.txt")
+    rs = enumerate_recurrents(g, g.vertices[0])
+    # the first member has the least sum and lies below a covering member,
+    # whose swap number it now exceeds
+    assert rs.sums[0] == min(rs.sums) and any(lo == 0 for lo, _ in rs.covers)
+    report, expected = _theta_under(monkeypatch, g, _raising(rs.vectors[0], len(rs)))
+    assert not report.ok and not expected.ok
+    monotone = [line for line in report.lines if "swap numbers not monotone" in line]
+    assert monotone
+    # the suite names covering pairs only, the reference every comparable pair
+    assert set(monotone) <= set(expected.lines)
+    minimum = [line for line in report.lines if line.startswith("VIOLATION: minimum configuration")]
+    assert minimum and set(minimum) <= set(expected.lines)
+
+
+def test_theta_reports_a_failed_round_trip_like_the_reference(monkeypatch):
+    # equal sums and swap numbers: sending the first member to the second's
+    # image keeps the numbers symmetric but breaks the round trip and injectivity
+    g = data_graph("demo5.txt")
+    first, second = (0, 0, 2, 0), (0, 1, 1, 0)
+    forward = bijection._swapper(g, 0, 1)
+    assert sum(first) == sum(second) and forward(first)[0] == forward(second)[0]
+    report, expected = _theta_under(
+        monkeypatch, g, lambda swap, vec: swap(second if vec == first else vec)
+    )
+    violations = [line for line in report.lines if line.startswith("VIOLATION")]
+    assert violations[:2] == [line for line in expected.lines if line.startswith("VIOLATION")] == [
+        "VIOLATION: round trip did not return "
+        "Configuration(sink='s', v1=0, v2=0, v3=2, v4=0) augmented by 0",
+        "VIOLATION: swap map is not injective from sink s to v1",
+    ]
+    # the patched search is also the reverse pair's swap back, so the suite
+    # names that pair's round trip too; the reference settles it separately
+    assert violations[2:] == [
+        "VIOLATION: round trip did not return "
+        "Configuration(sink='v1', s=0, v2=0, v3=2, v4=0) augmented by 0"
+    ]
 
 
 MAX_SUM_EULERIAN = ["every stable configuration is bounded by its recurrent representative"]

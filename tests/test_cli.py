@@ -160,6 +160,10 @@ def test_oracle(graph_file, capsys):
         capsys, "oracle", graph_file(K3_TEXT), "--sink", "s", "--which", "recurrents"
     )
     assert code == 0 and len(out.strip().splitlines()) == 3
+    not_strong = graph_file("s a\na b\nb a\n", "not_strong.txt")
+    code, out, err = run(capsys, "oracle", not_strong, "--sink", "s", "--which", "recurrents")
+    assert (code, out) == (2, "")
+    assert err == "error: definitional test requires a strongly connected graph\n"
 
 
 def test_exit_codes(graph_file, capsys, tmp_path):

@@ -1,8 +1,13 @@
 import pytest
 
-from chipfiring import SizeCapError, enumerate_recurrents
+from chipfiring import Configuration, GraphError, MultiDigraph, SizeCapError, enumerate_recurrents
 from chipfiring.families import bidirected_complete, directed_cycle, parallel_pair
-from chipfiring.oracles import brute_acyclic_sets, brute_arborescences, brute_recurrents
+from chipfiring.oracles import (
+    brute_acyclic_sets,
+    brute_arborescences,
+    brute_recurrents,
+    recurrent_definitional_test,
+)
 from chipfiring.recurrent import recurrent_count
 
 from support import corpus, small_corpus
@@ -40,6 +45,17 @@ def test_brute_recurrents_examples():
     big = bidirected_complete(list("abcde"))
     with pytest.raises(SizeCapError):
         brute_recurrents(big, "a")
+
+
+def test_recurrence_oracles_refuse_hosts_that_are_not_strongly_connected():
+    # nothing returns to s, so the reduced Laplacian at s is singular and the
+    # flood would be 0, making every stable cell its own fixed point
+    g = MultiDigraph.of([("s", "a"), ("a", "b"), ("b", "a")])
+    message = "definitional test requires a strongly connected graph"
+    with pytest.raises(GraphError, match=message):
+        brute_recurrents(g, "s")
+    with pytest.raises(GraphError, match=message):
+        recurrent_definitional_test(g, "s", Configuration.zeros(g, "s"))
 
 
 def test_brute_recurrents_agree_with_burning_enumeration():
