@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .dynamics import Configuration, _movers, _settle
 from .errors import ConfigurationError, InternalCheckError, PropertyViolationError
 from .graph import MultiDigraph
-from .recurrent import enumerate_recurrents, is_recurrent, recurrent_count
+from .recurrent import _require_eulerian, enumerate_recurrents, is_recurrent, recurrent_count
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,7 @@ def _swap_sinks(g: MultiDigraph, s1: str, s2: str, c: Configuration) -> tuple[in
     """Check the swap map's preconditions; return the vertex indices of s1 and s2."""
     if s1 == s2:
         raise ConfigurationError("source and target sink must differ")
+    _require_eulerian(g)
     if not is_recurrent(g, s1, c):
         raise ConfigurationError(f"input configuration is not recurrent for sink {s1!r}")
     return g.vertex_index(s1), g.vertex_index(s2)

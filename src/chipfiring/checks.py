@@ -15,7 +15,7 @@ from functools import partial
 from . import bijection, lattice, recurrent, tutte
 from .dynamics import Configuration
 from .errors import InternalCheckError, PropertyViolationError
-from .graph import MultiDigraph, is_bridge, is_eulerian, reverse_partner
+from .graph import MultiDigraph, is_eulerian
 
 PROPERTIES = (
     "sink-independence",
@@ -68,13 +68,8 @@ def check_sink_independence(g: MultiDigraph) -> CheckReport:
 def check_recursions(g: MultiDigraph) -> CheckReport:
     report = CheckReport("recursions")
     for i, (tail, head) in enumerate(g.arcs):
-        if tail == head:
-            kind = "loop"
-        elif is_bridge(g, i):
-            kind = "bridge_reverse" if reverse_partner(g, i) is not None else "bridge_no_reverse"
-        elif reverse_partner(g, i) is not None:
-            kind = "del_contract"
-        else:
+        kind = tutte.recursion_kind(g, i)
+        if kind is None:
             continue
         if tutte.check_recursion(g, kind, i):
             report.note(f"{kind} at arc {i} ({tail}->{head}): ok")
@@ -214,9 +209,11 @@ def check_burning_uniqueness(g: MultiDigraph) -> CheckReport:
     for s in g.vertices:
         rs = recurrent.enumerate_recurrents(g, s)
         sink = g.vertex_index(s)
-        burn, _ = recurrent._burner(g, sink)
+        burn, _ = rs.burner
         for vec in rs.vectors:
-            counts, _ = burn(vec)
+            counts = burn(vec)
+            if counts is None:
+                raise InternalCheckError("burning run of a recurrent did not return it")
             del counts[sink]
             bad = {v: k for v, k in zip(rs.domain, counts) if k != 1}
             if bad:

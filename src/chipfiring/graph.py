@@ -109,11 +109,6 @@ class MultiDigraph:
             for i, row in enumerate(rows)
         )
 
-    @cached_property
-    def _cube_cells(self) -> dict[tuple[int, int], int]:
-        """Memo of ``recurrent._check_cap``: cube size by (sink index, degree column)."""
-        return {}
-
     def outdeg(self, v: str) -> int:
         """Out-degree including loops."""
         return self._firing_table[self.vertex_index(v)][1]
@@ -241,9 +236,9 @@ def delete_arcs(g: MultiDigraph, indices) -> MultiDigraph:
 
 
 def _merged_name(g: MultiDigraph, merged: set[str]) -> str:
-    name = "+".join(sorted(merged))
-    if name in set(g.vertices) - merged:
-        raise GraphError(f"contraction name {name!r} collides with an existing vertex")
+    name, others = "+".join(sorted(merged)), set(g.vertices) - merged
+    while name in others:
+        name += "+"
     return name
 
 
@@ -272,7 +267,8 @@ def contract_arc(g: MultiDigraph, index: int) -> MultiDigraph:
 
     Arcs parallel to the contracted one, and reverse partners, become loops at
     the merged vertex.  The merged vertex is named by joining the endpoint names
-    with '+' in sorted order and takes the position of the earlier endpoint.
+    with '+' in sorted order, with a '+' appended while another vertex has that
+    name, and takes the position of the earlier endpoint.
     """
     tail, head = g.arc(index)
     if tail == head:

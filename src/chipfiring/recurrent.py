@@ -6,7 +6,8 @@ b >= 0; that run fires exactly σ.  On Eulerian hosts σ = 1 and b is one sink
 firing (Dhar).  Enumeration walks down the recurrent up-set of the stable cube
 prod_v [0, outdeg(v)-1] by reverse search on the integer firing kernel of
 ``dynamics``, on any strongly connected host, and cross-checks the count
-against det Δ.  Levels and ``kappa`` need an Eulerian host.
+against det Δ.  Levels and ``kappa`` need an Eulerian host.  Every value of
+one sink game lives in its record, ``RecurrentSet``, cached once per game.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from functools import cached_property, lru_cache
 from .dynamics import Configuration, _movers, _settle
 from .errors import ConfigurationError, GraphError, InternalCheckError, SettingError, SizeCapError
 from .graph import MultiDigraph, is_eulerian, remove_loops
+from .polynomial import LaurentPolynomial
 
 DEFAULT_CELL_CAP = 20_000_000
 
@@ -47,16 +49,11 @@ def environment_cap() -> int:
     return cap
 
 
-def _check_cap(g: MultiDigraph, sink: int, degree: int = 1) -> None:
+def _check_cap(g: MultiDigraph, sink: int) -> None:
     """Refuse a stable cube prod_{v != sink} outdeg(v) above the cell cap, before
-    any cache is read; ``degree=2`` sizes the cube of ``remove_loops(g)``.  The
-    size is computed once per (graph, sink, degree), the cap read every call."""
-    cells = g._cube_cells.get((sink, degree))
-    if cells is None:
-        cells = g._cube_cells[sink, degree] = math.prod(
-            row[degree] for row in g._firing_table if row[0] != sink
-        )
-    cap = cell_cap()
+    any cached value is used: the size is the game record's, the cap is read on
+    every call."""
+    cells, cap = _game(g, sink).cells, cell_cap()
     if cells > cap:
         raise SizeCapError(
             f"stable cube has {cells} cells, above the cap of {cap}; "
@@ -109,10 +106,9 @@ def bareiss_determinant(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-@lru_cache(maxsize=None)
 def recurrent_count(g: MultiDigraph, s: str) -> int:
     """Order of the sandpile group with sink s: det of the reduced Laplacian."""
-    return bareiss_determinant(reduced_laplacian(g, s))
+    return _game(g, g.vertex_index(s)).count
 
 
 # -------------------------------------------------------------- burning test
@@ -121,46 +117,50 @@ def _require_eulerian(g: MultiDigraph) -> None:
         raise GraphError("operation requires an Eulerian graph")
 
 
-def is_recurrent(g: MultiDigraph, s: str, c: Configuration) -> bool:
-    """Burning test: stable c is recurrent iff stabilize(c + beta) == c.
+def _require_strongly_connected(g: MultiDigraph) -> None:
+    if not (is_eulerian(g) or g.is_strongly_connected()):
+        raise GraphError("operation requires a strongly connected graph")
 
-    Valid on Eulerian hosts, loops allowed, where ``_burner``'s script is one
-    firing of the sink.  When the test succeeds, the run is additionally
-    required to fire each non-sink vertex exactly once; anything else is an
+
+def is_recurrent(g: MultiDigraph, s: str, c: Configuration) -> bool:
+    """Burning test: stable c is recurrent iff stabilize(c + b) == c.
+
+    Valid on every strongly connected host, loops allowed, with the game
+    record's burning configuration b and script σ.  When the test succeeds, the
+    run is additionally required to fire exactly σ; anything else is an
     internal bug.
     """
-    _require_eulerian(g)
+    _require_strongly_connected(g)
     if c.sink != s or c.host.vertices != g.vertices:
         raise ConfigurationError("configuration does not belong to this sink game")
     sink = g.vertex_index(s)
     if any(c.chips[v - (v > sink)] >= out for v, out, _, _ in _movers(g, sink)):
         raise ConfigurationError("burning test requires a stable configuration")
-    burn, script = _burner(g, sink)
-    counts, returned = burn(c.chips)
-    if not returned:
+    burn, script = _game(g, sink).burner
+    counts = burn(c.chips)
+    if counts is None:
         return False
     if counts != script:
         raise InternalCheckError(
             f"burning run of a recurrent configuration fired {dict(zip(g.vertices, counts))}, "
-            "expected exactly one firing per non-sink vertex"
+            f"expected its burning script {dict(zip(g.vertices, script))}"
         )
     return True
 
 
 def _recurrent_vectors(g: MultiDigraph, s: str) -> tuple[tuple[int, ...], ...]:
-    """Recurrent chip vectors in lexicographic order; checks the cap before the cache."""
-    if not (is_eulerian(g) or g.is_strongly_connected()):
-        raise GraphError("operation requires a strongly connected graph")
+    """Recurrent chip vectors in lexicographic order; checks the cap before the record."""
+    _require_strongly_connected(g)
     sink = g.vertex_index(s)
     _check_cap(g, sink)
-    return _search(g, sink)
+    return _game(g, sink).vectors
 
 
 def _burning_script(g: MultiDigraph, s: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The burning configuration b = Δᵀσ and its script σ >= 1, the least with
-    b >= 0, on V \\ {s}.  Raising σ_u by the least amount that clears b_u < 0
-    cannot overshoot, as raising other entries only lowers b_u."""
-    lap = reduced_laplacian(g, s)
+    b >= 0, on V \\ {s}, Δ the game record's.  Raising σ_u by the least amount
+    that clears b_u < 0 cannot overshoot, as raising other entries only lowers b_u."""
+    lap = _game(g, g.vertex_index(s))._laplacian
     script = [1] * len(lap)
     while True:
         burn = [sum(x * row[u] for x, row in zip(script, lap)) for u in range(len(lap))]
@@ -171,109 +171,38 @@ def _burning_script(g: MultiDigraph, s: str) -> tuple[tuple[int, ...], tuple[int
                 script[u] -= b // lap[u][u]
 
 
-# bounded like _movers; one entry per (graph, sink) burned
-@lru_cache(maxsize=256)
-def _burner(g: MultiDigraph, sink: int):
-    """Speer's burning test for sink index ``sink``, set up once.
-
-    Returns ``burn`` and the script σ by vertex index, 0 on the sink.
-    ``burn(cell)`` settles a chip vector of V \\ {sink} plus b, the sink's slot
-    collecting the chips lost, and returns the firing counts by vertex index
-    and whether the run returned ``cell``.
-    """
-    movers = _movers(g, sink)
-    b, script = _burning_script(g, g.vertices[sink])
-    b = [(u + (u >= sink), x) for u, x in enumerate(b) if x]  # by vertex index
-
-    def burn(cell: tuple[int, ...]) -> tuple[list[int], bool]:
-        chips = list(cell)
-        chips.insert(sink, 0)
-        for u, x in b:
-            chips[u] += x
-        counts = _settle(chips, movers)
-        del chips[sink]
-        return counts, tuple(chips) == cell
-
-    return burn, [*script[:sink], 0, *script[sink:]]
-
-
 @lru_cache(maxsize=None)
-def _search(g: MultiDigraph, sink: int) -> tuple[tuple[int, ...], ...]:
-    """Reverse search (Avis and Fukuda, 1996) down from the maximal stable cell.
-
-    A stable cell above a recurrent one is recurrent (Holroyd et al., 2008), so
-    recurrent c has the recurrent parent c + e_k, k the first vertex of c below
-    its maximum; only children c - e_i, i <= k, of recurrent cells are burned.
-    """
-    burn, script = _burner(g, sink)
-    top = tuple(out - 1 for v, out, _, _ in g._firing_table if v != sink)
-    found = []
-    stack = [top]
-    while stack:
-        cell = stack.pop()
-        counts, returned = burn(cell)
-        if not returned:
-            continue
-        if counts != script:
-            raise InternalCheckError("burning run did not fire its burning script")
-        found.append(cell)
-        for i, x in enumerate(cell):
-            if x:
-                stack.append(cell[:i] + (x - 1,) + cell[i + 1 :])
-            if x < top[i]:
-                break
-    found.sort()
-    expected = recurrent_count(g, g.vertices[sink])
-    if len(found) != expected:
-        raise InternalCheckError(
-            f"enumerated {len(found)} recurrent configurations, "
-            f"determinant predicts {expected}"
-        )
-    return tuple(found)
-
-
-# the cache lives on _search; expose it where callers and tools look for it
-_recurrent_vectors.cache_info, _recurrent_vectors.cache_clear = _search.cache_info, _search.cache_clear
+def _loopless(g: MultiDigraph) -> MultiDigraph:
+    return remove_loops(g)[0]
 
 
 def kappa(g: MultiDigraph) -> int:
     """Minimum of outdeg(s) + total chips over recurrents of the loopless host.
 
-    Computed once per host with the canonical first vertex as sink; by sink
-    independence of the sum multiset any other sink gives the same value.
+    Read from its game record with the canonical first vertex as sink, whose
+    cap is checked on every call; by sink independence of the sum multiset any
+    other sink gives the same value.
     """
     _require_eulerian(g)
-    _check_cap(g, 0, degree=2)
-    return _kappa(g)
+    bare = _loopless(g)
+    _recurrent_vectors(bare, bare.vertices[0])  # the cap; the one way into an enumeration
+    return min(_game(bare, 0).sums)
 
 
-@lru_cache(maxsize=None)
-def _kappa(g: MultiDigraph) -> int:
-    bare, _ = remove_loops(g)
-    s = bare.vertices[0]
-    return bare.outdeg(s) + min(sum(vec) for vec in _recurrent_vectors(bare, s))
-
-
-kappa.cache_info, kappa.cache_clear = _kappa.cache_info, _kappa.cache_clear
-
-
-# ---------------------------------------------------------------- result type
+# ---------------------------------------------------------------- game record
 @dataclass(frozen=True)
 class RecurrentSet:
-    """All recurrent configurations for one sink, with sums, kappa, and levels.
+    """The record of one sink game: its recurrent configurations and every value
+    derived from them, each computed on first use and kept.
 
     ``vectors[i]`` holds member i's chips on ``domain`` (V minus the sink, in
     canonical order), sorted lexicographically; ``sums[i]`` is outdeg(sink) +
-    its total chips, ``levels[i]`` is ``sums[i] - kappa``.  ``configs`` is built
-    on first use.
+    its total chips, ``levels[i]`` is ``sums[i] - kappa``.  ``cells`` is the
+    stable cube's size, ``count`` the determinant that certifies ``vectors``.
     """
 
     host: MultiDigraph
     sink: str
-    vectors: tuple[tuple[int, ...], ...]
-    sums: tuple[int, ...]
-    kappa: int
-    levels: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -283,6 +212,99 @@ class RecurrentSet:
 
     def __contains__(self, c: Configuration) -> bool:
         return self.index(c) is not None
+
+    @cached_property
+    def cells(self) -> int:
+        sink = self.host.vertex_index(self.sink)
+        return math.prod(out for v, out, _, _ in self.host._firing_table if v != sink)
+
+    @cached_property
+    def _laplacian(self) -> list[list[int]]:
+        return reduced_laplacian(self.host, self.sink)
+
+    @cached_property
+    def count(self) -> int:
+        return bareiss_determinant(self._laplacian)
+
+    @cached_property
+    def burner(self):
+        """Speer's burning test, set up once: ``burn`` and the script σ by vertex
+        index, 0 on the sink.  ``burn(cell)`` settles a chip vector of V \\ {sink}
+        plus b, the sink's slot collecting the chips lost, and returns the firing
+        counts by vertex index when the run returns ``cell``, else None."""
+        g, sink = self.host, self.host.vertex_index(self.sink)
+        movers = _movers(g, sink)
+        b, script = _burning_script(g, self.sink)
+        b = [(u + (u >= sink), x) for u, x in enumerate(b) if x]  # by vertex index
+
+        def burn(cell: tuple[int, ...]) -> list[int] | None:
+            chips = list(cell)
+            chips.insert(sink, 0)
+            for u, x in b:
+                chips[u] += x
+            counts = _settle(chips, movers)
+            del chips[sink]
+            return counts if tuple(chips) == cell else None
+
+        return burn, [*script[:sink], 0, *script[sink:]]
+
+    @cached_property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        """Reverse search (Avis and Fukuda, 1996) down from the maximal stable cell.
+
+        A stable cell above a recurrent one is recurrent (Holroyd et al., 2008), so
+        recurrent c has the recurrent parent c + e_k, k the first vertex of c below
+        its maximum; only children c - e_i, i <= k, of recurrent cells are burned.
+        """
+        burn, script = self.burner
+        sink = self.host.vertex_index(self.sink)
+        top = tuple(out - 1 for v, out, _, _ in self.host._firing_table if v != sink)
+        found = []
+        stack = [top]
+        while stack:
+            cell = stack.pop()
+            counts = burn(cell)
+            if counts is None:
+                continue
+            if counts != script:
+                raise InternalCheckError("burning run did not fire its burning script")
+            found.append(cell)
+            for i, x in enumerate(cell):
+                if x:
+                    stack.append(cell[:i] + (x - 1,) + cell[i + 1 :])
+                if x < top[i]:
+                    break
+        found.sort()
+        if len(found) != self.count:
+            raise InternalCheckError(
+                f"enumerated {len(found)} recurrent configurations, "
+                f"determinant predicts {self.count}"
+            )
+        return tuple(found)
+
+    @cached_property
+    def sums(self) -> tuple[int, ...]:
+        out_s = self.host.outdeg(self.sink)
+        return tuple(out_s + sum(vec) for vec in self.vectors)
+
+    @cached_property
+    def kappa(self) -> int:
+        return kappa(self.host)
+
+    @cached_property
+    def levels(self) -> tuple[int, ...]:
+        levels = tuple(total - self.kappa for total in self.sums)
+        lowest = min(levels, default=0)
+        if lowest < 0:
+            raise InternalCheckError("negative level; kappa inconsistent with enumeration")
+        if self.host.loop_count == 0 and lowest != 0:
+            raise InternalCheckError("loopless host must attain level 0")
+        return levels
+
+    @cached_property
+    def polynomial(self) -> LaurentPolynomial:
+        """T(y): the sum of y^level over the members."""
+        return LaurentPolynomial((level, 1) for level in self.levels)
 
     @cached_property
     def domain(self) -> tuple[str, ...]:
@@ -330,24 +352,32 @@ class RecurrentSet:
         }
 
 
+@lru_cache(maxsize=None)
+def _game(g: MultiDigraph, sink: int) -> RecurrentSet:
+    """The record of the sink game (g, sink index): one per game."""
+    return RecurrentSet(g, g.vertices[sink])
+
+
+# the cache lives on _game; expose it where callers and tools look for it
+_recurrent_vectors.cache_info, _recurrent_vectors.cache_clear = _game.cache_info, _game.cache_clear
+kappa.cache_info, kappa.cache_clear = _loopless.cache_info, _loopless.cache_clear
+
+
 def enumerate_recurrents(g: MultiDigraph, s: str) -> RecurrentSet:
-    """Enumerate every recurrent configuration of the sink game (g, s)."""
-    g.vertex_index(s)
+    """The record of the sink game (g, s), the same object on every call; the
+    caps on the sink's cube and on kappa's are checked on every call."""
+    sink = g.vertex_index(s)
     _require_eulerian(g)
-    vectors = _recurrent_vectors(g, s)
-    k = kappa(g)
-    out_s = g.outdeg(s)
-    sums = tuple(out_s + sum(vec) for vec in vectors)
-    levels = tuple(total - k for total in sums)
-    if any(level < 0 for level in levels):
-        raise InternalCheckError("negative level; kappa inconsistent with enumeration")
-    if g.loop_count == 0 and levels and min(levels) != 0:
-        raise InternalCheckError("loopless host must attain level 0")
-    return RecurrentSet(g, s, vectors, sums, k, levels)
+    _recurrent_vectors(g, s)  # the sink cube's cap
+    _check_cap(_loopless(g), 0)  # kappa's
+    rs = _game(g, sink)
+    rs.levels  # kappa and the level checks run once per game, before the record is handed out
+    return rs
 
 
 def level(g: MultiDigraph, s: str, c: Configuration) -> int:
     """Level of a recurrent configuration: its sum statistic minus kappa."""
+    _require_eulerian(g)
     if not is_recurrent(g, s, c):
         raise ConfigurationError("level is defined for recurrent configurations only")
     return g.outdeg(s) + c.total() - kappa(g)

@@ -26,36 +26,17 @@ from .graph import (
 )
 from .oracles import undirected_tutte_oracle  # re-exported for existing callers
 from .polynomial import LaurentPolynomial
-from .recurrent import (
-    _check_cap,
-    _recurrent_vectors,
-    cell_cap,
-    enumerate_recurrents,
-    kappa,
-    recurrent_count,
-)
+from .recurrent import cell_cap, enumerate_recurrents, kappa, recurrent_count
 
 RECURSION_KINDS = ("loop", "bridge_no_reverse", "bridge_reverse", "del_contract", "mobius")
 
 
 def tutte_gen(g: MultiDigraph, s: str) -> LaurentPolynomial:
-    """Sum of y^level over the recurrent configurations with sink s; the cell
-    caps of the enumerations behind it are checked on every call, before the cache."""
+    """Sum of y^level over the recurrent configurations with sink s: the game
+    record's polynomial, read after ``enumerate_recurrents`` checks the caps."""
     if not is_eulerian(g):
         raise GraphError("the generating polynomial is defined for Eulerian graphs")
-    sink = g.vertex_index(s)
-    _check_cap(g, 0, degree=2)  # the cube behind kappa
-    _check_cap(g, sink)
-    return _tutte_gen(g, s)
-
-
-@lru_cache(maxsize=None)
-def _tutte_gen(g: MultiDigraph, s: str) -> LaurentPolynomial:
-    k = kappa(g)
-    return LaurentPolynomial((g.outdeg(s) + sum(vec) - k, 1) for vec in _recurrent_vectors(g, s))
-
-
-tutte_gen.cache_info, tutte_gen.cache_clear = _tutte_gen.cache_info, _tutte_gen.cache_clear
+    return enumerate_recurrents(g, s).polynomial
 
 
 def support_filtered_gen(g: MultiDigraph, s: str, w) -> LaurentPolynomial:
@@ -87,6 +68,19 @@ def _tutte_any_sink(g: MultiDigraph) -> LaurentPolynomial:
     return tutte_gen(g, g.vertices[0])
 
 
+def recursion_kind(g: MultiDigraph, index: int) -> str | None:
+    """The arc recursion whose hypothesis holds at arc ``index``: ``loop``, a
+    bridge with or without a reverse arc, ``del_contract`` (a reverse arc and no
+    bridge), or None.  Needs a strongly connected graph."""
+    tail, head = g.arc(index)
+    if tail == head:
+        return "loop"
+    partner = reverse_partner(g, index)
+    if is_bridge(g, index):
+        return "bridge_no_reverse" if partner is None else "bridge_reverse"
+    return None if partner is None else "del_contract"
+
+
 def check_recursion(g: MultiDigraph, kind: str, site) -> bool:
     """Verify one recursive identity for the generating polynomial at a site.
 
@@ -102,56 +96,36 @@ def check_recursion(g: MultiDigraph, kind: str, site) -> bool:
         return _check_mobius(g, site)
 
     index = int(site)
-    tail, head = g.arc(index)
+    actual = recursion_kind(g, index)
+    if actual != kind:
+        raise HypothesisError(f"arc {index} admits {actual or 'no arc recursion'}, not {kind}")
     lhs = _tutte_any_sink(g)
-
     if kind == "loop":
-        if tail != head:
-            raise HypothesisError(f"arc {index} is not a loop")
         return lhs == LaurentPolynomial.y(1) * _tutte_any_sink(delete_arcs(g, [index]))
-
-    if tail == head:
-        raise HypothesisError(f"arc {index} is a loop")
-    partner = reverse_partner(g, index)
-    bridge = is_bridge(g, index)
-
+    contracted = contract_arc(g, index)
     if kind == "bridge_no_reverse":
-        if not bridge:
-            raise HypothesisError(f"arc {index} is not a bridge")
-        if partner is not None:
-            raise HypothesisError(f"arc {index} has a reverse arc")
-        return lhs == _tutte_any_sink(contract_arc(g, index))
+        return lhs == _tutte_any_sink(contracted)
 
+    partner = reverse_partner(g, index)
+    # the reverse arc keeps its list position, shifted once the arc is gone
+    partner_after = partner - (1 if partner > index else 0)
     if kind == "bridge_reverse":
-        if not bridge:
-            raise HypothesisError(f"arc {index} is not a bridge")
-        if partner is None:
-            raise HypothesisError(f"arc {index} has no reverse arc")
-        contracted = contract_arc(g, index)
-        # the reverse arc keeps its list position, shifted once the arc is gone
-        partner_after = partner - (1 if partner > index else 0)
         ok_shift = lhs == _tutte_any_sink(contracted).shift(-1)
         ok_drop = lhs == _tutte_any_sink(delete_arcs(contracted, [partner_after]))
         return ok_shift and ok_drop
 
     # deletion-contraction
-    if bridge:
-        raise HypothesisError(f"arc {index} is a bridge")
-    if partner is None:
-        raise HypothesisError(f"arc {index} has no reverse arc")
     both_removed = delete_arcs(g, [index, partner])
-    contracted = contract_arc(g, index)
     k_g = kappa(g)
     rhs = _tutte_any_sink(both_removed).shift(1 + kappa(both_removed) - k_g) + _tutte_any_sink(
         contracted
     ).shift(kappa(contracted) - k_g)
     ok = lhs == rhs
     if ok and is_undirected(g):
-        partner_after = partner - (1 if partner > index else 0)
         loopless_contract = delete_arcs(contracted, [partner_after])
         rhs_undirected = _tutte_any_sink(both_removed) + _tutte_any_sink(
             loopless_contract
-        ).shift(1 - g.multiplicity(tail, head))
+        ).shift(1 - g.multiplicity(*g.arc(index)))
         ok = lhs == rhs_undirected
     return ok
 

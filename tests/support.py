@@ -23,9 +23,11 @@ from chipfiring import (
     checks,
     delete_arcs,
     enumerate_recurrents,
+    is_bridge,
     is_eulerian,
     parse_edge_list,
     recurrent,
+    reverse_partner,
     stabilize,
 )
 from chipfiring.checks import CheckReport
@@ -272,6 +274,19 @@ def reference_is_bridge(g: MultiDigraph, index: int) -> bool:
 
 def reference_bridge_cut_set(g: MultiDigraph, index: int) -> frozenset[str]:
     return reference_reached(delete_arcs(g, [index]), g.arcs[index][0])
+
+
+# ``tutte.recursion_kind`` as ``checks.check_recursions`` classified each arc
+# inline; the reference its differential test compares against.
+def reference_recursion_kind(g: MultiDigraph, i: int) -> str | None:
+    tail, head = g.arcs[i]
+    if tail == head:
+        return "loop"
+    elif is_bridge(g, i):
+        return "bridge_reverse" if reverse_partner(g, i) is not None else "bridge_no_reverse"
+    elif reverse_partner(g, i) is not None:
+        return "del_contract"
+    return None
 
 
 # ``RecurrentSet.minimal_flags`` as a scan over every pair of members; the

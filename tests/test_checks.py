@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,7 @@ from chipfiring import (
 )
 from chipfiring.checks import PROPERTIES, run_check
 from chipfiring.cli import main
-from chipfiring.errors import GraphError
+from chipfiring.errors import GraphError, InternalCheckError
 from chipfiring.families import bidirected_complete, parallel_pair
 
 from support import (
@@ -294,6 +295,39 @@ def test_burning_uniqueness_reports_a_double_firing_like_the_reference(monkeypat
     assert len(violations) == 1
     assert violations[0].startswith("VIOLATION: burning run of Configuration(sink='s', ")
     assert violations[0].endswith(" fired {'v2': 2}")
+
+
+def test_burning_uniqueness_refuses_a_run_that_does_not_return_its_member(monkeypatch):
+    g = data_graph("demo5.txt")
+    for s in g.vertices:
+        enumerate_recurrents(g, s)  # enumerated before any _settle is patched
+    real = recurrent._settle
+
+    def settle_keeping_a_chip(chips, movers):
+        counts = real(chips, movers)
+        chips[-1] += 1
+        return counts
+
+    monkeypatch.setattr(recurrent, "_settle", settle_keeping_a_chip)
+    with pytest.raises(InternalCheckError, match="did not return it"):
+        run_check("burning-uniqueness", g)
+
+
+def test_suites_compute_one_reduced_laplacian_per_game(monkeypatch):
+    # fresh vertex names, so no game of these graphs is cached before the run
+    graphs = [
+        MultiDigraph.of([(f"r{t}", f"r{h}") for t, h in g.arcs], [f"r{v}" for v in g.vertices])
+        for g in corpus()[:20]
+    ]
+    calls = Counter()
+    real = recurrent.reduced_laplacian
+    monkeypatch.setattr(
+        recurrent, "reduced_laplacian", lambda g, s: calls.update([(g, s)]) or real(g, s)
+    )
+    for g in graphs:
+        for prop in PROPERTIES:
+            assert run_check(prop, g).ok
+    assert len(calls) > 100 and set(calls.values()) == {1}
 
 
 @pytest.mark.parametrize("prop", PROPERTIES)

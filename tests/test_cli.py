@@ -143,6 +143,16 @@ def test_check_reports_each_seeded_graph_before_generating_the_next(capsys, monk
     assert "".join(printed_before) + last == whole
 
 
+def test_check_recursions_with_a_vertex_named_like_a_contraction(graph_file, capsys):
+    path = graph_file("x y\ny x\ny x+y\nx+y y\nx x+y\nx+y x\n")
+    for prop in checks.PROPERTIES:
+        code, out, err = run(capsys, "check", path, "--property", prop, "--verbose")
+        assert (code, err) == (0, "")
+        if prop == "recursions":
+            lines = out.splitlines()[1:]
+            assert len(lines) == 18 and all(line.endswith(": ok") for line in lines)
+
+
 def test_conjecture1(graph_file, capsys):
     code, out, _ = run(capsys, "conjecture1", graph_file(K3_TEXT), "--format", "json")
     assert code == 0

@@ -115,6 +115,17 @@ def test_contract_vertices():
         contract_vertices(C3, set())
 
 
+def test_contraction_name_lengthened_past_existing_vertices():
+    g = parse_edge_list("x y\ny x\ny x+y\nx+y y\nx x+y\nx+y x\n")
+    merged = contract_arc(g, 0)
+    assert merged.vertices == ("x+y+", "x+y")
+    assert merged.loops_at("x+y+") == 1 and merged.multiplicity("x+y+", "x+y") == 2
+    both = contract_vertices(g, {"x", "y"})
+    assert both.vertices == ("x+y+", "x+y") and both.loops_at("x+y+") == 2
+    assert contract_vertices(g, {"y", "x+y"}).vertices == ("x", "x+y+y")  # a free name stays
+    assert contract_vertices(merged, {"x+y+", "x+y"}).vertices == ("x+y+x+y+",)
+
+
 def test_remove_loops():
     assert remove_loops(C3) == (C3, 0)
     lonely = MultiDigraph.of([("x", "x")] * 3, ["x"])

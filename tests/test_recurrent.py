@@ -34,8 +34,10 @@ from chipfiring.families import (
     directed_cycle,
     parallel_pair,
     random_eulerian,
+    random_strongly_connected,
     undirected_graph,
 )
+from chipfiring.oracles import recurrent_definitional_test
 from chipfiring.recurrent import (
     _burning_script,
     _recurrent_vectors,
@@ -82,8 +84,26 @@ def test_is_recurrent_examples():
     assert is_recurrent(C3, "s", cfg(C3, "s"))
     with pytest.raises(ConfigurationError):
         is_recurrent(K3, "s", cfg(K3, "s", a=5))  # unstable
-    with pytest.raises(GraphError):
-        is_recurrent(MultiDigraph.of([("s", "a"), ("a", "b"), ("b", "s"), ("a", "s")]), "s", None)
+    with pytest.raises(GraphError):  # b cannot reach s
+        is_recurrent(MultiDigraph.of([("s", "a"), ("a", "b"), ("b", "a")]), "s", None)
+
+
+def test_is_recurrent_on_strongly_connected_hosts_matches_enumeration_and_definition():
+    rng = random.Random(5)
+    cells = 0
+    for _ in range(200):
+        g = random_strongly_connected(rng, 4, 10)
+        looped = MultiDigraph(g.vertices, g.arcs + tuple((v, v) for v in g.vertices[::2]))
+        for s in g.vertices:
+            members = set(_recurrent_vectors(g, s))
+            for cell in itertools.product(*(range(g.outdeg(v)) for v in g.vertices if v != s)):
+                cells += 1
+                c = Configuration(g, s, cell)
+                assert is_recurrent(g, s, c) == (cell in members)
+                assert is_recurrent(g, s, c) == recurrent_definitional_test(g, s, c)
+            lifted = sorted(loop_lift(looped, s, Configuration(g, s, vec)).chips for vec in members)
+            assert lifted == list(_recurrent_vectors(looped, s))
+    assert cells == 3_137
 
 
 def test_burning_script_is_one_sink_firing_on_eulerian_hosts():
@@ -205,14 +225,15 @@ def test_kappa_checks_cap_on_cached_hosts(monkeypatch):
         kappa(looped)
 
 
-def test_cube_size_computed_once_per_sink_and_degree(monkeypatch):
+def test_cube_size_computed_once_per_game(monkeypatch):
     from chipfiring import recurrent
 
     monkeypatch.delenv("CFG_CAP_CELLS", raising=False)
     looped = MultiDigraph.of([("p", "q"), ("q", "p"), ("q", "r"), ("r", "q"), ("q", "q")])
+    bare, _ = remove_loops(looped)
     recurrent._check_cap(looped, 0)
-    recurrent._check_cap(looped, 0, degree=2)
-    assert looped._cube_cells == {(0, 1): 3, (0, 2): 2}
+    assert kappa(looped) == 2
+    assert recurrent._game(looped, 0).cells == 3 and recurrent._game(bare, 0).cells == 2
 
     def refuse(cells):
         raise AssertionError("cube size recomputed")
@@ -222,7 +243,18 @@ def test_cube_size_computed_once_per_sink_and_degree(monkeypatch):
     monkeypatch.setenv("CFG_CAP_CELLS", "2")  # the cap is still read on every call
     with pytest.raises(SizeCapError):
         recurrent._check_cap(looped, 0)
-    recurrent._check_cap(looped, 0, degree=2)
+    with pytest.raises(SizeCapError):
+        enumerate_recurrents(looped, "p")
+    assert kappa(looped) == 2  # kappa's loopless cube has 2 cells
+
+
+def test_enumeration_returns_one_record_per_game():
+    looped = MultiDigraph.of([("p", "q"), ("q", "p"), ("q", "q")])
+    for g, s in ((K3, "a"), (looped, "q")):
+        rs = enumerate_recurrents(g, s)
+        assert enumerate_recurrents(g, s) is rs
+        assert rs.minimal_flags is enumerate_recurrents(g, s).minimal_flags
+
 
 def test_kappa_sink_independent_and_undirected_formula():
     from chipfiring import is_undirected

@@ -28,7 +28,7 @@ from chipfiring.checks import run_check
 from chipfiring.oracles import brute_acyclic_sets
 from chipfiring.tutte import support_filtered_gen
 
-from support import corpus, small_corpus
+from support import corpus, reference_recursion_kind, small_corpus
 
 Y = LaurentPolynomial.y
 C3 = directed_cycle(["s", "a", "b"])
@@ -131,6 +131,18 @@ def test_del_contract_recursion_banana():
     assert tutte_gen(h, h.vertices[0]) == Y(3)
     with pytest.raises(HypothesisError):
         check_recursion(C3, "del_contract", 0)  # bridge, no reverse
+
+
+def test_recursion_kind_matches_inline_classification():
+    arc_kinds = tutte.RECURSION_KINDS[:-1]
+    for g in corpus():
+        for i in range(g.n_arcs):
+            kind = tutte.recursion_kind(g, i)
+            assert kind == reference_recursion_kind(g, i)
+            for other in arc_kinds:
+                if other != kind:
+                    with pytest.raises(HypothesisError):
+                        check_recursion(g, other, i)
 
 
 def test_mobius_examples():
