@@ -116,7 +116,7 @@ def _recurrents_json(rs) -> str:
 
 def _cmd_recurrents(args) -> int:
     g = parse_graph(args.graph)
-    sink = args.sink or g.vertices[0]
+    sink = g.vertices[0] if args.sink is None else args.sink
     rs = enumerate_recurrents(g, sink)
     if args.format == "json":
         print(_recurrents_json(rs))
@@ -207,7 +207,7 @@ def _cmd_conjecture1(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = parse_graph(args.graph)
-    sink = args.sink or g.vertices[0]
+    sink = g.vertices[0] if args.sink is None else args.sink
     if args.which == "arborescences":
         print(brute_arborescences(g, sink))
     elif args.which == "acyclic":

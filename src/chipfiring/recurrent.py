@@ -171,22 +171,17 @@ def _burning_script(g: MultiDigraph, s: str) -> tuple[tuple[int, ...], tuple[int
                 script[u] -= b // lap[u][u]
 
 
-@lru_cache(maxsize=None)
-def _loopless(g: MultiDigraph) -> MultiDigraph:
-    return remove_loops(g)[0]
-
-
 def kappa(g: MultiDigraph) -> int:
     """Minimum of outdeg(s) + total chips over recurrents of the loopless host.
 
-    Read from its game record with the canonical first vertex as sink, whose
-    cap is checked on every call; by sink independence of the sum multiset any
-    other sink gives the same value.
+    Read from g's own game record with the canonical first vertex as sink, whose
+    cap is checked on every call: ``loop_lift`` maps the loopless host's
+    recurrents onto g's and raises every sum by the loop count.  By sink
+    independence of the sum multiset any other sink gives the same value.
     """
     _require_eulerian(g)
-    bare = _loopless(g)
-    _recurrent_vectors(bare, bare.vertices[0])  # the cap; the one way into an enumeration
-    return min(_game(bare, 0).sums)
+    _recurrent_vectors(g, g.vertices[0])  # the cap; the one way into an enumeration
+    return min(_game(g, 0).sums) - g.loop_count
 
 
 # ---------------------------------------------------------------- game record
@@ -294,11 +289,8 @@ class RecurrentSet:
     @cached_property
     def levels(self) -> tuple[int, ...]:
         levels = tuple(total - self.kappa for total in self.sums)
-        lowest = min(levels, default=0)
-        if lowest < 0:
-            raise InternalCheckError("negative level; kappa inconsistent with enumeration")
-        if self.host.loop_count == 0 and lowest != 0:
-            raise InternalCheckError("loopless host must attain level 0")
+        if min(levels) != self.host.loop_count:
+            raise InternalCheckError("lowest level is not the loop count; kappa inconsistent")
         return levels
 
     @cached_property
@@ -337,7 +329,7 @@ class RecurrentSet:
         return tuple(j not in covered for j in range(len(self.vectors)))
 
     def index(self, c: Configuration) -> int | None:
-        if c.sink != self.sink:
+        if c.sink != self.sink or c.host != self.host:
             return None
         return self._positions.get(c.chips)
 
@@ -352,26 +344,25 @@ class RecurrentSet:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _game(g: MultiDigraph, sink: int) -> RecurrentSet:
-    """The record of the sink game (g, sink index): one per game."""
+    """The record of the sink game (g, sink index): one per game while cached."""
     return RecurrentSet(g, g.vertices[sink])
 
 
 # the cache lives on _game; expose it where callers and tools look for it
 _recurrent_vectors.cache_info, _recurrent_vectors.cache_clear = _game.cache_info, _game.cache_clear
-kappa.cache_info, kappa.cache_clear = _loopless.cache_info, _loopless.cache_clear
 
 
 def enumerate_recurrents(g: MultiDigraph, s: str) -> RecurrentSet:
-    """The record of the sink game (g, s), the same object on every call; the
-    caps on the sink's cube and on kappa's are checked on every call."""
+    """The record of the sink game (g, s), the same object on every call while
+    cached; the caps on the sink's cube and on kappa's are checked on every call."""
     sink = g.vertex_index(s)
     _require_eulerian(g)
     _recurrent_vectors(g, s)  # the sink cube's cap
-    _check_cap(_loopless(g), 0)  # kappa's
+    _check_cap(g, 0)  # kappa's
     rs = _game(g, sink)
-    rs.levels  # kappa and the level checks run once per game, before the record is handed out
+    rs.levels  # kappa and the level check run once per game, before the record is handed out
     return rs
 
 

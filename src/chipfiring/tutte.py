@@ -137,11 +137,11 @@ def _check_mobius(g: MultiDigraph, s: str) -> bool:
     if not neighbors:
         raise HypothesisError(f"vertex {s!r} has no out-neighbors besides itself")
     lhs = tutte_gen(g, s)
-    k_g, cap = kappa(g), cell_cap()
+    cap = cell_cap()
     rhs = LaurentPolynomial.zero()
     for r in range(1, len(neighbors) + 1):
         for w in itertools.combinations(neighbors, r):
-            term = _contraction_term(g, s, w, k_g, cap)
+            term = _contraction_term(g, s, w, cap)
             rhs = rhs + term if r % 2 == 1 else rhs - term
     return lhs == rhs
 
@@ -149,9 +149,7 @@ def _check_mobius(g: MultiDigraph, s: str) -> bool:
 # Shared by the Möbius check of s and the closed-form check of each subset w;
 # holds every (sink, subset) pair of a graph that has at most 4096 of them.
 @lru_cache(maxsize=4096)
-def _contraction_term(
-    g: MultiDigraph, s: str, w: tuple[str, ...], k_g: int, cap: int
-) -> LaurentPolynomial:
+def _contraction_term(g: MultiDigraph, s: str, w: tuple[str, ...], cap: int) -> LaurentPolynomial:
     """The term of w, in canonical order, in the Möbius expansion at sink s.
     ``cap`` is the cell cap in force: a term is not reused under a lower cap,
     which must still refuse the contracted graph."""
@@ -160,9 +158,8 @@ def _contraction_term(
     factor = LaurentPolynomial.one()
     for v in w:
         factor = factor * LaurentPolynomial.geometric(g.multiplicity(s, v))
-    return (
-        factor * _tutte_any_sink(contracted)
-    ).shift(kappa(contracted) - k_g - arcs_into_w)
+    shift = kappa(contracted) - kappa(g) - arcs_into_w
+    return (factor * _tutte_any_sink(contracted)).shift(shift)
 
 
 def pw_closed_form_check(g: MultiDigraph, s: str, w) -> bool:
@@ -178,5 +175,5 @@ def pw_closed_form_check(g: MultiDigraph, s: str, w) -> bool:
     if not w <= neighbors:
         raise HypothesisError(f"{sorted(w)} is not a subset of the out-neighbors of {s!r}")
     lhs = support_filtered_gen(g, s, w)
-    rhs = _contraction_term(g, s, tuple(sorted(w, key=g.vertex_index)), kappa(g), cell_cap())
+    rhs = _contraction_term(g, s, tuple(sorted(w, key=g.vertex_index)), cell_cap())
     return lhs == rhs

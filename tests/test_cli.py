@@ -176,6 +176,12 @@ def test_oracle(graph_file, capsys):
     assert err == "error: definitional test requires a strongly connected graph\n"
 
 
+@pytest.mark.parametrize("command", [("recurrents",), ("oracle", "--which", "recurrents")])
+def test_empty_sink_is_an_unknown_vertex(graph_file, capsys, command):
+    code, out, err = run(capsys, command[0], graph_file(K3_TEXT), "--sink=", *command[1:])
+    assert (code, out, err) == (2, "", "error: unknown vertex ''\n")
+
+
 def test_exit_codes(graph_file, capsys, tmp_path):
     # usage error from parse_args: exit 2 before any work
     with pytest.raises(SystemExit) as exc:
@@ -244,6 +250,26 @@ def test_cap_flag_beats_environment_and_ends_with_the_call(graph_file, capsys, m
     assert code == 0 and out
     code, out, err = run(capsys, "tutte", path)
     assert code == 3 and out == "" and "cap of 1;" in err
+
+
+def test_kappa_cube_of_a_looped_host_is_its_own(graph_file, capsys, monkeypatch):
+    monkeypatch.delenv("CFG_CAP_CELLS", raising=False)
+    path = graph_file("p q\nq p\nq r\nr q\nr r\n", "looped.txt")
+    code, out, err = run(capsys, "recurrents", path, "--sink", "r", "--cap", "3")
+    assert code == 3 and out == "" and "4 cells" in err
+    code, out, _ = run(capsys, "recurrents", path, "--sink", "r", "--cap", "4")
+    assert code == 0 and "kappa: 2" in out
+
+
+def test_record_cache_is_bounded(capsys):
+    from chipfiring.recurrent import _game
+
+    _game.cache_clear()
+    code, _, _ = run(capsys, "check", "--property", "recursions", "--seed", "1", "--count", "300")
+    info = _game.cache_info()
+    assert code == 0 and info.maxsize is not None and info.currsize <= info.maxsize
+    _game.cache_clear()
+
 
 def test_cap_checked_on_every_call(graph_file, capsys, monkeypatch):
     # one file throughout: the later calls find its enumeration in the cache

@@ -211,9 +211,12 @@ def test_kappa_examples():
 def test_kappa_checks_cap_on_cached_hosts(monkeypatch):
     monkeypatch.delenv("CFG_CAP_CELLS", raising=False)
     looped = MultiDigraph.of([("s", "a"), ("a", "s"), ("a", "a"), ("s", "s")])
-    assert kappa(looped) == 1  # now cached; the loopless host's cube at sink s has one cell
-    monkeypatch.setenv("CFG_CAP_CELLS", "1")
+    assert kappa(looped) == 1  # now cached; the host's own cube at sink s has two cells
+    monkeypatch.setenv("CFG_CAP_CELLS", "2")
     assert kappa(looped) == 1
+    monkeypatch.setenv("CFG_CAP_CELLS", "1")
+    with pytest.raises(SizeCapError):
+        kappa(looped)
     refused = bidirected_complete(["p", "q", "r"])
     monkeypatch.delenv("CFG_CAP_CELLS")
     assert kappa(refused) == 3  # now cached; its cube at sink p has 4 cells
@@ -245,7 +248,10 @@ def test_cube_size_computed_once_per_game(monkeypatch):
         recurrent._check_cap(looped, 0)
     with pytest.raises(SizeCapError):
         enumerate_recurrents(looped, "p")
-    assert kappa(looped) == 2  # kappa's loopless cube has 2 cells
+    with pytest.raises(SizeCapError):
+        kappa(looped)  # kappa's cube is the host's own at p, 3 cells
+    monkeypatch.setenv("CFG_CAP_CELLS", "3")
+    assert kappa(looped) == 2
 
 
 def test_enumeration_returns_one_record_per_game():
@@ -259,7 +265,9 @@ def test_enumeration_returns_one_record_per_game():
 def test_kappa_sink_independent_and_undirected_formula():
     from chipfiring import is_undirected
 
-    for g in corpus()[:50]:
+    # the loopless host enumerated at every sink is the reference for kappa,
+    # which reads the looped host's own game
+    for g in corpus() + tuple(h for h in _reverse_search_hosts() if h.loop_count):
         bare, _ = remove_loops(g)
         values = set()
         for s in g.vertices:
@@ -268,6 +276,31 @@ def test_kappa_sink_independent_and_undirected_formula():
         assert values == {kappa(g)}
         if is_undirected(g):
             assert kappa(g) == bare.n_arcs // 2
+
+
+def test_looped_host_enumerates_one_game_for_its_first_sink():
+    from chipfiring import recurrent
+
+    looped = MultiDigraph.of([("p", "q"), ("q", "p"), ("q", "r"), ("r", "q"), ("r", "r")])
+    recurrent._game.cache_clear()
+    enumerate_recurrents(looped, "p")
+    assert recurrent._game.cache_info().misses == 1
+    recurrent._game.cache_clear()
+
+
+def test_level_check_refuses_a_kappa_off_by_one(monkeypatch):
+    from chipfiring import InternalCheckError, recurrent
+
+    looped = MultiDigraph.of([("p", "q"), ("q", "p"), ("q", "r"), ("r", "q"), ("r", "r")])
+    real = recurrent.kappa
+    monkeypatch.setattr(recurrent, "kappa", lambda g: real(g) - 1)
+    recurrent._game.cache_clear()
+    try:
+        for s in looped.vertices:
+            with pytest.raises(InternalCheckError):
+                enumerate_recurrents(looped, s)
+    finally:
+        recurrent._game.cache_clear()
 
 
 def test_level_examples():
@@ -331,6 +364,15 @@ def test_minimal_minimum():
         for c in rs.configs:
             if is_minimum(rs, c):
                 assert is_minimal(rs, c)
+
+
+def test_membership_requires_the_same_host():
+    rs = enumerate_recurrents(K3, "s")
+    stranger = Configuration(C3, "s", (1, 1))
+    assert rs.index(stranger) is None and stranger not in rs
+    assert Configuration(K3, "s", (1, 1)) in rs
+    with pytest.raises(ConfigurationError):
+        is_minimum(rs, stranger)
 
 
 def test_minimal_flags_match_pointwise_definition():

@@ -252,12 +252,11 @@ def test_contraction_term_cache_respects_a_lowered_cap():
     # a term computed under one cap is not served under a lower one
     k4 = bidirected_complete(["p", "q", "r", "t"])
     assert check_recursion(k4, "mobius", "p")
-    k_g = tutte.kappa(k4)
     token = CELL_CAP.set(1)
     try:
         with pytest.raises(SizeCapError):
             tutte._check_mobius(k4, "p")
         with pytest.raises(SizeCapError):
-            tutte._contraction_term(k4, "p", ("q",), k_g, 1)
+            tutte._contraction_term(k4, "p", ("q",), 1)
     finally:
         CELL_CAP.reset(token)
