@@ -14,7 +14,7 @@ from functools import partial
 
 from . import bijection, lattice, recurrent, tutte
 from .dynamics import Configuration
-from .errors import InternalCheckError, PropertyViolationError
+from .errors import GraphError, InternalCheckError, PropertyViolationError
 from .graph import MultiDigraph, is_eulerian
 
 PROPERTIES = (
@@ -66,6 +66,9 @@ def check_sink_independence(g: MultiDigraph) -> CheckReport:
 
 
 def check_recursions(g: MultiDigraph) -> CheckReport:
+    # before the arc loop, whose bridge tests need strong connectivity
+    if not is_eulerian(g):
+        raise GraphError("recursion checks require an Eulerian graph")
     report = CheckReport("recursions")
     for i, (tail, head) in enumerate(g.arcs):
         kind = tutte.recursion_kind(g, i)

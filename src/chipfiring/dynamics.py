@@ -11,7 +11,7 @@ needs: stabilize against one sink while reading off the chip count on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import ConfigurationError, FiringError, NonTerminationError
 from .graph import MultiDigraph, _reach
@@ -31,8 +31,12 @@ class Configuration:
     chips: tuple[int, ...]
 
     def __post_init__(self):
+        vertices = self.host.vertices
         if self.sink is not None:
-            self.host.vertex_index(self.sink)
+            i = self.host.vertex_index(self.sink)
+            vertices = vertices[:i] + vertices[i + 1:]
+        # stored once, like the host's integer form; ``chip`` and ``fire`` find slots in it
+        object.__setattr__(self, "domain", vertices)
         if len(self.chips) != len(self.domain):
             raise ConfigurationError(
                 f"expected {len(self.domain)} chip counts, got {len(self.chips)}"
@@ -40,16 +44,6 @@ class Configuration:
         for v, c in zip(self.domain, self.chips):
             if not isinstance(c, int) or c < 0:
                 raise ConfigurationError(f"chip count on {v!r} must be a nonnegative integer")
-
-    @cached_property
-    def domain(self) -> tuple[str, ...]:
-        if self.sink is None:
-            return self.host.vertices
-        return tuple(v for v in self.host.vertices if v != self.sink)
-
-    @cached_property
-    def _slot(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.domain)}
 
     # ------------------------------------------------------------ constructors
     @classmethod
@@ -70,8 +64,8 @@ class Configuration:
     # ----------------------------------------------------------------- queries
     def chip(self, v: str) -> int:
         try:
-            return self.chips[self._slot[v]]
-        except KeyError:
+            return self.chips[self.domain.index(v)]
+        except ValueError:
             raise ConfigurationError(f"vertex {v!r} is not in the configuration domain") from None
 
     def as_dict(self) -> dict[str, int]:
@@ -178,12 +172,12 @@ def fire(g: MultiDigraph, c: Configuration, v: str) -> Configuration:
     d(v, u).  Chips sent to a declared sink vanish."""
     if not is_firable(g, c, v):
         raise FiringError(f"vertex {v!r} is not firable")
-    slot = c._slot
+    _, _, drop, neighbors = g._firing_table[g.vertex_index(v)]
     chips = list(c.chips)
-    chips[slot[v]] -= g.outdeg(v) - g.loops_at(v)
-    for u in g.out_neighbors(v):
-        if u != c.sink:
-            chips[slot[u]] += g.multiplicity(v, u)
+    chips[c.domain.index(v)] -= drop
+    for u, m in neighbors:
+        if g.vertices[u] != c.sink:
+            chips[c.domain.index(g.vertices[u])] += m
     return Configuration(c.host, c.sink, tuple(chips))
 
 

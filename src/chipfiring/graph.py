@@ -9,9 +9,9 @@ keeps the surviving arcs in their original relative order.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import GraphError, SizeCapError
 
@@ -29,14 +29,47 @@ class MultiDigraph:
     arcs: tuple[Arc, ...]
 
     def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+        """Validate, then build the one integer form every query reads.
+
+        ``_index`` maps names to canonical positions.  Row i of ``_firing_table``
+        is ``(i, outdeg, loopless outdeg, ((neighbor index, multiplicity), ...))``
+        for the i-th vertex, neighbors in canonical order and loops left out; the
+        firing kernel in ``dynamics`` reads it.  ``_successors`` and
+        ``_predecessors`` hold the distinct non-loop neighbors by index, and
+        ``_indeg`` the in-degrees, loops included.
+        """
+        index = {v: i for i, v in enumerate(self.vertices)}
+        if len(index) != len(self.vertices):
             raise GraphError("duplicate vertex names")
-        declared = set(self.vertices)
-        for i, (tail, head) in enumerate(self.arcs):
-            if tail not in declared or head not in declared:
+        rows: list[dict[int, int]] = [{} for _ in self.vertices]
+        indeg = [0] * len(self.vertices)
+        # distinct arcs in first-appearance order, so the first bad one is the first bad arc
+        for (tail, head), m in Counter(self.arcs).items():
+            if tail not in index or head not in index:
+                i = self.arcs.index((tail, head))
                 raise GraphError(f"arc {i} ({tail} -> {head}) uses an undeclared vertex")
-        # the dataclass hash, computed once: every cache keyed on a graph asks for it
-        object.__setattr__(self, "_hash", hash((self.vertices, self.arcs)))
+            rows[index[tail]][index[head]] = m
+            indeg[index[head]] += m
+        table = tuple(
+            (i, sum(row.values()), sum(row.values()) - row.get(i, 0),
+             tuple(sorted((j, m) for j, m in row.items() if j != i)))
+            for i, row in enumerate(rows)
+        )
+        successors = tuple(tuple(u for u, _ in row[3]) for row in table)
+        tails: list[list[int]] = [[] for _ in self.vertices]
+        for v, heads in enumerate(successors):
+            for u in heads:
+                tails[u].append(v)
+        for name, value in (
+            ("_index", index),
+            ("_firing_table", table),
+            ("_successors", successors),
+            ("_predecessors", tuple(map(tuple, tails))),
+            ("_indeg", tuple(indeg)),
+            # the dataclass hash, computed once: every cache keyed on a graph asks for it
+            ("_hash", hash((self.vertices, self.arcs))),
+        ):
+            object.__setattr__(self, name, value)
 
     def __hash__(self) -> int:
         return self._hash
@@ -61,10 +94,6 @@ class MultiDigraph:
         return len(self.arcs)
 
     # ---------------------------------------------------------------- lookups
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
     def vertex_index(self, v: str) -> int:
         try:
             return self._index[v]
@@ -74,62 +103,27 @@ class MultiDigraph:
     def has_vertex(self, v: str) -> bool:
         return v in self._index
 
-    @cached_property
-    def _indeg(self) -> dict[str, int]:
-        d = dict.fromkeys(self.vertices, 0)
-        for _, head in self.arcs:
-            d[head] += 1
-        return d
-
-    @cached_property
-    def _mult(self) -> dict[Arc, int]:
-        d: dict[Arc, int] = {}
-        for arc in self.arcs:
-            d[arc] = d.get(arc, 0) + 1
-        return d
-
-    @cached_property
-    def _firing_table(self) -> tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]:
-        """Integer index form read by the firing kernel in ``dynamics``.
-
-        Row i is ``(i, outdeg, loopless outdeg, ((neighbor index, multiplicity), ...))``
-        for the i-th canonical vertex; neighbors are in canonical order, loops left out.
-        """
-        index = self._index
-        rows: list[dict[int, int]] = [{} for _ in self.vertices]
-        for (tail, head), m in self._mult.items():
-            rows[index[tail]][index[head]] = m
-        return tuple(
-            (
-                i,
-                sum(row.values()),
-                sum(row.values()) - row.get(i, 0),
-                tuple(sorted((j, m) for j, m in row.items() if j != i)),
-            )
-            for i, row in enumerate(rows)
-        )
-
     def outdeg(self, v: str) -> int:
         """Out-degree including loops."""
         return self._firing_table[self.vertex_index(v)][1]
 
     def indeg(self, v: str) -> int:
         """In-degree including loops."""
-        self.vertex_index(v)
-        return self._indeg[v]
+        return self._indeg[self.vertex_index(v)]
 
     def multiplicity(self, tail: str, head: str) -> int:
         """Number of parallel arcs tail -> head."""
-        self.vertex_index(tail)
-        self.vertex_index(head)
-        return self._mult.get((tail, head), 0)
+        t, h = self.vertex_index(tail), self.vertex_index(head)
+        _, out, drop, neighbors = self._firing_table[t]
+        return out - drop if t == h else dict(neighbors).get(h, 0)
 
     def loops_at(self, v: str) -> int:
-        return self.multiplicity(v, v)
+        _, out, drop, _ = self._firing_table[self.vertex_index(v)]
+        return out - drop
 
     @property
     def loop_count(self) -> int:
-        return sum(1 for tail, head in self.arcs if tail == head)
+        return sum(out - drop for _, out, drop, _ in self._firing_table)
 
     def out_neighbors(self, v: str) -> tuple[str, ...]:
         """Distinct heads of arcs leaving v, in canonical order; v itself excluded."""
@@ -141,19 +135,6 @@ class MultiDigraph:
         return self.arcs[index]
 
     # ----------------------------------------------------------- connectivity
-    @cached_property
-    def _successors(self) -> tuple[tuple[int, ...], ...]:
-        """Distinct non-loop out-neighbours by vertex index, read off the firing table."""
-        return tuple(tuple(u for u, _ in row[3]) for row in self._firing_table)
-
-    @cached_property
-    def _predecessors(self) -> tuple[tuple[int, ...], ...]:
-        tails: list[list[int]] = [[] for _ in self.vertices]
-        for v, heads in enumerate(self._successors):
-            for u in heads:
-                tails[u].append(v)
-        return tuple(map(tuple, tails))
-
     def is_weakly_connected(self) -> bool:
         return bool(self.vertices) and all(_reach((0,), self._successors, self._predecessors))
 
@@ -208,17 +189,15 @@ def is_eulerian(g: MultiDigraph) -> bool:
     """
     if not g.vertices:
         return False
-    if any(g._indeg[v] != row[1] for v, row in zip(g.vertices, g._firing_table)):
+    if any(d != row[1] for d, row in zip(g._indeg, g._firing_table)):
         return False
     return g.is_weakly_connected()
 
 
 def is_undirected(g: MultiDigraph) -> bool:
     """True iff arc multiplicities are symmetric between every pair of distinct vertices."""
-    return all(
-        g.multiplicity(v, u) == g.multiplicity(u, v)
-        for v, u in itertools.combinations(g.vertices, 2)
-    )
+    rows = [dict(row[3]) for row in g._firing_table]
+    return all(rows[u].get(v, 0) == m for v, row in enumerate(rows) for u, m in row.items())
 
 
 def delete_out_arcs(g: MultiDigraph, s: str) -> MultiDigraph:
@@ -315,9 +294,9 @@ def is_bridge(g: MultiDigraph, index: int) -> bool:
     if not g.is_strongly_connected():
         raise GraphError("bridge test requires a strongly connected graph")
     tail, head = g.arc(index)
-    if tail == head or g._mult[tail, head] > 1:
-        return False
     t, h = g._index[tail], g._index[head]
+    if t == h or dict(g._firing_table[t][3])[h] > 1:
+        return False
     return not _reach((t,), g._successors, skip=(t, h))[h]
 
 

@@ -153,6 +153,18 @@ def test_check_recursions_with_a_vertex_named_like_a_contraction(graph_file, cap
             assert len(lines) == 18 and all(line.endswith(": ok") for line in lines)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a b\nb a\nb c\n",  # not strongly connected: no bridge test may run first
+        "s a\na b\nb s\na s\n",  # strongly connected, unbalanced degrees
+    ],
+)
+def test_check_recursions_refuses_non_eulerian_hosts_first(graph_file, capsys, text):
+    code, out, err = run(capsys, "check", graph_file(text), "--property", "recursions")
+    assert (code, out, err) == (2, "", "error: recursion checks require an Eulerian graph\n")
+
+
 def test_conjecture1(graph_file, capsys):
     code, out, _ = run(capsys, "conjecture1", graph_file(K3_TEXT), "--format", "json")
     assert code == 0

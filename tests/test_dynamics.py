@@ -46,8 +46,10 @@ def test_configuration_validation():
         Configuration.of(C3, {"s": 1}, sink="s")
     c = cfg(C3, "s", a=1)
     assert c.chip("a") == 1 and c.chip("b") == 0
-    with pytest.raises(ConfigurationError):
-        c.chip("s")
+    assert c.domain == ("a", "b") and Configuration.zeros(C3).domain == C3.vertices
+    for v in ("s", "zzz"):  # the sink, then a vertex the host does not have
+        with pytest.raises(ConfigurationError, match="not in the configuration domain"):
+            c.chip(v)
 
 
 def test_is_firable_examples():
@@ -68,6 +70,18 @@ def test_fire_examples():
     assert fire(K3, cfg(K3, "s", a=2, b=1), "a").as_dict() == {"a": 0, "b": 2}
     with pytest.raises(FiringError):
         fire(C3, cfg(C3, "s"), "a")
+    # the sink sits between the other two vertices; loops and parallel arcs on both
+    g = MultiDigraph.of(
+        [("a", "s"), ("s", "a"), ("a", "b"), ("a", "b"), ("b", "a"), ("b", "a"), ("a", "a"),
+         ("b", "s"), ("s", "b"), ("b", "b")],
+        ["a", "s", "b"],
+    )
+    game = cfg(g, "s", a=5, b=4)
+    assert fire(g, game, "a").as_dict() == {"a": 2, "b": 6}
+    assert fire(g, game, "b").as_dict() == {"a": 7, "b": 1}
+    full = Configuration.of(g, {"a": 5, "s": 2, "b": 4})
+    assert fire(g, full, "a").as_dict() == {"a": 2, "s": 3, "b": 6}
+    assert fire(g, full, "s").as_dict() == {"a": 6, "s": 0, "b": 5}
 
 
 def test_stabilize_examples():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -54,10 +55,17 @@ def test_vertex_order_and_degrees():
 
 
 def test_arc_endpoints_validated():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^arc 0 \(a -> b\) uses an undeclared vertex$"):
         MultiDigraph(("a",), (("a", "b"),))
-    with pytest.raises(GraphError):
+    # the first offending arc is named, after repeats of a valid one
+    arcs = (("a", "b"), ("a", "b"), ("b", "c"), ("c", "a"), ("b", "c"))
+    with pytest.raises(GraphError, match=r"^arc 2 \(b -> c\) uses an undeclared vertex$"):
+        MultiDigraph(("a", "b"), arcs)
+    with pytest.raises(GraphError, match="^duplicate vertex names$"):
         MultiDigraph(("a", "a"), ())
+    # duplicate names are reported before undeclared arcs
+    with pytest.raises(GraphError, match="^duplicate vertex names$"):
+        MultiDigraph(("a", "a"), (("a", "b"),))
 
 
 def test_is_eulerian_examples():
@@ -225,13 +233,40 @@ def test_parse_edge_list_arc_cap():
     assert parse_edge_list(f"a b {MAX_ARCS // 2}\nb a {MAX_ARCS // 2}").n_arcs == MAX_ARCS
 
 
+def _rewrites(g):
+    """Every single-step rewrite of g that the recursions build."""
+    yield remove_loops(g)[0]
+    for i, (tail, head) in enumerate(g.arcs):
+        yield delete_arcs(g, [i])
+        if tail != head:
+            yield contract_arc(g, i)
+    for v in g.vertices:
+        yield delete_out_arcs(g, v)
+        if g.out_neighbors(v):
+            yield contract_vertices(g, {v, *g.out_neighbors(v)})
+
+
 def test_firing_table_matches_queries():
-    for g in corpus():
-        for i, out, drop, neighbors in g._firing_table:
+    hosts = _reachability_hosts() + tuple(h for g in corpus() for h in _rewrites(g))
+    assert len(hosts) > 5000
+    for g in hosts:
+        # the arc list, counted afresh, is the reference for the integer form
+        count = Counter(g.arcs)
+        out, into = Counter(t for t, _ in g.arcs), Counter(h for _, h in g.arcs)
+        for i, out_v, drop, neighbors in g._firing_table:
             v = g.vertices[i]
-            assert out == g.outdeg(v) and drop == out - g.loops_at(v)
+            assert out_v == g.outdeg(v) and drop == out_v - g.loops_at(v)
             assert [g.vertices[j] for j, _ in neighbors] == list(g.out_neighbors(v))
             assert all(m == g.multiplicity(v, g.vertices[j]) for j, m in neighbors)
+            heads = tuple(j for j, u in enumerate(g.vertices) if u != v and count[v, u])
+            tails = tuple(j for j, u in enumerate(g.vertices) if u != v and count[u, v])
+            assert (g.outdeg(v), g.indeg(v), g.loops_at(v)) == (out[v], into[v], count[v, v])
+            assert g.out_neighbors(v) == tuple(g.vertices[j] for j in heads)
+            assert (g._successors[i], g._predecessors[i]) == (heads, tails)
+            assert all(g.multiplicity(v, u) == count[v, u] for u in g.vertices)
+        assert g.loop_count == sum(count[v, v] for v in g.vertices)
+        balanced = all(out[v] == into[v] for v in g.vertices)
+        assert is_eulerian(g) == (balanced and reference_weakly_connected(g))
 
 
 def test_equal_graphs_built_separately_share_hash_and_cache_entries():
