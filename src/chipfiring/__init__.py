@@ -68,7 +68,6 @@ from .recurrent import (
     support_after_sink_fire,
 )
 from .tutte import (
-    arborescence_count,
     check_recursion,
     pw_closed_form_check,
     tutte_gen,

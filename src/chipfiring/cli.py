@@ -5,8 +5,8 @@
 builds no parser and loads no locale, so a call pays only for its tokens.
 
 Exit codes: 0 success, 1 property violation (or internal invariant failure),
-2 usage or input error, 3 size cap exceeded.  Output is byte-stable for fixed
-inputs and seed.
+2 usage or input error, 3 size cap exceeded or out of memory.  Output is
+byte-stable for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import re
 import sys
 from collections.abc import Callable
 from fractions import Fraction
+from itertools import islice
 from types import SimpleNamespace
 from typing import NamedTuple, NoReturn
 
@@ -101,30 +102,32 @@ def _cmd_stabilize(args) -> int:
     return 0
 
 
-def _recurrents_json(rs) -> str:
-    """The bytes of ``_emit_json(rs.to_json_dict())``, from one template per member."""
-    order = sorted(range(len(rs.domain)), key=rs.domain.__getitem__)
-    keys = ",\n".join(f"        {json.dumps(rs.domain[i]).replace('%', '%%')}: %d" for i in order)
-    chips = f"{{\n{keys}\n      }}" if order else "{}"
-    member = f'    {{\n      "chips": {chips},\n      "level": %d,\n      "sum": %d\n    }}'
-    body = ",\n".join(
-        member % (*(vec[i] for i in order), lvl, total)
-        for vec, total, lvl in zip(rs.vectors, rs.sums, rs.levels)
-    )
-    return f'{{\n  "configs": [\n{body}\n  ],\n  "kappa": {rs.kappa},\n  "sink": {json.dumps(rs.sink)}\n}}'
+WRITE_BLOCK = 1024  # members per write of ``cfg recurrents``
 
 
 def _cmd_recurrents(args) -> int:
+    """Write the finished record WRITE_BLOCK members at a time; JSON in _emit_json's bytes."""
     g = parse_graph(args.graph)
     sink = g.vertices[0] if args.sink is None else args.sink
     rs = enumerate_recurrents(g, sink)
+    rows = zip(rs.vectors, rs.sums, rs.levels)
     if args.format == "json":
-        print(_recurrents_json(rs))
+        order = sorted(range(len(rs.domain)), key=rs.domain.__getitem__)
+        keys = ",\n".join(f"        {json.dumps(rs.domain[i]).replace('%', '%%')}: %d" for i in order)
+        chips = f"{{\n{keys}\n      }}" if order else "{}"
+        head, sep = '{\n  "configs": [\n', ",\n"
+        member = f'    {{\n      "chips": {chips},\n      "level": %d,\n      "sum": %d\n    }}'
+        tail = f'\n  ],\n  "kappa": {rs.kappa},\n  "sink": {json.dumps(rs.sink)}\n}}\n'
+        fields = ((*(vec[i] for i in order), lvl, total) for vec, total, lvl in rows)
     else:
-        print(f"sink: {sink}\nkappa: {rs.kappa}\ncount: {len(rs)}")
-        for vec, total, lvl in zip(rs.vectors, rs.sums, rs.levels):
-            chips = ",".join(f"{v}={x}" for v, x in zip(rs.domain, vec))
-            print(f"  {chips}  sum={total} level={lvl}")
+        head, sep, tail = f"sink: {sink}\nkappa: {rs.kappa}\ncount: {len(rs)}\n", "\n", "\n"
+        member = "  " + ",".join(f"{v.replace('%', '%%')}=%d" for v in rs.domain) + "  sum=%d level=%d"
+        fields = (vec + (total, lvl) for vec, total, lvl in rows)
+    sys.stdout.write(head)
+    for start in range(0, len(rs), WRITE_BLOCK):
+        block = sep.join(map(member.__mod__, islice(fields, WRITE_BLOCK)))
+        sys.stdout.write(sep + block if start else block)
+    sys.stdout.write(tail)
     return 0
 
 
@@ -489,8 +492,8 @@ def _run(args, cap: int | None) -> int:
     CELL_CAP.set(cap)
     try:
         return args.func(args)
-    except SizeCapError as exc:
-        print(f"size cap exceeded: {exc}", file=sys.stderr)
+    except (SizeCapError, MemoryError) as exc:  # a MemoryError has no message
+        print(f"size cap exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return SIZE_CAP
     except (PropertyViolationError, InternalCheckError) as exc:
         print(f"property violation: {exc}", file=sys.stderr)

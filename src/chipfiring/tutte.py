@@ -26,7 +26,7 @@ from .graph import (
 )
 from .oracles import undirected_tutte_oracle  # re-exported for existing callers
 from .polynomial import LaurentPolynomial
-from .recurrent import cell_cap, enumerate_recurrents, kappa, recurrent_count
+from .recurrent import cell_cap, enumerate_recurrents, kappa
 
 RECURSION_KINDS = ("loop", "bridge_no_reverse", "bridge_reverse", "del_contract", "mobius")
 
@@ -55,12 +55,6 @@ def support_filtered_gen(g: MultiDigraph, s: str, w) -> LaurentPolynomial:
         for vec, lvl in zip(rs.vectors, rs.levels)
         if all(vec[slot] >= least for slot, least in need)
     )
-
-
-# ------------------------------------------------------------------ counting
-def arborescence_count(g: MultiDigraph, s: str) -> int:
-    """Number of spanning arborescences oriented toward s (matrix-tree determinant)."""
-    return recurrent_count(g, s)
 
 
 # --------------------------------------------------------- recursion checkers

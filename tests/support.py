@@ -1,7 +1,8 @@
 """Shared corpora and helpers for the test suite.
 
-Everything here is deterministic: fixed seeds, exhaustive bounded families,
-and the two reconstructed demo graphs under tests/data/.
+Everything here is deterministic: named example graphs, fixed seeds,
+exhaustive bounded families, and the two reconstructed demo graphs under
+tests/data/.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from chipfiring.cli import (
     _cmd_tutte,
 )
 from chipfiring.dynamics import _movers, _settle
-from chipfiring.families import random_eulerian, random_strongly_connected, undirected_graph
+from chipfiring.families import random_eulerian, random_strongly_connected
 
 DATA = Path(__file__).parent / "data"
 
@@ -55,6 +56,51 @@ NON_EULERIAN_SIZE = 100
 
 def data_graph(name: str) -> MultiDigraph:
     return parse_edge_list((DATA / name).read_text())
+
+
+def directed_cycle(names) -> MultiDigraph:
+    names = list(names)
+    return MultiDigraph.of(
+        [(names[i], names[(i + 1) % len(names)]) for i in range(len(names))], names
+    )
+
+
+def bidirected_complete(names) -> MultiDigraph:
+    names = list(names)
+    arcs = []
+    for i, v in enumerate(names):
+        for u in names[i + 1 :]:
+            arcs.extend([(v, u), (u, v)])
+    return MultiDigraph.of(arcs, names)
+
+
+def parallel_pair(u: str, v: str, multiplicity: int) -> MultiDigraph:
+    """Two vertices joined by ``multiplicity`` arcs each way (an undirected banana)."""
+    return MultiDigraph.of([(u, v)] * multiplicity + [(v, u)] * multiplicity, [u, v])
+
+
+def doubled_cycle(names) -> MultiDigraph:
+    """Directed cycle with every arc doubled: no loops, no bridges, no reverse arcs."""
+    names = list(names)
+    arcs = []
+    for i in range(len(names)):
+        arcs.extend([(names[i], names[(i + 1) % len(names)])] * 2)
+    return MultiDigraph.of(arcs, names)
+
+
+def undirected_graph(n_vertices: int, edges, loops=()) -> MultiDigraph:
+    """Bidirected digraph for an undirected multigraph on vertices u0..u{n-1}.
+
+    ``edges`` lists (i, j) index pairs, one entry per parallel edge; ``loops``
+    lists vertex indices, one entry per undirected loop (one directed loop each).
+    """
+    names = [f"u{i}" for i in range(n_vertices)]
+    arcs = []
+    for i, j in edges:
+        arcs.extend([(names[i], names[j]), (names[j], names[i])])
+    for i in loops:
+        arcs.append((names[i], names[i]))
+    return MultiDigraph.of(arcs, names)
 
 
 def stable_cube(g: MultiDigraph, s: str):

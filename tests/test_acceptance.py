@@ -26,15 +26,16 @@ from chipfiring import (
     undirected_tutte_oracle,
 )
 from chipfiring.checks import run_check
-from chipfiring.families import bidirected_complete, parallel_pair
 from chipfiring.lattice import class_representative, firing_lattice
 from chipfiring.oracles import brute_acyclic_sets, brute_arborescences
 from chipfiring.recurrent import is_minimal, is_minimum, recurrent_count
 
 from support import (
+    bidirected_complete,
     corpus,
     data_graph,
     non_eulerian_corpus,
+    parallel_pair,
     small_corpus,
     stable_cube,
     undirected_family,

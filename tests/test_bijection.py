@@ -14,10 +14,9 @@ from chipfiring import (
     theta,
 )
 from chipfiring.bijection import _swapper
-from chipfiring.families import bidirected_complete, directed_cycle
 from chipfiring.recurrent import is_minimal, is_minimum
 
-from support import corpus, data_graph
+from support import bidirected_complete, corpus, data_graph, directed_cycle
 
 C3 = directed_cycle(["s", "a", "b"])
 K3 = bidirected_complete(["s", "a", "b"])

@@ -14,13 +14,14 @@ from chipfiring import (
 from chipfiring.checks import PROPERTIES, run_check
 from chipfiring.cli import main
 from chipfiring.errors import GraphError, InternalCheckError
-from chipfiring.families import bidirected_complete, parallel_pair
 
 from support import (
     DATA,
+    bidirected_complete,
     corpus,
     data_graph,
     non_eulerian_corpus,
+    parallel_pair,
     reference_burning_uniqueness,
     reference_theta,
 )

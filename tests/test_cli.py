@@ -1,11 +1,15 @@
+import hashlib
 import io
 import json
 import os
 import shlex
+import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -391,6 +395,92 @@ def test_recurrents_writer_matches_generic_encoder(tmp_path, capsys):
     at_9, at_q = special[1], special[3]
     assert all(key in at_9 for key in ('"\\"q": ', '"\\u00e9": ', '"a\\\\b": ', '"%d": '))
     assert at_q.index('"10": ') < at_q.index('"9": ')
+
+
+def complete_text(n: int) -> str:
+    """Edge list of the complete digraph K_n on v0..v{n-1}: one arc each way per pair."""
+    return "".join(f"v{i} v{j}\n" for i in range(n) for j in range(n) if i != j)
+
+
+# member counts 1, 2, 3, 8 and 16: multiples of 2 and of 3, and not
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_recurrents_writer_blocks(tmp_path, capsys, monkeypatch, block):
+    monkeypatch.setattr(cli, "WRITE_BLOCK", block)
+    texts = [C3_TEXT, BANANA_TEXT, K3_TEXT, "a b\nb c\nc d\nd a\na a\n" * 2, complete_text(4)]
+    texts += SPECIAL_TEXTS
+    counts = set()
+    for i, text in enumerate(texts):
+        path = tmp_path / f"g{i}.txt"
+        path.write_text(text, encoding="utf-8")
+        g = parse_graph(str(path))
+        for sink in g.vertices:
+            text_out, json_out = _reference_outputs(str(path), sink)
+            counts.add(len(enumerate_recurrents(g, sink)))
+            assert run(capsys, "recurrents", str(path), "--sink", sink) == (0, text_out, "")
+            code, out, _ = run(capsys, "recurrents", str(path), "--sink", sink, "--format", "json")
+            assert (code, out) == (0, json_out)
+    assert {n % block == 0 for n in counts} == ({True} if block == 1 else {True, False})
+    assert max(counts) > 3 * block
+
+
+class _Digest:
+    """A stdout that keeps only the length and hash of what is written to it."""
+
+    def __init__(self):
+        self.size, self.hash = 0, hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        data = text.encode()
+        self.size += len(data)
+        self.hash.update(data)
+        return len(text)
+
+
+def test_recurrents_json_streams_below_its_output_size(graph_file, monkeypatch):
+    path = graph_file(complete_text(7), "k7.txt")
+    enumerate_recurrents(parse_graph(path), "v0")  # the record, so only the writer is traced
+    out = _Digest()
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        code = main(["recurrents", path, "--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = _reference_outputs(path, "v0")[1].encode()
+    assert code == 0 and out.hash.digest() == hashlib.sha256(expected).digest()
+    assert out.size == len(expected) > 2_500_000
+    assert peak < out.size
+
+
+# the child caps its own address space at its size after import plus a margin
+# far below what K8's record needs; no other process is limited
+_OUT_OF_MEMORY_CHILD = """
+import resource, sys
+from chipfiring import cli
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, ((size + 8 * 1024) * 1024, hard))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_out_of_memory_exits_3_with_one_line(graph_file):
+    path = graph_file(complete_text(8), "k8.txt")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run(
+        [sys.executable, "-c", _OUT_OF_MEMORY_CHILD, "recurrents", path, "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert child.returncode == 3
+    assert child.stderr == "size cap exceeded: out of memory\n"
+    assert "Traceback" not in child.stderr and child.stdout == ""
 
 
 @pytest.mark.parametrize("value", ["abc", "1/0", ""])

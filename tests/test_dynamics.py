@@ -21,9 +21,17 @@ from chipfiring import (
     stabilize,
 )
 from chipfiring.dynamics import _movers
-from chipfiring.families import bidirected_complete, directed_cycle, parallel_pair, random_eulerian
+from chipfiring.families import random_eulerian
 
-from support import corpus, non_eulerian_corpus, random_digraph, reference_reached
+from support import (
+    bidirected_complete,
+    corpus,
+    directed_cycle,
+    non_eulerian_corpus,
+    parallel_pair,
+    random_digraph,
+    reference_reached,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]

@@ -21,16 +21,14 @@ from chipfiring import (
     reverse_partner,
 )
 from chipfiring import graph
-from chipfiring.families import (
-    bidirected_complete,
-    directed_cycle,
-    parallel_pair,
-    random_strongly_connected,
-)
+from chipfiring.families import random_strongly_connected
 
 from support import (
+    bidirected_complete,
     corpus,
+    directed_cycle,
     non_eulerian_corpus,
+    parallel_pair,
     random_digraph,
     reference_bridge_cut_set,
     reference_is_bridge,

@@ -22,12 +22,19 @@ from chipfiring import (
     stabilize,
 )
 from chipfiring.errors import ConfigurationError
-from chipfiring.families import bidirected_complete, directed_cycle, random_strongly_connected
+from chipfiring.families import random_strongly_connected
 from chipfiring.lattice import class_representative, column_hnf
 from chipfiring.oracles import brute_recurrents
 from chipfiring.recurrent import _recurrent_vectors, recurrent_count
 
-from support import corpus, non_eulerian_corpus, small_corpus, stable_cube
+from support import (
+    bidirected_complete,
+    corpus,
+    directed_cycle,
+    non_eulerian_corpus,
+    small_corpus,
+    stable_cube,
+)
 
 C3 = directed_cycle(["s", "a", "b"])
 K3 = bidirected_complete(["s", "a", "b"])

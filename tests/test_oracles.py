@@ -1,7 +1,6 @@
 import pytest
 
 from chipfiring import Configuration, GraphError, MultiDigraph, SizeCapError, enumerate_recurrents
-from chipfiring.families import bidirected_complete, directed_cycle, parallel_pair
 from chipfiring.oracles import (
     brute_acyclic_sets,
     brute_arborescences,
@@ -10,7 +9,7 @@ from chipfiring.oracles import (
 )
 from chipfiring.recurrent import recurrent_count
 
-from support import corpus, small_corpus
+from support import bidirected_complete, corpus, directed_cycle, parallel_pair, small_corpus
 
 C3 = directed_cycle(["s", "a", "b"])
 K3 = bidirected_complete(["s", "a", "b"])

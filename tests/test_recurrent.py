@@ -29,14 +29,7 @@ from chipfiring import (
     stabilize,
     support_after_sink_fire,
 )
-from chipfiring.families import (
-    bidirected_complete,
-    directed_cycle,
-    parallel_pair,
-    random_eulerian,
-    random_strongly_connected,
-    undirected_graph,
-)
+from chipfiring.families import random_eulerian, random_strongly_connected
 from chipfiring.oracles import recurrent_definitional_test
 from chipfiring.recurrent import (
     _burning_script,
@@ -46,7 +39,15 @@ from chipfiring.recurrent import (
     reduced_laplacian,
 )
 
-from support import corpus, reference_minimal_flags, small_corpus
+from support import (
+    bidirected_complete,
+    corpus,
+    directed_cycle,
+    parallel_pair,
+    reference_minimal_flags,
+    small_corpus,
+    undirected_graph,
+)
 
 C3 = directed_cycle(["s", "a", "b"])
 K3 = bidirected_complete(["s", "a", "b"])

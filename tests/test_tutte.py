@@ -7,7 +7,6 @@ from chipfiring import (
     HypothesisError,
     LaurentPolynomial,
     MultiDigraph,
-    arborescence_count,
     check_recursion,
     is_bridge,
     is_undirected,
@@ -17,18 +16,20 @@ from chipfiring import (
     tutte_gen,
     undirected_tutte_oracle,
 )
-from chipfiring.families import (
-    bidirected_complete,
-    directed_cycle,
-    doubled_cycle,
-    parallel_pair,
-)
-from chipfiring import enumerate_recurrents, support_after_sink_fire, tutte
+from chipfiring import enumerate_recurrents, recurrent, support_after_sink_fire, tutte
 from chipfiring.checks import run_check
 from chipfiring.oracles import brute_acyclic_sets
 from chipfiring.tutte import support_filtered_gen
 
-from support import corpus, reference_recursion_kind, small_corpus
+from support import (
+    bidirected_complete,
+    corpus,
+    directed_cycle,
+    doubled_cycle,
+    parallel_pair,
+    reference_recursion_kind,
+    small_corpus,
+)
 
 Y = LaurentPolynomial.y
 C3 = directed_cycle(["s", "a", "b"])
@@ -68,11 +69,11 @@ def test_undirected_oracle_known_values():
 
 
 def test_evaluations_examples():
-    assert tutte_gen(C3, "s").eval(1) == 1 == arborescence_count(C3, "s")
+    assert tutte_gen(C3, "s").eval(1) == 1 == recurrent.recurrent_count(C3, "s")
     assert (2 + Y(1)).eval(1) == 3
     assert (2 + Y(1)).eval(0) == 2
-    assert arborescence_count(K3, "a") == 3
-    assert arborescence_count(BANANA, "u") == 2
+    assert recurrent.recurrent_count(K3, "a") == 3
+    assert recurrent.recurrent_count(BANANA, "u") == 2
     assert brute_acyclic_sets(C3, "s") == 1
     assert brute_acyclic_sets(BANANA, "u") == 1
     assert brute_acyclic_sets(K3, "s") == 2
@@ -86,7 +87,7 @@ def test_evaluations_against_counts_over_sample():
         bare, n_loops = remove_loops(g)
         bare_poly = tutte_gen(bare, g.vertices[0])
         for s in g.vertices:
-            assert poly.eval(1) == arborescence_count(g, s)
+            assert poly.eval(1) == recurrent.recurrent_count(g, s)
             assert bare_poly.eval(0) == brute_acyclic_sets(g, s)
             if n_loops:
                 assert poly.eval(0) == 0
