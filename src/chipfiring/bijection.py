@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import Configuration, _movers, _settle
+from .dynamics import Configuration, _settle
 from .errors import ConfigurationError, InternalCheckError, PropertyViolationError
 from .graph import MultiDigraph
-from .recurrent import _require_eulerian, enumerate_recurrents, is_recurrent, recurrent_count
+from .recurrent import _game, _require_eulerian, enumerate_recurrents, is_recurrent
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ def _swapper(g: MultiDigraph, s1: int, s2: int):
     """
     source_base = g._firing_table[s1][1]
     target_base = g._firing_table[s2][1]
-    limit = recurrent_count(g, g.vertices[s2])
-    movers = _movers(g, s2)
+    rs = _game(g, s2)
+    limit, movers = rs.count, rs.movers
 
     def swap(chips: tuple[int, ...]) -> tuple[int, list[int]]:
         state = list(chips)

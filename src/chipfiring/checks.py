@@ -174,7 +174,7 @@ def check_max_sum(g: MultiDigraph) -> CheckReport:
     for s in g.vertices:
         sink = g.vertex_index(s)
         recurrent._check_cap(g, sink)
-        bounds = [out for v, out, _, _ in g._firing_table if v != sink]
+        bounds = recurrent._game(g, sink).bounds
         if 0 in bounds:
             continue  # no stable configuration; the host may be singular
         lat = lattice.firing_lattice(g, s)

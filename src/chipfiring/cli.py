@@ -5,14 +5,15 @@
 builds no parser and loads no locale, so a call pays only for its tokens.
 
 Exit codes: 0 success, 1 property violation (or internal invariant failure),
-2 usage or input error, 3 size cap exceeded or out of memory.  Output is
-byte-stable for fixed inputs and seed.
+2 usage or input error (a closed stdout included), 3 size cap exceeded or out
+of memory.  Output is byte-stable for fixed inputs and seed.
 """
 
 from __future__ import annotations
 
 import contextvars
 import json
+import os
 import random
 import re
 import sys
@@ -46,10 +47,11 @@ SIZE_CAP = 3
 
 
 def parse_graph(path: str) -> MultiDigraph:
-    """Read a graph from an edge-list file (see ``parse_edge_list``)."""
+    """Read a graph from an edge-list file (see ``parse_edge_list``); a UTF-8
+    byte-order mark at its start is dropped."""
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            text = handle.read().removeprefix("\ufeff")
     except OSError as exc:
         raise GraphError(f"cannot read {path}: {exc}") from exc
     return parse_edge_list(text)
@@ -491,7 +493,15 @@ def main(argv=None) -> int:
 def _run(args, cap: int | None) -> int:
     CELL_CAP.set(cap)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away; stdout now points at devnull, so the final flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return USAGE_ERROR
     except (SizeCapError, MemoryError) as exc:  # a MemoryError has no message
         print(f"size cap exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return SIZE_CAP

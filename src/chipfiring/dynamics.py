@@ -11,7 +11,6 @@ needs: stabilize against one sink while reading off the chip count on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ConfigurationError, FiringError, NonTerminationError
 from .graph import MultiDigraph, _reach
@@ -181,11 +180,9 @@ def fire(g: MultiDigraph, c: Configuration, v: str) -> Configuration:
     return Configuration(c.host, c.sink, tuple(chips))
 
 
-# bounded, so long runs do not keep every graph they ever fired on alive
-@lru_cache(maxsize=256)
 def _movers(g: MultiDigraph, sink: int | None) -> tuple:
     """Firing-table rows of the vertices that may fire: not the sink, and
-    holding a non-loop out-arc.
+    holding a non-loop out-arc.  Uncached: a sink game's record keeps its own.
 
     Also certifies that every game on them stops, whatever the chips: each
     mover must reach a vertex that never fires (Björner and Lovász, 1992).

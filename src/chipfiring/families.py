@@ -17,7 +17,6 @@ def random_eulerian(
     rng: random.Random,
     max_vertices: int = 5,
     max_arcs: int = 12,
-    allow_loops: bool = True,
 ) -> MultiDigraph:
     """Random connected Eulerian multidigraph within the given size budget."""
     while True:
@@ -26,8 +25,7 @@ def random_eulerian(
         arcs: list[tuple[str, str]] = []
         budget = rng.randint(n, max_arcs)
         while len(arcs) < budget:
-            min_len = 1 if allow_loops else 2
-            length = rng.randint(min_len, n)
+            length = rng.randint(1, n)
             if len(arcs) + length > max_arcs:
                 break
             cycle = rng.sample(names, length)

@@ -36,7 +36,8 @@ class MultiDigraph:
         for the i-th vertex, neighbors in canonical order and loops left out; the
         firing kernel in ``dynamics`` reads it.  ``_successors`` and
         ``_predecessors`` hold the distinct non-loop neighbors by index, and
-        ``_indeg`` the in-degrees, loops included.
+        ``_indeg`` the in-degrees, loops included.  ``_eulerian`` and ``_strong``
+        are the connectivity flags; with balanced degrees one weak search decides both.
         """
         index = {v: i for i, v in enumerate(self.vertices)}
         if len(index) != len(self.vertices):
@@ -60,12 +61,20 @@ class MultiDigraph:
         for v, heads in enumerate(successors):
             for u in heads:
                 tails[u].append(v)
+        predecessors = tuple(map(tuple, tails))
+        balanced = all(d == row[1] for d, row in zip(indeg, table))
+        strong = bool(self.vertices) and (
+            all(_reach((0,), successors, predecessors)) if balanced
+            else all(_reach((0,), successors)) and all(_reach((0,), predecessors))
+        )
         for name, value in (
             ("_index", index),
             ("_firing_table", table),
             ("_successors", successors),
-            ("_predecessors", tuple(map(tuple, tails))),
+            ("_predecessors", predecessors),
             ("_indeg", tuple(indeg)),
+            ("_eulerian", balanced and strong),
+            ("_strong", strong),
             # the dataclass hash, computed once: every cache keyed on a graph asks for it
             ("_hash", hash((self.vertices, self.arcs))),
         ):
@@ -139,11 +148,7 @@ class MultiDigraph:
         return bool(self.vertices) and all(_reach((0,), self._successors, self._predecessors))
 
     def is_strongly_connected(self) -> bool:
-        return (
-            bool(self.vertices)
-            and all(_reach((0,), self._successors))
-            and all(_reach((0,), self._predecessors))
-        )
+        return self._strong
 
     def reachable_from(self, start: str) -> frozenset[str]:
         reached = _reach((self.vertex_index(start),), self._successors)
@@ -179,19 +184,13 @@ class BridgeCut:
     co_bridge: int
 
 
-@lru_cache(maxsize=256)
 def is_eulerian(g: MultiDigraph) -> bool:
     """True iff g is connected and every vertex has equal in- and out-degree.
 
     The empty graph is not Eulerian; a single loopless vertex is (degrees 0 = 0),
-    which keeps fully contracted graphs valid.  For balanced degrees, weak and
-    strong connectivity coincide.
+    which keeps fully contracted graphs valid.
     """
-    if not g.vertices:
-        return False
-    if any(d != row[1] for d, row in zip(g._indeg, g._firing_table)):
-        return False
-    return g.is_weakly_connected()
+    return g._eulerian
 
 
 def is_undirected(g: MultiDigraph) -> bool:
@@ -282,7 +281,7 @@ def reverse_partner(g: MultiDigraph, index: int) -> int | None:
     return None
 
 
-# bounded like is_eulerian; a recursion suite asks about each arc twice
+# bounded; a recursion suite asks about each arc twice
 @lru_cache(maxsize=1024)
 def is_bridge(g: MultiDigraph, index: int) -> bool:
     """True iff deleting the arc destroys strong connectivity.

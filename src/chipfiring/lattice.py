@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import Configuration, _movers, _settle, beta
+from .dynamics import Configuration, _settle, beta
 from .errors import ConfigurationError, GraphError, InternalCheckError
 from .graph import MultiDigraph, is_eulerian
-from .recurrent import _recurrent_vectors, enumerate_recurrents, recurrent_count, reduced_laplacian
+from .recurrent import _game, _recurrent_vectors, enumerate_recurrents
 
 
 def column_hnf(generators: tuple[tuple[int, ...], ...], dimension: int):
@@ -104,7 +104,7 @@ def firing_lattice(g: MultiDigraph, s: str, include_beta: bool = False) -> Integ
     sink-firing vector joins the generators; on Eulerian graphs it is already
     in their span.
     """
-    generators = [tuple(-x for x in row) for row in reduced_laplacian(g, s)]
+    generators = [tuple(-x for x in row) for row in _game(g, g.vertex_index(s))._laplacian]
     if include_beta:
         generators.append(beta(g, s).chips)
     return IntegerLattice.from_generators(generators, g.n_vertices - 1)
@@ -115,12 +115,11 @@ def _representative(g: MultiDigraph, s: str):
     recurrent member of their class by adding m chips on every vertex and
     stabilizing, m a multiple of the group order N (N * x lies in the firing
     lattice for every integer x) and at least the largest out-degree."""
-    n = abs(recurrent_count(g, s))
+    rs = _game(g, g.vertex_index(s))
+    n = abs(rs.count)
     if n == 0:
         raise GraphError("degenerate host: the reduced Laplacian is singular")
-    sink = g.vertex_index(s)
-    m = n * max((out for v, out, _, _ in g._firing_table if v != sink), default=1)
-    movers = _movers(g, sink)
+    sink, m, movers = rs.sink_index, n * max(rs.bounds, default=1), rs.movers
 
     def represent(cell) -> tuple[int, ...]:
         chips = [x + m for x in cell]

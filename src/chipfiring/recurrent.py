@@ -118,7 +118,7 @@ def _require_eulerian(g: MultiDigraph) -> None:
 
 
 def _require_strongly_connected(g: MultiDigraph) -> None:
-    if not (is_eulerian(g) or g.is_strongly_connected()):
+    if not g.is_strongly_connected():
         raise GraphError("operation requires a strongly connected graph")
 
 
@@ -133,10 +133,10 @@ def is_recurrent(g: MultiDigraph, s: str, c: Configuration) -> bool:
     _require_strongly_connected(g)
     if c.sink != s or c.host.vertices != g.vertices:
         raise ConfigurationError("configuration does not belong to this sink game")
-    sink = g.vertex_index(s)
-    if any(c.chips[v - (v > sink)] >= out for v, out, _, _ in _movers(g, sink)):
+    rs = _game(g, g.vertex_index(s))
+    if any(c.chips[v - (v > rs.sink_index)] >= out for v, out, _, _ in rs.movers):
         raise ConfigurationError("burning test requires a stable configuration")
-    burn, script = _game(g, sink).burner
+    burn, script = rs.burner
     counts = burn(c.chips)
     if counts is None:
         return False
@@ -156,11 +156,10 @@ def _recurrent_vectors(g: MultiDigraph, s: str) -> tuple[tuple[int, ...], ...]:
     return _game(g, sink).vectors
 
 
-def _burning_script(g: MultiDigraph, s: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _burning_script(lap: list[list[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The burning configuration b = Δᵀσ and its script σ >= 1, the least with
-    b >= 0, on V \\ {s}, Δ the game record's.  Raising σ_u by the least amount
+    b >= 0, for the reduced Laplacian Δ = ``lap``.  Raising σ_u by the least amount
     that clears b_u < 0 cannot overshoot, as raising other entries only lowers b_u."""
-    lap = _game(g, g.vertex_index(s))._laplacian
     script = [1] * len(lap)
     while True:
         burn = [sum(x * row[u] for x, row in zip(script, lap)) for u in range(len(lap))]
@@ -192,12 +191,24 @@ class RecurrentSet:
 
     ``vectors[i]`` holds member i's chips on ``domain`` (V minus the sink, in
     canonical order), sorted lexicographically; ``sums[i]`` is outdeg(sink) +
-    its total chips, ``levels[i]`` is ``sums[i] - kappa``.  ``cells`` is the
-    stable cube's size, ``count`` the determinant that certifies ``vectors``.
+    its total chips, ``levels[i]`` is ``sums[i] - kappa``.  ``count`` is the
+    determinant that certifies ``vectors``.  ``sink_index``, ``domain``, the
+    stable cube's sides ``bounds`` and its size ``cells`` are set at construction.
     """
 
     host: MultiDigraph
     sink: str
+
+    def __post_init__(self):
+        sink, vertices = self.host.vertex_index(self.sink), self.host.vertices
+        bounds = tuple(out for v, out, _, _ in self.host._firing_table if v != sink)
+        for name, value in (
+            ("sink_index", sink),
+            ("domain", vertices[:sink] + vertices[sink + 1 :]),
+            ("bounds", bounds),
+            ("cells", math.prod(bounds)),
+        ):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -209,11 +220,6 @@ class RecurrentSet:
         return self.index(c) is not None
 
     @cached_property
-    def cells(self) -> int:
-        sink = self.host.vertex_index(self.sink)
-        return math.prod(out for v, out, _, _ in self.host._firing_table if v != sink)
-
-    @cached_property
     def _laplacian(self) -> list[list[int]]:
         return reduced_laplacian(self.host, self.sink)
 
@@ -222,14 +228,17 @@ class RecurrentSet:
         return bareiss_determinant(self._laplacian)
 
     @cached_property
+    def movers(self) -> tuple:  # certified to stop, after the host checks
+        return _movers(self.host, self.sink_index)
+
+    @cached_property
     def burner(self):
         """Speer's burning test, set up once: ``burn`` and the script σ by vertex
         index, 0 on the sink.  ``burn(cell)`` settles a chip vector of V \\ {sink}
         plus b, the sink's slot collecting the chips lost, and returns the firing
         counts by vertex index when the run returns ``cell``, else None."""
-        g, sink = self.host, self.host.vertex_index(self.sink)
-        movers = _movers(g, sink)
-        b, script = _burning_script(g, self.sink)
+        sink, movers = self.sink_index, self.movers
+        b, script = _burning_script(self._laplacian)
         b = [(u + (u >= sink), x) for u, x in enumerate(b) if x]  # by vertex index
 
         def burn(cell: tuple[int, ...]) -> list[int] | None:
@@ -252,8 +261,7 @@ class RecurrentSet:
         its maximum; only children c - e_i, i <= k, of recurrent cells are burned.
         """
         burn, script = self.burner
-        sink = self.host.vertex_index(self.sink)
-        top = tuple(out - 1 for v, out, _, _ in self.host._firing_table if v != sink)
+        top = tuple(out - 1 for out in self.bounds)
         found = []
         stack = [top]
         while stack:
@@ -297,10 +305,6 @@ class RecurrentSet:
     def polynomial(self) -> LaurentPolynomial:
         """T(y): the sum of y^level over the members."""
         return LaurentPolynomial((level, 1) for level in self.levels)
-
-    @cached_property
-    def domain(self) -> tuple[str, ...]:
-        return tuple(v for v in self.host.vertices if v != self.sink)
 
     @cached_property
     def configs(self) -> tuple[Configuration, ...]:

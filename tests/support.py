@@ -114,7 +114,7 @@ def stable_cube(g: MultiDigraph, s: str):
 def corpus() -> tuple[MultiDigraph, ...]:
     """The seeded random Eulerian corpus: <= 5 vertices, <= 12 arcs, loops allowed."""
     rng = random.Random(CORPUS_SEED)
-    return tuple(random_eulerian(rng, 5, 12, True) for _ in range(CORPUS_SIZE))
+    return tuple(random_eulerian(rng, 5, 12) for _ in range(CORPUS_SIZE))
 
 
 @functools.lru_cache(maxsize=None)
@@ -122,7 +122,7 @@ def small_corpus() -> tuple[MultiDigraph, ...]:
     """Corpus members with at most 4 vertices, for the exhaustive small-scale checks."""
     picked = tuple(g for g in corpus() if g.n_vertices <= 4)
     rng = random.Random(CORPUS_SEED + 1)
-    extra = tuple(random_eulerian(rng, 4, 9, True) for _ in range(40))
+    extra = tuple(random_eulerian(rng, 4, 9) for _ in range(40))
     return picked + extra
 
 

@@ -435,6 +435,9 @@ class _Digest:
         self.hash.update(data)
         return len(text)
 
+    def flush(self) -> None:
+        pass
+
 
 def test_recurrents_json_streams_below_its_output_size(graph_file, monkeypatch):
     path = graph_file(complete_text(7), "k7.txt")
@@ -481,6 +484,52 @@ def test_out_of_memory_exits_3_with_one_line(graph_file):
     assert child.returncode == 3
     assert child.stderr == "size cap exceeded: out of memory\n"
     assert "Traceback" not in child.stderr and child.stdout == ""
+
+
+_CFG_CHILD = "import sys; from chipfiring import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+def test_closed_stdout_exits_2_without_a_traceback(graph_file):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as in a shell pipeline
+    # K7's listing is about 700 KB, far above a 64 KiB pipe buffer, so the
+    # child is still writing when the reader closes the pipe after one line
+    child = subprocess.Popen(
+        [sys.executable, "-c", _CFG_CHILD, "recurrents", graph_file(complete_text(7), "k7.txt")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert child.stdout.readline() == b"sink: v0\n"
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert child.returncode == 2
+    assert b"Traceback" not in err and b"Exception ignored" not in err
+    # a short output closed before it is read fails only when stdout is flushed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-c", _CFG_CHILD, "info", graph_file(K3_TEXT)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (2, b"")
+
+
+def test_byte_order_mark_is_dropped(graph_file, capsys, tmp_path):
+    plain = graph_file("a b\nb a\n", "plain.txt")
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbfa b\r\nb a\r\n")
+    assert parse_graph(str(marked)) == parse_graph(plain)
+    for fmt in ("text", "json"):
+        expected = run(capsys, "info", plain, "--format", fmt)
+        assert run(capsys, "info", str(marked), "--format", fmt) == expected
 
 
 @pytest.mark.parametrize("value", ["abc", "1/0", ""])

@@ -73,7 +73,8 @@ def test_is_eulerian_examples():
     assert is_eulerian(MultiDigraph(("x",), ()))  # isolated vertex
     assert not is_eulerian(MultiDigraph((), ()))
     # balanced but disconnected
-    assert not is_eulerian(MultiDigraph.of([("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")]))
+    two = MultiDigraph.of([("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")])
+    assert not is_eulerian(two) and not two.is_strongly_connected()
 
 
 def test_delete_out_arcs():

@@ -1,11 +1,13 @@
 import pytest
 
 from chipfiring import Configuration, GraphError, MultiDigraph, SizeCapError, enumerate_recurrents
+from chipfiring import oracles
 from chipfiring.oracles import (
     brute_acyclic_sets,
     brute_arborescences,
     brute_recurrents,
     recurrent_definitional_test,
+    undirected_tutte_oracle,
 )
 from chipfiring.recurrent import recurrent_count
 
@@ -63,3 +65,10 @@ def test_brute_recurrents_agree_with_burning_enumeration():
             oracle = sorted(c.chips for c in brute_recurrents(g, s))
             main = sorted(c.chips for c in enumerate_recurrents(g, s).configs)
             assert oracle == main
+
+
+def test_undirected_oracle_memo_is_bounded():
+    oracles._tutte_at_x1.cache_clear()
+    undirected_tutte_oracle(bidirected_complete(list("abcde")))
+    info = oracles._tutte_at_x1.cache_info()
+    assert info.maxsize == 4096 and 0 < info.currsize <= info.maxsize
