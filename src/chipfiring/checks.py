@@ -51,8 +51,8 @@ def run_check(prop: str, g: MultiDigraph) -> CheckReport:
 def check_sink_independence(g: MultiDigraph) -> CheckReport:
     report = CheckReport("sink-independence")
     for s in g.vertices:
-        rs = recurrent.enumerate_recurrents(g, s)
-        raw = tuple(sorted(sum(vec) for vec in rs.vectors))
+        rs, out_s = recurrent.enumerate_recurrents(g, s), g.outdeg(s)
+        raw = tuple(sorted(total - out_s for total in rs.sums))
         report.note(f"sink {s}: raw chip totals {raw}")
     try:
         common = bijection.check_sink_independence(g)
@@ -105,11 +105,13 @@ def check_theta(g: MultiDigraph) -> CheckReport:
     """
     report = CheckReport("theta")
     recurrents = {s: recurrent.enumerate_recurrents(g, s) for s in g.vertices}
+    # the suite's own index of each set's chip vectors, for its many lookups
+    positions = {s: {vec: j for j, vec in enumerate(rs.vectors)} for s, rs in recurrents.items()}
     # per ordered pair, per source member: its swap number, its image's index
     numbers: dict[tuple[str, str], list[int]] = {}
     images: dict[tuple[str, str], list[int]] = {}
     for s1, s2 in itertools.permutations(g.vertices, 2):
-        i2, targets = g.vertex_index(s2), recurrents[s2]._positions
+        i2, targets = g.vertex_index(s2), positions[s2]
         swap, out2 = bijection._swapper(g, g.vertex_index(s1), i2), g.outdeg(s2)
         ks, js = numbers[s1, s2], images[s1, s2] = [], []
         for vec, total in zip(recurrents[s1].vectors, recurrents[s1].sums):

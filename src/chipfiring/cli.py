@@ -21,7 +21,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from itertools import islice
 from types import SimpleNamespace
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 from . import checks
 from .bijection import theta
@@ -48,11 +48,11 @@ SIZE_CAP = 3
 
 def parse_graph(path: str) -> MultiDigraph:
     """Read a graph from an edge-list file (see ``parse_edge_list``); a UTF-8
-    byte-order mark at its start is dropped."""
+    byte-order mark at its start is dropped, and text that is not UTF-8 is refused."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read().removeprefix("\ufeff")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read {path}: {exc}") from exc
     return parse_edge_list(text)
 
@@ -112,7 +112,7 @@ def _cmd_recurrents(args) -> int:
     g = parse_graph(args.graph)
     sink = g.vertices[0] if args.sink is None else args.sink
     rs = enumerate_recurrents(g, sink)
-    rows = zip(rs.vectors, rs.sums, rs.levels)
+    rows = zip(rs.decode(), rs.sums, rs.levels)
     if args.format == "json":
         order = sorted(range(len(rs.domain)), key=rs.domain.__getitem__)
         keys = ",\n".join(f"        {json.dumps(rs.domain[i]).replace('%', '%%')}: %d" for i in order)
@@ -317,9 +317,13 @@ class _Refused(Exception):
     """A usage error; ``parse_args`` prints it under the usage line and exits 2."""
 
 
-def _show_help(text: str) -> NoReturn:
-    print(text)
-    raise SystemExit(0)
+class _Help(Exception):
+    """A help request, carrying the help text."""
+
+
+def _cmd_help(args) -> int:
+    print(args.text)
+    return 0
 
 
 def _metavar(name: str, option: Option) -> str:
@@ -408,6 +412,15 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     stderr and raises ``SystemExit(2)``.  As in argparse, unknown options and
     extra positionals are refused only after the walk, so a later ``-h`` helps.
     """
+    try:
+        return _read_args(argv)
+    except _Help as request:
+        print(request)
+        raise SystemExit(0) from None
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace:
+    """``parse_args``, with a help request raised as ``_Help``."""
     name = command = None
     try:
         extras = []
@@ -420,7 +433,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             elif option[1] is not None:
                 raise _Refused(f"argument --help: ignored explicit argument {option[1]!r}")
             else:
-                _show_help(_top_help())
+                raise _Help(_top_help())
         else:
             raise _Refused("a command is required")
         name = argv[at]
@@ -451,7 +464,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
                 if value is not None:
                     raise _Refused(f"argument --{key}: ignored explicit argument {value!r}")
                 if key == "help":
-                    _show_help(_command_help(name, command))
+                    raise _Help(_command_help(name, command))
                 args[key] = True
             else:
                 if value is None:
@@ -474,7 +487,11 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
+    try:
+        args = _read_args(sys.argv[1:] if argv is None else argv)
+    except _Help as request:
+        # help is this run's output, so _run writes it and handles a closed stdout
+        args = SimpleNamespace(text=str(request), func=_cmd_help, cap=None)
     cap = args.cap
     if cap is not None and cap < 1:
         print("error: --cap must be positive", file=sys.stderr)

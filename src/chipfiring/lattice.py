@@ -11,6 +11,7 @@ and the class partition both read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .dynamics import Configuration, _settle, beta
 from .errors import ConfigurationError, GraphError, InternalCheckError
@@ -114,15 +115,21 @@ def _representative(g: MultiDigraph, s: str):
     """Integer core of ``class_representative``: maps chips on V \\ {s} to the
     recurrent member of their class by adding m chips on every vertex and
     stabilizing, m a multiple of the group order N (N * x lies in the firing
-    lattice for every integer x) and at least the largest out-degree."""
+    lattice for every integer x) and at least the largest out-degree.  The m
+    chips are settled once, into ``base``; by the abelian property each cell
+    then settles from cell + base to the same configuration."""
     rs = _game(g, g.vertex_index(s))
     n = abs(rs.count)
     if n == 0:
         raise GraphError("degenerate host: the reduced Laplacian is singular")
-    sink, m, movers = rs.sink_index, n * max(rs.bounds, default=1), rs.movers
+    sink, movers = rs.sink_index, rs.movers
+    base = [n * max(rs.bounds, default=1)] * g.n_vertices
+    base[sink] = 0
+    _settle(base, movers)
+    del base[sink]
 
     def represent(cell) -> tuple[int, ...]:
-        chips = [x + m for x in cell]
+        chips = list(map(add, cell, base))
         chips.insert(sink, 0)
         _settle(chips, movers)
         del chips[sink]
@@ -141,9 +148,10 @@ def class_representative(g: MultiDigraph, s: str, c: Configuration) -> Configura
 def _classes(g: MultiDigraph, s: str, include_beta: bool) -> list[list[tuple[int, ...]]]:
     """Recurrent chip vectors grouped by lattice residue; classes in order of
     their first member, members in enumeration order."""
+    _recurrent_vectors(g, s)  # the cap; the one way into an enumeration
     residue = firing_lattice(g, s, include_beta).residue
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for vec in _recurrent_vectors(g, s):
+    for vec in _game(g, g.vertex_index(s)).vectors:
         classes.setdefault(residue(vec), []).append(vec)
     return list(classes.values())
 

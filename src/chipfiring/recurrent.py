@@ -14,9 +14,13 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
+from bisect import bisect_left
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate, compress, product
+from operator import itemgetter, lt, mul
 
 from .dynamics import Configuration, _movers, _settle
 from .errors import ConfigurationError, GraphError, InternalCheckError, SettingError, SizeCapError
@@ -148,12 +152,13 @@ def is_recurrent(g: MultiDigraph, s: str, c: Configuration) -> bool:
     return True
 
 
-def _recurrent_vectors(g: MultiDigraph, s: str) -> tuple[tuple[int, ...], ...]:
-    """Recurrent chip vectors in lexicographic order; checks the cap before the record."""
+def _recurrent_vectors(g: MultiDigraph, s: str) -> array:
+    """The packed members, cube indices in ascending (lexicographic) order;
+    checks the cap before the record."""
     _require_strongly_connected(g)
     sink = g.vertex_index(s)
     _check_cap(g, sink)
-    return _game(g, sink).vectors
+    return _game(g, sink).members
 
 
 def _burning_script(lap: list[list[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -189,11 +194,15 @@ class RecurrentSet:
     """The record of one sink game: its recurrent configurations and every value
     derived from them, each computed on first use and kept.
 
-    ``vectors[i]`` holds member i's chips on ``domain`` (V minus the sink, in
-    canonical order), sorted lexicographically; ``sums[i]`` is outdeg(sink) +
-    its total chips, ``levels[i]`` is ``sums[i] - kappa``.  ``count`` is the
-    determinant that certifies ``vectors``.  ``sink_index``, ``domain``, the
-    stable cube's sides ``bounds`` and its size ``cells`` are set at construction.
+    A cell of the stable cube prod_t [0, bounds[t] - 1] over ``domain`` (V minus
+    the sink, in canonical order) is packed as its mixed-radix index
+    sum_t chips[t] * weights[t], the first vertex most significant, so ascending
+    index is lexicographic order.  ``members`` holds the recurrent cells' indices
+    in that order, ``count`` is the determinant that certifies them.
+    ``sums[i]`` is outdeg(sink) + member i's total chips and ``levels[i]`` is
+    ``sums[i] - kappa``.  Chip vectors are decoded only where chips are read:
+    ``decode``, ``vectors``, ``configs`` and ``to_json_dict``.  ``sink_index``,
+    ``domain``, ``bounds``, ``weights`` and ``cells`` are set at construction.
     """
 
     host: MultiDigraph
@@ -206,12 +215,13 @@ class RecurrentSet:
             ("sink_index", sink),
             ("domain", vertices[:sink] + vertices[sink + 1 :]),
             ("bounds", bounds),
+            ("weights", tuple(accumulate(bounds[:0:-1], mul, initial=1))[: len(bounds)][::-1]),
             ("cells", math.prod(bounds)),
         ):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.members)
 
     def __iter__(self):
         return iter(self.configs)
@@ -253,53 +263,77 @@ class RecurrentSet:
         return burn, [*script[:sink], 0, *script[sink:]]
 
     @cached_property
-    def vectors(self) -> tuple[tuple[int, ...], ...]:
+    def members(self) -> array:
         """Reverse search (Avis and Fukuda, 1996) down from the maximal stable cell.
 
         A stable cell above a recurrent one is recurrent (Holroyd et al., 2008), so
         recurrent c has the recurrent parent c + e_k, k the first vertex of c below
         its maximum; only children c - e_i, i <= k, of recurrent cells are burned.
+        Each cell is reached at most once, with its index and its chips; members
+        are marked in a one-byte-per-cell map and read back in index order.
         """
         burn, script = self.burner
-        top = tuple(out - 1 for out in self.bounds)
-        found = []
-        stack = [top]
+        weights, top = self.weights, tuple(out - 1 for out in self.bounds)
+        found = bytearray(self.cells)
+        stack = [(self.cells - 1, top)]
         while stack:
-            cell = stack.pop()
+            i, cell = stack.pop()
             counts = burn(cell)
             if counts is None:
                 continue
             if counts != script:
                 raise InternalCheckError("burning run did not fire its burning script")
-            found.append(cell)
-            for i, x in enumerate(cell):
+            found[i] = 1
+            for t, x in enumerate(cell):
                 if x:
-                    stack.append(cell[:i] + (x - 1,) + cell[i + 1 :])
-                if x < top[i]:
+                    stack.append((i - weights[t], cell[:t] + (x - 1,) + cell[t + 1 :]))
+                if x < top[t]:
                     break
-        found.sort()
-        if len(found) != self.count:
+        members = array("q", compress(range(self.cells), found))
+        if len(members) != self.count:
             raise InternalCheckError(
-                f"enumerated {len(found)} recurrent configurations, "
+                f"enumerated {len(members)} recurrent configurations, "
                 f"determinant predicts {self.count}"
             )
-        return tuple(found)
+        return members
+
+    def decode(self):
+        """The members' chip vectors, in order, one at a time: the stable cube
+        walked in order and filtered by a one-byte-per-cell member map."""
+        marked = bytearray(self.cells)
+        for i in self.members:
+            marked[i] = 1
+        return compress(product(*map(range, self.bounds)), marked)
 
     @cached_property
-    def sums(self) -> tuple[int, ...]:
-        out_s = self.host.outdeg(self.sink)
-        return tuple(out_s + sum(vec) for vec in self.vectors)
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        """Every member decoded, for the suites that read chips; kept once read."""
+        return tuple(self.decode())
+
+    @cached_property
+    def sums(self) -> array:
+        """Read off each member's index with two digit-sum tables, one over the
+        high half of the digits and one over the low half, in the narrowest
+        unsigned type that holds the top cell's sum."""
+        out_s, bounds, cut = self.host.outdeg(self.sink), self.bounds, len(self.bounds) // 2
+        top = out_s + sum(bounds) - len(bounds)
+        code = "B" if top < 1 << 8 else "H" if top < 1 << 16 else "Q"
+        high, low = (
+            array(code, map(sum, product(*map(range, side))))
+            for side in (bounds[:cut], bounds[cut:])
+        )
+        base = len(low)
+        return array(code, (out_s + high[i // base] + low[i % base] for i in self.members))
 
     @cached_property
     def kappa(self) -> int:
         return kappa(self.host)
 
     @cached_property
-    def levels(self) -> tuple[int, ...]:
-        levels = tuple(total - self.kappa for total in self.sums)
-        if min(levels) != self.host.loop_count:
+    def levels(self) -> array:
+        if min(self.sums) - self.kappa != self.host.loop_count:
             raise InternalCheckError("lowest level is not the loop count; kappa inconsistent")
-        return levels
+        return array(self.sums.typecode, map((-self.kappa).__add__, self.sums))
 
     @cached_property
     def polynomial(self) -> LaurentPolynomial:
@@ -308,34 +342,37 @@ class RecurrentSet:
 
     @cached_property
     def configs(self) -> tuple[Configuration, ...]:
-        return tuple(Configuration(self.host, self.sink, vec) for vec in self.vectors)
-
-    @cached_property
-    def _positions(self) -> dict[tuple[int, ...], int]:
-        return {vec: i for i, vec in enumerate(self.vectors)}
+        return tuple(Configuration(self.host, self.sink, vec) for vec in self.decode())
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Index pairs (i, j) with vectors[j] = vectors[i] + e_t; the members form
-        an up-set of the stable cube, so these steps join any two comparable ones."""
-        members = self._positions
-        return tuple(
-            (members[below], j)
-            for j, vec in enumerate(self.vectors)
-            for t, x in enumerate(vec)
-            if x and (below := vec[:t] + (x - 1,) + vec[t + 1 :]) in members
-        )
+        """Index pairs (i, j) with member j = member i + e_t, ordered by j, then i.
+        The members form an up-set of the stable cube, so member i + e_t is a
+        member whenever digit t of member i is below its top, and these steps
+        join any two comparable members."""
+        members, steps = self.members, tuple(zip(self.weights, self.bounds))
+        pairs = [
+            (i, bisect_left(members, cell + w, i + 1))
+            for i, (cell, vec) in enumerate(zip(members, self.vectors))
+            for x, (w, out) in zip(vec, steps)
+            if x < out - 1
+        ]
+        pairs.sort(key=itemgetter(1))  # stable: each j keeps its i in ascending order
+        return tuple(pairs)
 
     @cached_property
     def minimal_flags(self) -> tuple[bool, ...]:
         """Per member, in order: whether no other member is <= it (no cover ends at it)."""
         covered = {j for _, j in self.covers}
-        return tuple(j not in covered for j in range(len(self.vectors)))
+        return tuple(j not in covered for j in range(len(self.members)))
 
     def index(self, c: Configuration) -> int | None:
-        if c.sink != self.sink or c.host != self.host:
+        """c's position in ``members``, found by bisection; None for a non-member."""
+        if c.sink != self.sink or c.host != self.host or not all(map(lt, c.chips, self.bounds)):
             return None
-        return self._positions.get(c.chips)
+        members, cell = self.members, sum(map(mul, c.chips, self.weights))
+        i = bisect_left(members, cell)
+        return i if i < len(members) and members[i] == cell else None
 
     def to_json_dict(self) -> dict:
         return {
@@ -343,7 +380,7 @@ class RecurrentSet:
             "kappa": self.kappa,
             "configs": [
                 {"chips": dict(zip(self.domain, vec)), "sum": s, "level": l}
-                for vec, s, l in zip(self.vectors, self.sums, self.levels)
+                for vec, s, l in zip(self.decode(), self.sums, self.levels)
             ],
         }
 

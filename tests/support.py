@@ -43,6 +43,7 @@ from chipfiring.cli import (
     _cmd_tutte,
 )
 from chipfiring.dynamics import _movers, _settle
+from chipfiring.recurrent import _recurrent_vectors
 from chipfiring.families import random_eulerian, random_strongly_connected
 
 DATA = Path(__file__).parent / "data"
@@ -108,6 +109,25 @@ def stable_cube(g: MultiDigraph, s: str):
     bounds = [g.outdeg(v) for v in g.vertices if v != s]
     for combo in itertools.product(*(range(k) for k in bounds)):
         yield Configuration(g, s, combo)
+
+
+def unpack(g: MultiDigraph, s: str, members) -> tuple[tuple[int, ...], ...]:
+    """Packed stable-cube indices of the sink game (g, s) as chip vectors, by
+    mixed radix with the first domain vertex most significant."""
+    bounds = [g.outdeg(v) for v in g.vertices if v != s][::-1]
+    vectors = []
+    for i in members:
+        digits = []
+        for out in bounds:
+            i, x = divmod(i, out)
+            digits.append(x)
+        vectors.append(tuple(digits[::-1]))
+    return tuple(vectors)
+
+
+def recurrent_vectors(g: MultiDigraph, s: str) -> tuple[tuple[int, ...], ...]:
+    """The enumerated members of the sink game (g, s), unpacked."""
+    return unpack(g, s, _recurrent_vectors(g, s))
 
 
 @functools.lru_cache(maxsize=None)
@@ -347,6 +367,29 @@ def reference_minimal_flags(vectors) -> tuple[bool, ...]:
     )
 
 
+# ``RecurrentSet.covers`` as it was defined on tuples: a dict of member
+# positions and one lookup per member and positive coordinate; the reference
+# its differential test compares against.
+def reference_covers(vectors) -> tuple[tuple[int, int], ...]:
+    members = {vec: i for i, vec in enumerate(vectors)}
+    return tuple(
+        (members[below], j)
+        for j, vec in enumerate(vectors)
+        for t, x in enumerate(vec)
+        if x and (below := vec[:t] + (x - 1,) + vec[t + 1 :]) in members
+    )
+
+
+# ``lattice._representative`` as it ran before the m chips were settled once:
+# each cell is stabilized from cell + m on every vertex; the reference its
+# differential test compares against.
+def reference_representative(g: MultiDigraph, s: str, cell) -> tuple[int, ...]:
+    most = max((g.outdeg(v) for v in g.vertices if v != s), default=1)
+    m = abs(recurrent.recurrent_count(g, s)) * most
+    stable, _ = stabilize(g, Configuration(g, s, tuple(x + m for x in cell)))
+    return stable.chips
+
+
 # ``check_theta`` as it ran with a second swap search per member, the swap
 # back, a separate round-trip settle and a scan over every pair of members;
 # the reference its differential test compares against.
@@ -368,7 +411,7 @@ def reference_theta(g: MultiDigraph) -> CheckReport:
         i1, i2 = g.vertex_index(s1), g.vertex_index(s2)
         out1, out2 = g.outdeg(s1), g.outdeg(s2)
         swap, swap_back = bijection._swapper(g, i1, i2), bijection._swapper(g, i2, i1)
-        targets = recurrents[s2]._positions
+        targets = set(recurrents[s2].vectors)
         back_movers = _movers(g, i1)
         min_sum = min(rs.sums)
         swaps = []

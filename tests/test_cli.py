@@ -13,11 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from chipfiring import checks, cli, enumerate_recurrents
+from chipfiring import checks, cli, enumerate_recurrents, kappa
 from chipfiring.cli import main, parse_args, parse_graph
 from chipfiring.families import random_eulerian
 
-from support import DATA, build_parser, corpus
+from support import DATA, build_parser, corpus, unpack
 
 C3_TEXT = "s a\na b\nb s\n"
 K3_TEXT = "s a\na s\ns b\nb s\na b\nb a\n"
@@ -360,12 +360,13 @@ def test_output_is_byte_stable(graph_file, capsys):
 
 
 def _reference_outputs(path, sink):
-    """Text and JSON of ``cfg recurrents`` built from the configurations and the
-    generic encoder."""
-    rs = enumerate_recurrents(parse_graph(path), sink)
+    """Text and JSON of ``cfg recurrents``: the text from the packed members,
+    unpacked here, and the JSON from the generic encoder."""
+    g = parse_graph(path)
+    rs = enumerate_recurrents(g, sink)
     lines = [f"sink: {sink}", f"kappa: {rs.kappa}", f"count: {len(rs)}"]
-    for c, total, lvl in zip(rs.configs, rs.sums, rs.levels):
-        chips = ",".join(f"{v}={x}" for v, x in c.as_dict().items())
+    for vec, total, lvl in zip(unpack(g, sink, rs.members), rs.sums, rs.levels):
+        chips = ",".join(f"{v}={x}" for v, x in zip(rs.domain, vec))
         lines.append(f"  {chips}  sum={total} level={lvl}")
     text = "\n".join(lines) + "\n"
     return text, json.dumps(rs.to_json_dict(), indent=2, sort_keys=True) + "\n"
@@ -456,8 +457,25 @@ def test_recurrents_json_streams_below_its_output_size(graph_file, monkeypatch):
     assert peak < out.size
 
 
+def test_recurrents_and_kappa_leave_the_record_packed(graph_file, capsys):
+    from chipfiring.recurrent import _game
+
+    path = graph_file(complete_text(7), "k7.txt")
+    g = parse_graph(path)
+    _game.cache_clear()
+    code, _, _ = run(capsys, "recurrents", path, "--format", "json")
+    rs = _game(g, 0)  # the record the run enumerated, found by the parsed graph
+    assert code == 0 and len(rs) == 16_807 and "vectors" not in vars(rs)
+    _game.cache_clear()
+    assert kappa(g) == 21
+    rs = _game(g, 0)
+    assert "members" in vars(rs) and "vectors" not in vars(rs)
+    _game.cache_clear()
+
+
 # the child caps its own address space at its size after import plus a margin
-# far below what K8's record needs; no other process is limited
+# far below what K9's record needs (its member map alone is 16.8 MB); no other
+# process is limited
 _OUT_OF_MEMORY_CHILD = """
 import resource, sys
 from chipfiring import cli
@@ -471,7 +489,7 @@ sys.exit(cli.main(sys.argv[1:]))
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_out_of_memory_exits_3_with_one_line(graph_file):
-    path = graph_file(complete_text(8), "k8.txt")
+    path = graph_file(complete_text(9), "k9.txt")
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     child = subprocess.run(
@@ -520,6 +538,37 @@ def test_closed_stdout_exits_2_without_a_traceback(graph_file):
     finally:
         os.close(write_end)
     assert (child.returncode, child.stderr) == (2, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [["--help"], ["check", "-h"]])
+def test_help_into_a_closed_pipe_exits_2_without_a_traceback(argv, unbuffered):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"  # help fails in print, not in the final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-c", _CFG_CHILD, *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (2, b"")
+
+
+def test_edge_list_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"a b\n\xff\xfe c\n")
+    code, out, err = run(capsys, "info", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
 
 
 def test_byte_order_mark_is_dropped(graph_file, capsys, tmp_path):

@@ -23,7 +23,7 @@ from chipfiring import (
 )
 from chipfiring.errors import ConfigurationError
 from chipfiring.families import random_strongly_connected
-from chipfiring.lattice import class_representative, column_hnf
+from chipfiring.lattice import _representative, class_representative, column_hnf
 from chipfiring.oracles import brute_recurrents
 from chipfiring.recurrent import _recurrent_vectors, recurrent_count
 
@@ -32,6 +32,8 @@ from support import (
     corpus,
     directed_cycle,
     non_eulerian_corpus,
+    recurrent_vectors,
+    reference_representative,
     small_corpus,
     stable_cube,
 )
@@ -188,7 +190,7 @@ def pairwise_classes(g, s, include_beta):
     """The partition by pairwise membership against each class's first member."""
     lat = firing_lattice(g, s, include_beta)
     classes = []
-    for vec in _recurrent_vectors(g, s):
+    for vec in recurrent_vectors(g, s):
         for cls in classes:
             if lat.contains([a - b for a, b in zip(vec, cls[0])]):
                 cls.append(vec)
@@ -254,6 +256,20 @@ def test_class_representative_is_recurrent_and_equivalent():
             assert lat.contains([a - b for a, b in zip(c.chips, rep.chips)])
 
 
+def test_representative_matches_settling_cell_plus_m_chips():
+    # every stable cell and one layer above the cube, on Eulerian hosts and on
+    # non-Eulerian strongly connected ones (conjecture1 and max-sum use both)
+    cells = 0
+    for g in small_corpus()[:40] + non_eulerian_corpus()[:40]:
+        for s in g.vertices:
+            represent = _representative(g, s)
+            sides = (range(g.outdeg(v) + 1) for v in g.vertices if v != s)
+            for cell in itertools.product(*sides):
+                assert represent(cell) == reference_representative(g, s, cell)
+                cells += 1
+    assert cells == 4_279
+
+
 def test_recurrents_maximize_chip_total_in_class():
     for g in small_corpus()[:30]:
         for s in g.vertices:
@@ -307,7 +323,7 @@ def test_general_recurrents_match_oracle():
     for g in non_eulerian_corpus():
         for s in g.vertices:
             oracle = [c.chips for c in brute_recurrents(g, s)]
-            assert list(_recurrent_vectors(g, s)) == oracle
+            assert list(recurrent_vectors(g, s)) == oracle
             classes = equivalence_classes(g, s, include_beta=False)
             assert sorted(c.chips for cls in classes for c in cls) == oracle
             pairs += 1
@@ -327,7 +343,7 @@ def test_general_recurrents_beyond_oracle_size():
         for s in g.vertices:
             cube = stable_cube(g, s)
             fixed = [c.chips for c in cube if class_representative(g, s, c).chips == c.chips]
-            vectors = _recurrent_vectors(g, s)
+            vectors = recurrent_vectors(g, s)
             assert list(vectors) == fixed
             assert len(vectors) == recurrent_count(g, s)
         report = conjecture1_check(g)

@@ -30,9 +30,10 @@ from chipfiring import (
     support_after_sink_fire,
 )
 from chipfiring.families import random_eulerian, random_strongly_connected
-from chipfiring.oracles import recurrent_definitional_test
+from chipfiring.oracles import brute_recurrents, recurrent_definitional_test
 from chipfiring.recurrent import (
     _burning_script,
+    _game,
     _recurrent_vectors,
     bareiss_determinant,
     recurrent_count,
@@ -43,10 +44,14 @@ from support import (
     bidirected_complete,
     corpus,
     directed_cycle,
+    non_eulerian_corpus,
     parallel_pair,
+    recurrent_vectors,
+    reference_covers,
     reference_minimal_flags,
     small_corpus,
     undirected_graph,
+    unpack,
 )
 
 C3 = directed_cycle(["s", "a", "b"])
@@ -96,14 +101,14 @@ def test_is_recurrent_on_strongly_connected_hosts_matches_enumeration_and_defini
         g = random_strongly_connected(rng, 4, 10)
         looped = MultiDigraph(g.vertices, g.arcs + tuple((v, v) for v in g.vertices[::2]))
         for s in g.vertices:
-            members = set(_recurrent_vectors(g, s))
+            members = set(recurrent_vectors(g, s))
             for cell in itertools.product(*(range(g.outdeg(v)) for v in g.vertices if v != s)):
                 cells += 1
                 c = Configuration(g, s, cell)
                 assert is_recurrent(g, s, c) == (cell in members)
                 assert is_recurrent(g, s, c) == recurrent_definitional_test(g, s, c)
             lifted = sorted(loop_lift(looped, s, Configuration(g, s, vec)).chips for vec in members)
-            assert lifted == list(_recurrent_vectors(looped, s))
+            assert lifted == list(recurrent_vectors(looped, s))
     assert cells == 3_137
 
 
@@ -116,7 +121,7 @@ def test_burning_script_is_one_sink_firing_on_eulerian_hosts():
 
 def test_enumerate_examples():
     rs = enumerate_recurrents(C3, "s")
-    assert len(rs) == 1 and rs.sums == (1,)
+    assert len(rs) == 1 and tuple(rs.sums) == (1,)
     rs = enumerate_recurrents(K3, "s")
     assert sorted(rs.sums) == [3, 3, 4]
     assert [c.as_dict() for c in rs.configs] == [
@@ -126,7 +131,7 @@ def test_enumerate_examples():
     ]  # lexicographic order
     rs = enumerate_recurrents(BANANA, "u")
     assert [c.as_dict() for c in rs.configs] == [{"v": 0}, {"v": 1}]
-    assert rs.sums == (2, 3)
+    assert tuple(rs.sums) == (2, 3)
 
 
 def test_enumeration_cap(monkeypatch):
@@ -160,7 +165,7 @@ def test_enumeration_matches_single_firing_burning_test():
                 cells += 1
                 if _burns_by_single_firings(g, s, combo):
                     expected.append(combo)
-            assert _recurrent_vectors(g, s) == tuple(expected)
+            assert recurrent_vectors(g, s) == tuple(expected)
     assert cells == 7_753
 
 
@@ -198,10 +203,47 @@ def test_reverse_search_matches_cube_scan(monkeypatch):
             expected = tuple(combo for combo in cube if _burns_by_single_firings(g, s, combo))
             _recurrent_vectors.cache_clear()
             runs[0] = 0
-            assert _recurrent_vectors(g, s) == expected
+            assert recurrent_vectors(g, s) == expected
             assert runs[0] <= 1 + len(expected) * (g.n_vertices - 1)
             assert runs[0] < len(cube)
     _recurrent_vectors.cache_clear()
+
+
+def test_packed_record_matches_tuple_definitions():
+    # Eulerian corpus hosts and looped hosts against a single-firing burn of
+    # every cube cell; non-Eulerian strongly connected hosts, where Speer's
+    # script is not all ones, against the definitional oracle
+    eulerian = corpus() + tuple(h for h in _reverse_search_hosts() if h.loop_count)
+    hosts = [(g, True) for g in eulerian] + [(g, False) for g in non_eulerian_corpus()]
+    members = scripts_above_one = 0
+    for g, dhar in hosts:
+        for s in g.vertices:
+            bounds = [g.outdeg(v) for v in g.vertices if v != s]
+            cube = list(itertools.product(*map(range, bounds)))
+            if dhar:
+                expected = tuple(cell for cell in cube if _burns_by_single_firings(g, s, cell))
+            else:
+                expected = tuple(c.chips for c in brute_recurrents(g, s))
+            packed = _recurrent_vectors(g, s)
+            assert list(packed) == sorted(packed) and unpack(g, s, packed) == expected
+            rs = _game(g, g.vertex_index(s))
+            assert rs.vectors == expected and len(rs) == len(expected)
+            assert list(rs.sums) == [g.outdeg(s) + sum(vec) for vec in expected]
+            positions = {vec: i for i, vec in enumerate(expected)}
+            # and unstable cells whose digit t, at or above its bound, would
+            # carry into digit t - 1 of a member's index
+            carries = [
+                vec[:t] + (vec[t] + bounds[t],) + vec[t + 1 :]
+                for vec in expected
+                for t in range(1, len(vec))
+            ]
+            for cell in cube + carries:
+                assert rs.index(Configuration(g, s, cell)) == positions.get(cell)
+            assert rs.covers == reference_covers(expected)
+            assert rs.minimal_flags == reference_minimal_flags(expected)
+            members += len(expected)
+            scripts_above_one += max(rs.burner[1]) > 1
+    assert members == 5_134 and scripts_above_one == 62
 
 
 def test_kappa_examples():
