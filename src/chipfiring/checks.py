@@ -74,24 +74,23 @@ def check_recursions(g: MultiDigraph) -> CheckReport:
         kind = tutte.recursion_kind(g, i)
         if kind is None:
             continue
-        if tutte.check_recursion(g, kind, i):
+        if tutte._arc_identity(g, kind, i):
             report.note(f"{kind} at arc {i} ({tail}->{head}): ok")
         else:
             report.fail(f"{kind} at arc {i} ({tail}->{head})")
-    for s in g.vertices:
-        if g.out_neighbors(s):
-            if tutte.check_recursion(g, "mobius", s):
-                report.note(f"mobius at sink {s}: ok")
+    # each sink's Möbius terms are the right-hand sides of its closed forms
+    mobius = {s: tutte._check_mobius(g, s) for s in g.vertices if g.out_neighbors(s)}
+    for s, (ok, _) in mobius.items():
+        if ok:
+            report.note(f"mobius at sink {s}: ok")
+        else:
+            report.fail(f"mobius at sink {s}")
+    for s, (_, terms) in mobius.items():
+        for w, term in terms.items():
+            if tutte.support_filtered_gen(g, s, w) == term:
+                report.note(f"closed form at sink {s}, subset {list(w)}: ok")
             else:
-                report.fail(f"mobius at sink {s}")
-    for s in g.vertices:
-        neighbors = g.out_neighbors(s)
-        for r in range(1, len(neighbors) + 1):
-            for w in itertools.combinations(neighbors, r):
-                if tutte.pw_closed_form_check(g, s, w):
-                    report.note(f"closed form at sink {s}, subset {list(w)}: ok")
-                else:
-                    report.fail(f"closed form at sink {s}, subset {list(w)}")
+                report.fail(f"closed form at sink {s}, subset {list(w)}")
     return report
 
 
@@ -174,9 +173,7 @@ def check_max_sum(g: MultiDigraph) -> CheckReport:
     eulerian = is_eulerian(g)
     observed_violations = 0
     for s in g.vertices:
-        sink = g.vertex_index(s)
-        recurrent._check_cap(g, sink)
-        bounds = recurrent._game(g, sink).bounds
+        bounds = recurrent._check_cap(g, g.vertex_index(s)).bounds
         if 0 in bounds:
             continue  # no stable configuration; the host may be singular
         lat = lattice.firing_lattice(g, s)

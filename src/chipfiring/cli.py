@@ -289,6 +289,7 @@ COMMANDS = {
         source=Option(required=True),
         target=Option(required=True),
         config=Option("", help="chip literal for the source sink game"),
+        format=Option("json", ("json",)),
     ),
     "check": Command(
         _cmd_check,
@@ -308,6 +309,7 @@ COMMANDS = {
         "brute-force reference values",
         sink=Option(),
         which=Option(None, ("arborescences", "acyclic", "recurrents"), required=True),
+        format=Option("text", ("text",)),
     ),
 }
 _TOP_USAGE = "usage: cfg [-h] {" + ",".join(COMMANDS) + "} ..."

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import GraphError, SizeCapError
 
@@ -281,14 +280,12 @@ def reverse_partner(g: MultiDigraph, index: int) -> int | None:
     return None
 
 
-# bounded; a recursion suite asks about each arc twice
-@lru_cache(maxsize=1024)
 def is_bridge(g: MultiDigraph, index: int) -> bool:
     """True iff deleting the arc destroys strong connectivity.
 
     Requires g strongly connected.  Loops and parallel arcs are never bridges;
     an arc t -> h of multiplicity 1 is one iff h is unreachable from t without
-    it.  Memoized per (graph, arc), so one search serves every later call.
+    it.
     """
     if not g.is_strongly_connected():
         raise GraphError("bridge test requires a strongly connected graph")

@@ -74,7 +74,8 @@ class LaurentPolynomial:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(self.terms)
+        # a constant equals its integer, so it hashes as that integer
+        return hash(self._terms.get(0, 0) if self._terms.keys() <= {0} else self.terms)
 
     def __bool__(self):
         return bool(self._terms)

@@ -53,16 +53,17 @@ def environment_cap() -> int:
     return cap
 
 
-def _check_cap(g: MultiDigraph, sink: int) -> None:
+def _check_cap(g: MultiDigraph, sink: int) -> RecurrentSet:
     """Refuse a stable cube prod_{v != sink} outdeg(v) above the cell cap, before
-    any cached value is used: the size is the game record's, the cap is read on
-    every call."""
-    cells, cap = _game(g, sink).cells, cell_cap()
-    if cells > cap:
+    any cached value is used, and return the game record checked: the size is
+    the record's, the cap is read on every call."""
+    rs, cap = _game(g, sink), cell_cap()
+    if rs.cells > cap:
         raise SizeCapError(
-            f"stable cube has {cells} cells, above the cap of {cap}; "
+            f"stable cube has {rs.cells} cells, above the cap of {cap}; "
             "use a smaller instance or raise CFG_CAP_CELLS"
         )
+    return rs
 
 
 # --------------------------------------------------------------------- algebra
@@ -156,9 +157,7 @@ def _recurrent_vectors(g: MultiDigraph, s: str) -> array:
     """The packed members, cube indices in ascending (lexicographic) order;
     checks the cap before the record."""
     _require_strongly_connected(g)
-    sink = g.vertex_index(s)
-    _check_cap(g, sink)
-    return _game(g, sink).members
+    return _check_cap(g, g.vertex_index(s)).members
 
 
 def _burning_script(lap: list[list[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -11,7 +11,6 @@ both sides independently in exact arithmetic.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .errors import GraphError, HypothesisError
 from .graph import (
@@ -26,7 +25,7 @@ from .graph import (
 )
 from .oracles import undirected_tutte_oracle  # re-exported for existing callers
 from .polynomial import LaurentPolynomial
-from .recurrent import cell_cap, enumerate_recurrents, kappa
+from .recurrent import enumerate_recurrents, kappa
 
 RECURSION_KINDS = ("loop", "bridge_no_reverse", "bridge_reverse", "del_contract", "mobius")
 
@@ -87,12 +86,18 @@ def check_recursion(g: MultiDigraph, kind: str, site) -> bool:
     if kind not in RECURSION_KINDS:
         raise HypothesisError(f"unknown recursion kind {kind!r}")
     if kind == "mobius":
-        return _check_mobius(g, site)
+        return _check_mobius(g, site)[0]
 
     index = int(site)
     actual = recursion_kind(g, index)
     if actual != kind:
         raise HypothesisError(f"arc {index} admits {actual or 'no arc recursion'}, not {kind}")
+    return _arc_identity(g, kind, index)
+
+
+def _arc_identity(g: MultiDigraph, kind: str, index: int) -> bool:
+    """Both sides of the arc identity ``kind`` at arc ``index``, compared; the
+    caller has checked that ``recursion_kind`` gives ``kind`` there."""
     lhs = _tutte_any_sink(g)
     if kind == "loop":
         return lhs == LaurentPolynomial.y(1) * _tutte_any_sink(delete_arcs(g, [index]))
@@ -124,29 +129,25 @@ def check_recursion(g: MultiDigraph, kind: str, site) -> bool:
     return ok
 
 
-def _check_mobius(g: MultiDigraph, s: str) -> bool:
-    """Inclusion-exclusion expansion over nonempty subsets of the out-neighbors of s."""
+def _check_mobius(g: MultiDigraph, s: str) -> tuple[bool, dict]:
+    """Inclusion-exclusion expansion over nonempty subsets of the out-neighbors
+    of s: the verdict, and the term of each subset, keyed in canonical order."""
     g.vertex_index(s)
     neighbors = g.out_neighbors(s)
     if not neighbors:
         raise HypothesisError(f"vertex {s!r} has no out-neighbors besides itself")
     lhs = tutte_gen(g, s)
-    cap = cell_cap()
+    terms = {}
     rhs = LaurentPolynomial.zero()
     for r in range(1, len(neighbors) + 1):
         for w in itertools.combinations(neighbors, r):
-            term = _contraction_term(g, s, w, cap)
+            term = terms[w] = _contraction_term(g, s, w)
             rhs = rhs + term if r % 2 == 1 else rhs - term
-    return lhs == rhs
+    return lhs == rhs, terms
 
 
-# Shared by the Möbius check of s and the closed-form check of each subset w;
-# holds every (sink, subset) pair of a graph that has at most 4096 of them.
-@lru_cache(maxsize=4096)
-def _contraction_term(g: MultiDigraph, s: str, w: tuple[str, ...], cap: int) -> LaurentPolynomial:
-    """The term of w, in canonical order, in the Möbius expansion at sink s.
-    ``cap`` is the cell cap in force: a term is not reused under a lower cap,
-    which must still refuse the contracted graph."""
+def _contraction_term(g: MultiDigraph, s: str, w: tuple[str, ...]) -> LaurentPolynomial:
+    """The term of w, in canonical order, in the Möbius expansion at sink s."""
     contracted = contract_vertices(g, set(w) | {s})
     arcs_into_w = sum(g.multiplicity(s, v) for v in w)
     factor = LaurentPolynomial.one()
@@ -169,5 +170,5 @@ def pw_closed_form_check(g: MultiDigraph, s: str, w) -> bool:
     if not w <= neighbors:
         raise HypothesisError(f"{sorted(w)} is not a subset of the out-neighbors of {s!r}")
     lhs = support_filtered_gen(g, s, w)
-    rhs = _contraction_term(g, s, tuple(sorted(w, key=g.vertex_index)), cell_cap())
+    rhs = _contraction_term(g, s, tuple(sorted(w, key=g.vertex_index)))
     return lhs == rhs

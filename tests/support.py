@@ -234,11 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, graph_required=True):
+    def add(name, func, help_text, graph_required=True, formats=("text", "json")):
         p = sub.add_parser(name, help=help_text)
         if graph_required:
             p.add_argument("graph", help="edge-list file: 'tail head [multiplicity]' per line")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument(
             "--cap",
             type=int,
@@ -260,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("tutte", _cmd_tutte, "generating polynomial and per-sink agreement")
     p.add_argument("--eval", default=None, help="also evaluate at a rational point, e.g. 2 or 3/2")
 
-    p = add("swap", _cmd_swap, "transport a recurrent configuration to another sink")
+    p = add(
+        "swap", _cmd_swap, "transport a recurrent configuration to another sink", formats=("json",)
+    )
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--config", default="", help="chip literal for the source sink game")
@@ -276,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("conjecture1", _cmd_conjecture1, "per-sink class-maxima report")
 
-    p = add("oracle", _cmd_oracle, "brute-force reference values")
+    p = add("oracle", _cmd_oracle, "brute-force reference values", formats=("text",))
     p.add_argument("--sink", default=None)
     p.add_argument(
         "--which",

@@ -13,7 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from chipfiring import checks, cli, enumerate_recurrents, kappa
+from chipfiring import (
+    InternalCheckError,
+    LaurentPolynomial,
+    checks,
+    cli,
+    enumerate_recurrents,
+    kappa,
+)
 from chipfiring.cli import main, parse_args, parse_graph
 from chipfiring.families import random_eulerian
 
@@ -94,6 +101,13 @@ def test_swap(graph_file, capsys):
     data = json.loads(out)
     assert data["swap_number"] == 0
     assert data["image"] == {"s": 0, "b": 1}
+    # swap writes JSON only: --format json prints the same bytes, text is refused
+    argv = ("swap", graph_file(K3_TEXT), "--source", "s", "--target", "a", "--config", "a=1,b=0")
+    assert run(capsys, *argv, "--format", "json") == (0, out, "")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "text"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'text' (choose from json)" in capsys.readouterr().err
 
 
 def test_check_fixture_sink_independence(capsys):
@@ -182,6 +196,13 @@ def test_oracle(graph_file, capsys):
         capsys, "oracle", graph_file(C3_TEXT), "--sink", "s", "--which", "arborescences"
     )
     assert code == 0 and out.strip() == "1"
+    # oracle writes text only: --format text prints the same bytes, json is refused
+    argv = ("oracle", graph_file(C3_TEXT), "--sink", "s", "--which", "arborescences")
+    assert run(capsys, *argv, "--format", "text") == (0, out, "")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'json' (choose from text)" in capsys.readouterr().err
     code, out, _ = run(
         capsys, "oracle", graph_file(K3_TEXT), "--sink", "s", "--which", "recurrents"
     )
@@ -219,6 +240,38 @@ def test_exit_codes(graph_file, capsys, tmp_path):
     # non-Eulerian input to an Eulerian-only computation
     code, _, err = run(capsys, "recurrents", graph_file("a b\nb a\na b\n", "ne.txt"))
     assert code == 2 and "Eulerian" in err
+
+
+def test_failed_check_report_exits_1(graph_file, capsys, monkeypatch):
+    def failing(g):
+        report = checks.CheckReport("theta")
+        report.note("seen")
+        report.fail("planted")
+        return report
+
+    monkeypatch.setitem(checks._RUNNERS, "theta", failing)
+    path = graph_file(C3_TEXT)
+    code, out, err = run(capsys, "check", path, "--property", "theta")
+    assert (code, err) == (1, "")
+    assert out == f"{path}: FAILED\n  seen\n  VIOLATION: planted\n"
+
+
+def test_sink_dependent_polynomials_exit_1(graph_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "tutte_gen", lambda g, s: LaurentPolynomial.y(g.vertex_index(s)))
+    code, out, err = run(capsys, "tutte", graph_file(C3_TEXT))
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["1*y^0", "sinks consistent: false"]
+
+
+def test_internal_check_error_exits_1_with_one_line(graph_file, capsys, monkeypatch):
+    def broken(g, s):
+        raise InternalCheckError("planted invariant failure")
+
+    monkeypatch.setattr(cli, "tutte_gen", broken)
+    code, out, err = run(capsys, "tutte", graph_file(C3_TEXT))
+    assert (code, out) == (1, "")
+    assert err == "property violation: planted invariant failure\n"
+    assert "Traceback" not in err
 
 
 def test_stabilize_refuses_host_without_certificate(graph_file, capsys):

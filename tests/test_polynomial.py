@@ -30,6 +30,19 @@ def test_arithmetic():
     assert p.shift(-2).shift(2) == p
 
 
+@pytest.mark.parametrize(
+    "constant, value",
+    [
+        (LaurentPolynomial.zero(), 0),
+        (LaurentPolynomial.one(), 1),
+        (LaurentPolynomial({0: -3}), -3),
+    ],
+)
+def test_constant_hashes_as_the_integer_it_equals(constant, value):
+    assert constant == value and hash(constant) == hash(value)
+    assert len({constant, value}) == 1 and {value: "int"}[constant] == "int"
+
+
 def test_geometric():
     assert LaurentPolynomial.geometric(0).is_zero
     assert LaurentPolynomial.geometric(1) == 1

@@ -238,7 +238,6 @@ def test_recursion_suite_computes_each_contraction_term_once(monkeypatch):
     monkeypatch.setattr(
         tutte, "contract_vertices", lambda g, w: contractions.append(w) or real(g, w)
     )
-    tutte._contraction_term.cache_clear()
     for g in graphs:
         assert run_check("recursions", g).ok
     assert len(contractions) == sum(
@@ -258,6 +257,6 @@ def test_contraction_term_cache_respects_a_lowered_cap():
         with pytest.raises(SizeCapError):
             tutte._check_mobius(k4, "p")
         with pytest.raises(SizeCapError):
-            tutte._contraction_term(k4, "p", ("q",), 1)
+            tutte._contraction_term(k4, "p", ("q",))
     finally:
         CELL_CAP.reset(token)
