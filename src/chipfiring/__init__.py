@@ -1,10 +1,12 @@
 """Chip-firing games on Eulerian multidigraphs with exact arithmetic.
 
 The package enumerates recurrent configurations of the sink game, checks the
-sink independence of their sum statistic via the swap bijection, builds the
-generating polynomial of levels (a one-variable Tutte generalization), and
-verifies its recursive identities.  All arithmetic is exact: big integers,
-integer lattices in Hermite normal form, and integer Laurent polynomials.
+sink independence of their sum statistic by comparing the enumerated sum
+multisets of every sink, transports members between sinks by the swap
+bijection (which the ``theta`` suite checks), builds the generating polynomial
+of levels (a one-variable Tutte generalization), and verifies its recursive
+identities.  All arithmetic is exact: big integers, integer lattices in
+Hermite normal form, and integer Laurent polynomials.
 """
 
 from .bijection import SwapResult, check_sink_independence, swap_number, theta

@@ -3,9 +3,9 @@
 Starting from a recurrent configuration for sink s1, put outdeg(s1) + i chips
 on s1 and stabilize against sink s2.  The swap number is the least i for which
 s2 ends up holding exactly outdeg(s2) + i chips; at that i the restriction to
-V \\ {s2} is recurrent for s2 and has the same sum statistic as the input.
-Comparing the resulting sum multisets across all sinks is the sink-independence
-check.
+V \\ {s2} is recurrent for s2 and has the same sum statistic as the input;
+the ``theta`` suite checks that this map is a bijection.  The sink-independence
+check compares the enumerated sum multisets across all sinks.
 """
 
 from __future__ import annotations

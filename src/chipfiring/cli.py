@@ -264,8 +264,9 @@ _GRAPH_HELP = "edge-list file: 'tail head [multiplicity]' per line"
 
 
 def _on_graph(func, help_text: str, **options: Option) -> Command:
-    """A command that needs a graph file and takes ``--format`` and ``--cap``."""
-    options = {"format": Option("text", ("text", "json")), "cap": _CAP, **options}
+    """A command that needs a graph file and takes ``--format``; commands that
+    check the cell cap also take ``cap=_CAP``."""
+    options = {"format": Option("text", ("text", "json")), **options}
     return Command(func, help_text, True, options)
 
 
@@ -277,10 +278,13 @@ COMMANDS = {
         sink=Option(required=True),
         config=Option("", help="chip literal, e.g. 'a=2,b=1'"),
     ),
-    "recurrents": _on_graph(_cmd_recurrents, "enumerate recurrent configurations", sink=Option()),
+    "recurrents": _on_graph(
+        _cmd_recurrents, "enumerate recurrent configurations", cap=_CAP, sink=Option()
+    ),
     "tutte": _on_graph(
         _cmd_tutte,
         "generating polynomial and per-sink agreement",
+        cap=_CAP,
         eval=Option(None, rational, help="also evaluate at a rational point, e.g. 2 or 3/2"),
     ),
     "swap": _on_graph(
@@ -303,7 +307,7 @@ COMMANDS = {
             "cap": _CAP,
         },
     ),
-    "conjecture1": _on_graph(_cmd_conjecture1, "per-sink class-maxima report"),
+    "conjecture1": _on_graph(_cmd_conjecture1, "per-sink class-maxima report", cap=_CAP),
     "oracle": _on_graph(
         _cmd_oracle,
         "brute-force reference values",
@@ -493,8 +497,8 @@ def main(argv=None) -> int:
         args = _read_args(sys.argv[1:] if argv is None else argv)
     except _Help as request:
         # help is this run's output, so _run writes it and handles a closed stdout
-        args = SimpleNamespace(text=str(request), func=_cmd_help, cap=None)
-    cap = args.cap
+        args = SimpleNamespace(text=str(request), func=_cmd_help)
+    cap = getattr(args, "cap", None)
     if cap is not None and cap < 1:
         print("error: --cap must be positive", file=sys.stderr)
         return USAGE_ERROR

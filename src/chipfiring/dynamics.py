@@ -4,8 +4,9 @@ Two kinds of configuration exist.  A *sink game* configuration declares a sink
 vertex and lives on the domain V \\ {sink}; chips reaching the sink vanish (the
 stabilization record counts them).  A *full-domain* configuration (sink None)
 assigns chips to every vertex; nothing vanishes, so on a host with a global
-sink the chips simply pile up there.  The second form is what sink-swapping
-needs: stabilize against one sink while reading off the chip count on it.
+sink the chips simply pile up there.  Sink-swapping runs on the integer kernel
+``_settle`` directly; full-domain configurations are the tests' reference path
+for it.
 """
 
 from __future__ import annotations

@@ -18,6 +18,9 @@ Arc = tuple[str, str]
 
 # parse_edge_list refuses inputs above this many arcs before materializing them
 MAX_ARCS = 1_000_000
+# a sink game's record refuses more non-sink vertices than this before it builds
+# the dense reduced Laplacian that its O(n^3) determinant eliminates
+MAX_GAME_VERTICES = 72
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from operator import itemgetter, lt, mul
 
 from .dynamics import Configuration, _movers, _settle
 from .errors import ConfigurationError, GraphError, InternalCheckError, SettingError, SizeCapError
-from .graph import MultiDigraph, is_eulerian, remove_loops
+from .graph import MAX_GAME_VERTICES, MultiDigraph, is_eulerian, remove_loops
 from .polynomial import LaurentPolynomial
 
 DEFAULT_CELL_CAP = 20_000_000
@@ -196,22 +196,31 @@ class RecurrentSet:
     A cell of the stable cube prod_t [0, bounds[t] - 1] over ``domain`` (V minus
     the sink, in canonical order) is packed as its mixed-radix index
     sum_t chips[t] * weights[t], the first vertex most significant, so ascending
-    index is lexicographic order.  ``members`` holds the recurrent cells' indices
-    in that order, ``count`` is the determinant that certifies them.
-    ``sums[i]`` is outdeg(sink) + member i's total chips and ``levels[i]`` is
-    ``sums[i] - kappa``.  Chip vectors are decoded only where chips are read:
-    ``decode``, ``vectors``, ``configs`` and ``to_json_dict``.  ``sink_index``,
-    ``domain``, ``bounds``, ``weights`` and ``cells`` are set at construction.
+    index is lexicographic order.  ``found``, the member map the search writes,
+    holds 1 + the chip total at each recurrent cell and 0 elsewhere; ``members``
+    holds the recurrent cells' indices in order, ``count`` is the determinant that
+    certifies them.  ``sums[i]`` is outdeg(sink) + member i's total chips and
+    ``levels[i]`` is ``sums[i] - kappa``.  Chip vectors are decoded only where
+    chips are read: ``decode``, ``vectors``, ``configs`` and ``to_json_dict``.
+    ``sink_index``, ``sink_outdeg``, ``domain``, ``bounds``, ``weights`` and
+    ``cells`` are set at construction, which refuses a game above
+    MAX_GAME_VERTICES non-sink vertices.
     """
 
     host: MultiDigraph
     sink: str
 
     def __post_init__(self):
+        if self.host.n_vertices - 1 > MAX_GAME_VERTICES:
+            raise SizeCapError(
+                f"sink game has {self.host.n_vertices - 1} non-sink vertices, "
+                f"above the bound of {MAX_GAME_VERTICES}"
+            )
         sink, vertices = self.host.vertex_index(self.sink), self.host.vertices
         bounds = tuple(out for v, out, _, _ in self.host._firing_table if v != sink)
         for name, value in (
             ("sink_index", sink),
+            ("sink_outdeg", self.host._firing_table[sink][1]),
             ("domain", vertices[:sink] + vertices[sink + 1 :]),
             ("bounds", bounds),
             ("weights", tuple(accumulate(bounds[:0:-1], mul, initial=1))[: len(bounds)][::-1]),
@@ -262,47 +271,51 @@ class RecurrentSet:
         return burn, [*script[:sink], 0, *script[sink:]]
 
     @cached_property
-    def members(self) -> array:
-        """Reverse search (Avis and Fukuda, 1996) down from the maximal stable cell.
+    def found(self) -> array:
+        """The member map: per cell, 1 + its chip total on a member, else 0, in the
+        narrowest unsigned type that holds the top cell's sum.
 
+        Reverse search (Avis and Fukuda, 1996) down from the maximal stable cell.
         A stable cell above a recurrent one is recurrent (Holroyd et al., 2008), so
         recurrent c has the recurrent parent c + e_k, k the first vertex of c below
         its maximum; only children c - e_i, i <= k, of recurrent cells are burned.
-        Each cell is reached at most once, with its index and its chips; members
-        are marked in a one-byte-per-cell map and read back in index order.
+        Each cell is reached at most once, with its index, its chips and its mark,
+        one less than its parent's.
         """
         burn, script = self.burner
         weights, top = self.weights, tuple(out - 1 for out in self.bounds)
-        found = bytearray(self.cells)
-        stack = [(self.cells - 1, top)]
+        total = self.sink_outdeg + sum(top)
+        code = "B" if total < 1 << 8 else "H" if total < 1 << 16 else "Q"
+        found = array(code, [0]) * self.cells
+        stack, members = [(self.cells - 1, top, 1 + sum(top))], 0
         while stack:
-            i, cell = stack.pop()
+            i, cell, mark = stack.pop()
             counts = burn(cell)
             if counts is None:
                 continue
             if counts != script:
                 raise InternalCheckError("burning run did not fire its burning script")
-            found[i] = 1
+            found[i], members = mark, members + 1
             for t, x in enumerate(cell):
                 if x:
-                    stack.append((i - weights[t], cell[:t] + (x - 1,) + cell[t + 1 :]))
+                    stack.append((i - weights[t], cell[:t] + (x - 1,) + cell[t + 1 :], mark - 1))
                 if x < top[t]:
                     break
-        members = array("q", compress(range(self.cells), found))
-        if len(members) != self.count:
+        if members != self.count:
             raise InternalCheckError(
-                f"enumerated {len(members)} recurrent configurations, "
+                f"enumerated {members} recurrent configurations, "
                 f"determinant predicts {self.count}"
             )
-        return members
+        return found
+
+    @cached_property
+    def members(self) -> array:
+        return array("q", compress(range(self.cells), self.found))
 
     def decode(self):
         """The members' chip vectors, in order, one at a time: the stable cube
-        walked in order and filtered by a one-byte-per-cell member map."""
-        marked = bytearray(self.cells)
-        for i in self.members:
-            marked[i] = 1
-        return compress(product(*map(range, self.bounds)), marked)
+        walked in order and filtered by the member map."""
+        return compress(product(*map(range, self.bounds)), self.found)
 
     @cached_property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
@@ -311,18 +324,8 @@ class RecurrentSet:
 
     @cached_property
     def sums(self) -> array:
-        """Read off each member's index with two digit-sum tables, one over the
-        high half of the digits and one over the low half, in the narrowest
-        unsigned type that holds the top cell's sum."""
-        out_s, bounds, cut = self.host.outdeg(self.sink), self.bounds, len(self.bounds) // 2
-        top = out_s + sum(bounds) - len(bounds)
-        code = "B" if top < 1 << 8 else "H" if top < 1 << 16 else "Q"
-        high, low = (
-            array(code, map(sum, product(*map(range, side))))
-            for side in (bounds[:cut], bounds[cut:])
-        )
-        base = len(low)
-        return array(code, (out_s + high[i // base] + low[i % base] for i in self.members))
+        found, shift = self.found, self.sink_outdeg - 1
+        return array(found.typecode, map(shift.__add__, filter(None, found)))
 
     @cached_property
     def kappa(self) -> int:

@@ -234,17 +234,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, graph_required=True, formats=("text", "json")):
+    def add(name, func, help_text, graph_required=True, formats=("text", "json"), cap=False):
         p = sub.add_parser(name, help=help_text)
         if graph_required:
             p.add_argument("graph", help="edge-list file: 'tail head [multiplicity]' per line")
         p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=None,
-            help="enumeration cap in stable-cube cells (default from CFG_CAP_CELLS)",
-        )
+        if cap:
+            p.add_argument(
+                "--cap",
+                type=int,
+                default=None,
+                help="enumeration cap in stable-cube cells (default from CFG_CAP_CELLS)",
+            )
         p.set_defaults(func=func)
         return p
 
@@ -254,10 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sink", required=True)
     p.add_argument("--config", default="", help="chip literal, e.g. 'a=2,b=1'")
 
-    p = add("recurrents", _cmd_recurrents, "enumerate recurrent configurations")
+    p = add("recurrents", _cmd_recurrents, "enumerate recurrent configurations", cap=True)
     p.add_argument("--sink", default=None)
 
-    p = add("tutte", _cmd_tutte, "generating polynomial and per-sink agreement")
+    p = add("tutte", _cmd_tutte, "generating polynomial and per-sink agreement", cap=True)
     p.add_argument("--eval", default=None, help="also evaluate at a rational point, e.g. 2 or 3/2")
 
     p = add(
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=_cmd_check)
 
-    add("conjecture1", _cmd_conjecture1, "per-sink class-maxima report")
+    add("conjecture1", _cmd_conjecture1, "per-sink class-maxima report", cap=True)
 
     p = add("oracle", _cmd_oracle, "brute-force reference values", formats=("text",))
     p.add_argument("--sink", default=None)

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -319,6 +320,54 @@ def test_cap_flag_beats_environment_and_ends_with_the_call(graph_file, capsys, m
     assert code == 0 and out
     code, out, err = run(capsys, "tutte", path)
     assert code == 3 and out == "" and "cap of 1;" in err
+
+
+def test_cap_only_on_commands_that_check_it(capsys, monkeypatch):
+    monkeypatch.delenv("CFG_CAP_CELLS", raising=False)
+    path = str(DATA / "demo5.txt")
+    for argv in (
+        ["info", path],
+        ["stabilize", path, "--sink", "s"],
+        ["swap", path, "--source", "s", "--target", "v1", "--config", "v3=2"],
+        ["oracle", path, "--which", "arborescences"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cap", "1"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "", argv
+        assert "unrecognized arguments: --cap 1" in err, argv
+    for argv in (
+        ["recurrents", path],
+        ["tutte", path],
+        ["conjecture1", path],
+        ["check", path, "--property", "max-sum"],
+    ):
+        code, out, err = run(capsys, *argv, "--cap", "1")
+        assert code == 3 and out == "" and "cap of 1;" in err, argv
+
+
+@pytest.mark.parametrize("n", [256, 2_000])
+def test_large_sparse_host_is_refused_before_any_matrix(graph_file, capsys, n):
+    from chipfiring.graph import MAX_GAME_VERTICES
+
+    # a directed cycle has a one-cell stable cube at any length, so only the
+    # vertex bound stops the dense reduced Laplacian of each sink game
+    path = graph_file("".join(f"v{i} v{(i + 1) % n}\n" for i in range(n)), "cycle.txt")
+    for argv in (
+        ["recurrents"],
+        ["tutte"],
+        ["swap", "--source", "v0", "--target", "v1"],
+        ["conjecture1"],
+        ["check", "--property", "max-sum"],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert time.perf_counter() - start < 5, argv
+        assert code == 3 and out == "" and err.count("\n") == 1, argv
+        assert f"{n - 1} non-sink vertices, above the bound of {MAX_GAME_VERTICES}" in err
+    for argv in (["info"], ["stabilize", "--sink", "v0", "--config", "v1=1"]):
+        code, out, _ = run(capsys, argv[0], path, *argv[1:])
+        assert code == 0 and out, argv
 
 
 def test_kappa_cube_of_a_looped_host_is_its_own(graph_file, capsys, monkeypatch):
@@ -708,11 +757,12 @@ REJECTED = {
     "bad choice": ["info", "g.txt", "--format", "xml"],
     "bad int": ["check", "--property", "theta", "--seed", "x"],
     "unknown option": ["info", "g.txt", "--colour", "red"],
-    "ambiguous prefix": ["stabilize", "g.txt", "--sink", "s", "--c", "a=1"],
+    "ambiguous prefix": ["check", "--property", "theta", "--c", "1"],
     "extra positional": ["info", "g.txt", "h.txt"],
     "missing graph": ["tutte", "--eval", "2"],
     "missing value": ["recurrents", "g.txt", "--sink"],
     "flag with a value": ["check", "--property", "theta", "--verbose=yes"],
+    "cap on a command that checks none": ["info", "g.txt", "--cap", "5"],
 }
 
 # values for each option: accepted ones, argparse's look-alikes (-5, -.5, a

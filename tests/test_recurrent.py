@@ -246,6 +246,31 @@ def test_packed_record_matches_tuple_definitions():
     assert members == 5_134 and scripts_above_one == 62
 
 
+@pytest.mark.parametrize(
+    "m, loop, top, code",
+    [
+        (128, False, 255, "B"),
+        (128, True, 256, "H"),
+        (32_768, False, 65_535, "H"),
+        (32_768, True, 65_536, "Q"),
+    ],
+)
+def test_narrow_types_at_their_boundaries(m, loop, top, code):
+    # bananas whose top sum sits on either side of 255 and 65,535, where the
+    # record's arrays widen from one byte to two and from two bytes to eight
+    g = parallel_pair("s", "a", m)
+    if loop:
+        g = MultiDigraph.of(g.arcs + (("s", "s"),), g.vertices)
+    for sink in g.vertices:
+        rs = enumerate_recurrents(g, sink)
+        vectors = list(rs.decode())
+        assert len(vectors) == len(rs) == m and vectors == list(unpack(g, sink, rs.members))
+        expected = [g.outdeg(sink) + sum(vec) for vec in vectors]
+        assert list(rs.sums) == expected and list(rs.levels) == [x - rs.kappa for x in expected]
+        assert rs.sums.typecode == rs.levels.typecode == code
+        assert max(rs.sums) == top and rs.sums[-1] == top  # the top cell's sum, held exactly
+
+
 def test_kappa_examples():
     assert kappa(C3) == 1
     assert kappa(K3) == 3 == K3.n_arcs // 2
