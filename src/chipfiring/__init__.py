@@ -56,7 +56,7 @@ from .lattice import (
     equivalence_classes,
     firing_lattice,
 )
-from .oracles import recurrent_definitional_test
+from .oracles import recurrent_definitional_test, undirected_tutte_oracle
 from .polynomial import LaurentPolynomial
 from .recurrent import (
     RecurrentSet,
@@ -69,11 +69,6 @@ from .recurrent import (
     loop_lift,
     support_after_sink_fire,
 )
-from .tutte import (
-    check_recursion,
-    pw_closed_form_check,
-    tutte_gen,
-    undirected_tutte_oracle,
-)
+from .tutte import check_recursion, pw_closed_form_check, tutte_gen
 
 __version__ = "0.1.0"

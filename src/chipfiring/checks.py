@@ -173,9 +173,7 @@ def check_max_sum(g: MultiDigraph) -> CheckReport:
     eulerian = is_eulerian(g)
     observed_violations = 0
     for s in g.vertices:
-        bounds = recurrent._check_cap(g, g.vertex_index(s)).bounds
-        if 0 in bounds:
-            continue  # no stable configuration; the host may be singular
+        bounds = recurrent._checked_game(g, s).bounds
         lat = lattice.firing_lattice(g, s)
         represent, config = lattice._representative(g, s), partial(Configuration, g, s)
         for cell in itertools.product(*map(range, bounds)):

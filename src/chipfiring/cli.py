@@ -38,7 +38,7 @@ from .families import random_eulerian
 from .graph import MultiDigraph, is_eulerian, parse_edge_list
 from .lattice import conjecture1_check
 from .oracles import brute_acyclic_sets, brute_arborescences, brute_recurrents
-from .recurrent import CELL_CAP, enumerate_recurrents, environment_cap
+from .recurrent import CELL_CAP, DEFAULT_CELL_CAP, enumerate_recurrents
 from .tutte import tutte_gen
 
 USAGE_ERROR = 2
@@ -498,24 +498,30 @@ def main(argv=None) -> int:
     except _Help as request:
         # help is this run's output, so _run writes it and handles a closed stdout
         args = SimpleNamespace(text=str(request), func=_cmd_help)
-    cap = getattr(args, "cap", None)
-    if cap is not None and cap < 1:
-        print("error: --cap must be positive", file=sys.stderr)
-        return USAGE_ERROR
-    if cap is None:
-        # read CFG_CAP_CELLS once per run; an invalid value leaves the cap unset,
-        # so the first cap check raises it and commands that check none still run
-        try:
-            cap = environment_cap()
-        except SettingError:
-            pass
     # the cap holds in a copy of the context, so it ends with this call
-    return contextvars.copy_context().run(_run, args, cap)
+    return contextvars.copy_context().run(_run, args)
 
 
-def _run(args, cap: int | None) -> int:
-    CELL_CAP.set(cap)
+def environment_cap() -> int:
+    """CFG_CAP_CELLS, or the default when it is unset; SettingError if invalid."""
+    raw = os.environ.get("CFG_CAP_CELLS")
+    if raw is None:
+        return DEFAULT_CELL_CAP
     try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise SettingError(f"CFG_CAP_CELLS must be a positive integer, got {raw!r}")
+    return cap
+
+
+def _run(args) -> int:
+    try:
+        if hasattr(args, "cap"):  # the commands that check the cap resolve it once per run
+            if args.cap is not None and args.cap < 1:
+                raise SettingError("--cap must be positive")
+            CELL_CAP.set(environment_cap() if args.cap is None else args.cap)
         code = args.func(args)
         sys.stdout.flush()  # so a closed stdout fails here, not at interpreter exit
         return code

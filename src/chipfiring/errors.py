@@ -27,7 +27,7 @@ class SizeCapError(ChipFiringError):
 
 
 class SettingError(ChipFiringError, ValueError):
-    """An environment setting, such as CFG_CAP_CELLS, has an invalid value."""
+    """``cfg`` raises it when ``--cap`` or CFG_CAP_CELLS has an invalid value."""
 
 
 class HypothesisError(ChipFiringError, ValueError):

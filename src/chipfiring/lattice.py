@@ -16,7 +16,7 @@ from operator import add
 from .dynamics import Configuration, _settle, beta
 from .errors import ConfigurationError, GraphError, InternalCheckError
 from .graph import MultiDigraph, is_eulerian
-from .recurrent import _game, _recurrent_vectors, enumerate_recurrents
+from .recurrent import _checked_game, _game, enumerate_recurrents
 
 
 def column_hnf(generators: tuple[tuple[int, ...], ...], dimension: int):
@@ -148,10 +148,10 @@ def class_representative(g: MultiDigraph, s: str, c: Configuration) -> Configura
 def _classes(g: MultiDigraph, s: str, include_beta: bool) -> list[list[tuple[int, ...]]]:
     """Recurrent chip vectors grouped by lattice residue; classes in order of
     their first member, members in enumeration order."""
-    _recurrent_vectors(g, s)  # the cap; the one way into an enumeration
+    vectors = _checked_game(g, s).vectors
     residue = firing_lattice(g, s, include_beta).residue
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for vec in _game(g, g.vertex_index(s)).vectors:
+    for vec in vectors:
         classes.setdefault(residue(vec), []).append(vec)
     return list(classes.values())
 

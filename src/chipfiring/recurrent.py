@@ -7,13 +7,13 @@ firing (Dhar).  Enumeration walks down the recurrent up-set of the stable cube
 prod_v [0, outdeg(v)-1] by reverse search on the integer firing kernel of
 ``dynamics``, on any strongly connected host, and cross-checks the count
 against det Δ.  Levels and ``kappa`` need an Eulerian host.  Every value of
-one sink game lives in its record, ``RecurrentSet``, cached once per game.
+one sink game lives in its record, ``RecurrentSet``, cached once per game;
+``_checked_game`` hands it out, refusing a stable cube above ``CELL_CAP`` cells.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from bisect import bisect_left
 from contextvars import ContextVar
@@ -23,41 +23,22 @@ from itertools import accumulate, compress, product
 from operator import itemgetter, lt, mul
 
 from .dynamics import Configuration, _movers, _settle
-from .errors import ConfigurationError, GraphError, InternalCheckError, SettingError, SizeCapError
+from .errors import ConfigurationError, GraphError, InternalCheckError, SizeCapError
 from .graph import MAX_GAME_VERTICES, MultiDigraph, is_eulerian, remove_loops
 from .polynomial import LaurentPolynomial
 
 DEFAULT_CELL_CAP = 20_000_000
 
-# a cap set for the current context (``cfg --cap``); it beats CFG_CAP_CELLS
-CELL_CAP: ContextVar[int | None] = ContextVar("CELL_CAP", default=None)
+# the enumeration cap in stable-cube cells; ``cfg`` sets it once per run
+CELL_CAP: ContextVar[int] = ContextVar("CELL_CAP", default=DEFAULT_CELL_CAP)
 
 
-def cell_cap() -> int:
-    """Enumeration cap in stable-cube cells: CELL_CAP if set, else CFG_CAP_CELLS."""
-    cap = CELL_CAP.get()
-    return environment_cap() if cap is None else cap
-
-
-def environment_cap() -> int:
-    """CFG_CAP_CELLS, or the default when it is unset; SettingError if invalid."""
-    raw = os.environ.get("CFG_CAP_CELLS")
-    if raw is None:
-        return DEFAULT_CELL_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise SettingError(f"CFG_CAP_CELLS must be a positive integer, got {raw!r}")
-    return cap
-
-
-def _check_cap(g: MultiDigraph, sink: int) -> RecurrentSet:
-    """Refuse a stable cube prod_{v != sink} outdeg(v) above the cell cap, before
-    any cached value is used, and return the game record checked: the size is
-    the record's, the cap is read on every call."""
-    rs, cap = _game(g, sink), cell_cap()
+def _checked_game(g: MultiDigraph, s: str) -> RecurrentSet:
+    """The record of the sink game (g, s) on a strongly connected host, its
+    stable cube prod_{v != s} outdeg(v) refused above CELL_CAP before any cached
+    value is used: the size is the record's, the cap is read on every call."""
+    _require_strongly_connected(g)
+    rs, cap = _game(g, g.vertex_index(s)), CELL_CAP.get()
     if rs.cells > cap:
         raise SizeCapError(
             f"stable cube has {rs.cells} cells, above the cap of {cap}; "
@@ -154,10 +135,8 @@ def is_recurrent(g: MultiDigraph, s: str, c: Configuration) -> bool:
 
 
 def _recurrent_vectors(g: MultiDigraph, s: str) -> array:
-    """The packed members, cube indices in ascending (lexicographic) order;
-    checks the cap before the record."""
-    _require_strongly_connected(g)
-    return _check_cap(g, g.vertex_index(s)).members
+    """The packed members, cube indices in ascending (lexicographic) order."""
+    return _checked_game(g, s).members
 
 
 def _burning_script(lap: list[list[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -183,8 +162,7 @@ def kappa(g: MultiDigraph) -> int:
     independence of the sum multiset any other sink gives the same value.
     """
     _require_eulerian(g)
-    _recurrent_vectors(g, g.vertices[0])  # the cap; the one way into an enumeration
-    return min(_game(g, 0).sums) - g.loop_count
+    return min(_checked_game(g, g.vertices[0]).sums) - g.loop_count
 
 
 # ---------------------------------------------------------------- game record
@@ -403,7 +381,8 @@ def enumerate_recurrents(g: MultiDigraph, s: str) -> RecurrentSet:
     sink = g.vertex_index(s)
     _require_eulerian(g)
     _recurrent_vectors(g, s)  # the sink cube's cap
-    _check_cap(g, 0)  # kappa's
+    if sink:
+        _checked_game(g, g.vertices[0])  # kappa's, when it is another game's
     rs = _game(g, sink)
     rs.levels  # kappa and the level check run once per game, before the record is handed out
     return rs

@@ -23,7 +23,7 @@ from .graph import (
     is_undirected,
     reverse_partner,
 )
-from .oracles import undirected_tutte_oracle  # re-exported for existing callers
+from .oracles import undirected_tutte_oracle  # re-exported; perfbench/runner.py reads it here
 from .polynomial import LaurentPolynomial
 from .recurrent import enumerate_recurrents, kappa
 

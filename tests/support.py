@@ -8,6 +8,7 @@ tests/data/.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import random
@@ -43,7 +44,7 @@ from chipfiring.cli import (
     _cmd_tutte,
 )
 from chipfiring.dynamics import _movers, _settle
-from chipfiring.recurrent import _recurrent_vectors
+from chipfiring.recurrent import CELL_CAP, _recurrent_vectors
 from chipfiring.families import random_eulerian, random_strongly_connected
 
 DATA = Path(__file__).parent / "data"
@@ -102,6 +103,16 @@ def undirected_graph(n_vertices: int, edges, loops=()) -> MultiDigraph:
     for i in loops:
         arcs.append((names[i], names[i]))
     return MultiDigraph.of(arcs, names)
+
+
+@contextlib.contextmanager
+def cell_cap(cells: int):
+    """``recurrent.CELL_CAP`` set to ``cells`` inside the block."""
+    token = CELL_CAP.set(cells)
+    try:
+        yield
+    finally:
+        CELL_CAP.reset(token)
 
 
 def stable_cube(g: MultiDigraph, s: str):

@@ -17,15 +17,21 @@ import pytest
 from chipfiring import (
     InternalCheckError,
     LaurentPolynomial,
+    SizeCapError,
     checks,
     cli,
+    conjecture1_check,
     enumerate_recurrents,
+    equivalence_classes,
     kappa,
+    parse_edge_list,
+    tutte_gen,
 )
 from chipfiring.cli import main, parse_args, parse_graph
 from chipfiring.families import random_eulerian
+from chipfiring.recurrent import _recurrent_vectors
 
-from support import DATA, build_parser, corpus, unpack
+from support import DATA, build_parser, cell_cap, corpus, unpack
 
 C3_TEXT = "s a\na b\nb s\n"
 K3_TEXT = "s a\na s\ns b\nb s\na b\nb a\n"
@@ -305,21 +311,19 @@ def test_cap_flag(graph_file, capsys, monkeypatch):
 
 
 def test_cap_flag_beats_environment_and_ends_with_the_call(graph_file, capsys, monkeypatch):
-    from chipfiring.errors import SettingError
-    from chipfiring.recurrent import CELL_CAP, cell_cap
+    from chipfiring.recurrent import CELL_CAP, DEFAULT_CELL_CAP
 
     monkeypatch.setenv("CFG_CAP_CELLS", "abc")
     path = graph_file(K3_TEXT, "k3.txt")
     code, out, _ = run(capsys, "recurrents", path, "--cap", "1000")
     assert code == 0 and out  # a bad environment value is ignored under --cap
-    assert CELL_CAP.get() is None
-    with pytest.raises(SettingError):
-        cell_cap()
+    assert CELL_CAP.get() == DEFAULT_CELL_CAP
     monkeypatch.setenv("CFG_CAP_CELLS", "1")
     code, out, _ = run(capsys, "tutte", path, "--cap", "1000")
     assert code == 0 and out
     code, out, err = run(capsys, "tutte", path)
     assert code == 3 and out == "" and "cap of 1;" in err
+    assert CELL_CAP.get() == DEFAULT_CELL_CAP
 
 
 def test_cap_only_on_commands_that_check_it(capsys, monkeypatch):
@@ -431,11 +435,14 @@ class _CountingEnviron(dict):
             self.reads += 1
         return super().get(key, default)
 
+    def __getitem__(self, key):
+        if key == "CFG_CAP_CELLS":
+            self.reads += 1
+        return super().__getitem__(key)
+
 
 @pytest.mark.parametrize("setting", [None, "5000000"])
 def test_cap_environment_read_once_per_run(graph_file, capsys, monkeypatch, setting):
-    from chipfiring.tutte import tutte_gen
-
     environ = _CountingEnviron(os.environ)
     environ.pop("CFG_CAP_CELLS", None)
     if setting is not None:
@@ -444,11 +451,40 @@ def test_cap_environment_read_once_per_run(graph_file, capsys, monkeypatch, sett
     path = str(DATA / "demo5.txt")
     code, _, _ = run(capsys, "check", path, "--property", "recursions")
     assert code == 0 and environ.reads == 1
-    # library callers outside the CLI still read it on every call
+    # library calls read no environment
     g = parse_graph(path)
     tutte_gen(g, g.vertices[0])
     tutte_gen(g, g.vertices[0])
-    assert environ.reads >= 3
+    assert environ.reads == 1
+
+
+_CAP_CHECKERS = {
+    "_recurrent_vectors": _recurrent_vectors,
+    "kappa": lambda g, s: kappa(g),
+    "enumerate_recurrents": enumerate_recurrents,
+    "tutte_gen": tutte_gen,
+    "equivalence_classes": equivalence_classes,
+    "conjecture1_check": lambda g, s: conjecture1_check(g),
+    "check_max_sum": lambda g, s: checks.check_max_sum(g),
+}
+
+
+@pytest.mark.parametrize("name", _CAP_CHECKERS)
+def test_library_reads_only_the_cell_cap(monkeypatch, name):
+    call, g = _CAP_CHECKERS[name], parse_edge_list(K3_TEXT)
+    environ = _CountingEnviron(os.environ, CFG_CAP_CELLS="1")
+    monkeypatch.setattr(os, "environ", environ)
+    call(g, "a")  # the environment's cap of 1 cell is not the library's
+    with cell_cap(1), pytest.raises(SizeCapError, match="4 cells, above the cap of 1;"):
+        call(g, "a")  # the record is cached, the cap is checked again
+    assert environ.reads == 0
+
+
+@pytest.mark.parametrize("text", ["a b\nb a\nb c\n", "c a\na b\nb a\n"])
+def test_max_sum_refuses_a_host_that_is_not_strongly_connected(graph_file, capsys, text):
+    code, out, err = run(capsys, "check", graph_file(text), "--property", "max-sum")
+    assert (code, out) == (2, "")
+    assert err == "error: operation requires a strongly connected graph\n"
 
 
 def test_output_is_byte_stable(graph_file, capsys):
@@ -571,7 +607,7 @@ def test_recurrents_and_kappa_leave_the_record_packed(graph_file, capsys):
     _game.cache_clear()
     assert kappa(g) == 21
     rs = _game(g, 0)
-    assert "members" in vars(rs) and "vectors" not in vars(rs)
+    assert "found" in vars(rs) and "vectors" not in vars(rs)
     _game.cache_clear()
 
 

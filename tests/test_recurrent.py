@@ -8,7 +8,6 @@ from chipfiring import (
     ConfigurationError,
     GraphError,
     MultiDigraph,
-    SettingError,
     SizeCapError,
     add,
     beta,
@@ -42,6 +41,7 @@ from chipfiring.recurrent import (
 
 from support import (
     bidirected_complete,
+    cell_cap,
     corpus,
     directed_cycle,
     non_eulerian_corpus,
@@ -134,14 +134,10 @@ def test_enumerate_examples():
     assert tuple(rs.sums) == (2, 3)
 
 
-def test_enumeration_cap(monkeypatch):
-    monkeypatch.setenv("CFG_CAP_CELLS", "1")
-    from chipfiring.recurrent import _recurrent_vectors
-
+def test_enumeration_cap():
     _recurrent_vectors.cache_clear()
-    with pytest.raises(SizeCapError, match="smaller instance"):
+    with cell_cap(1), pytest.raises(SizeCapError, match="smaller instance"):
         enumerate_recurrents(K3, "s")
-    monkeypatch.delenv("CFG_CAP_CELLS")
     _recurrent_vectors.cache_clear()
 
 
@@ -277,33 +273,25 @@ def test_kappa_examples():
     assert kappa(BANANA) == 2 == BANANA.n_arcs // 2
 
 
-def test_kappa_checks_cap_on_cached_hosts(monkeypatch):
-    monkeypatch.delenv("CFG_CAP_CELLS", raising=False)
+def test_kappa_checks_cap_on_cached_hosts():
     looped = MultiDigraph.of([("s", "a"), ("a", "s"), ("a", "a"), ("s", "s")])
     assert kappa(looped) == 1  # now cached; the host's own cube at sink s has two cells
-    monkeypatch.setenv("CFG_CAP_CELLS", "2")
-    assert kappa(looped) == 1
-    monkeypatch.setenv("CFG_CAP_CELLS", "1")
-    with pytest.raises(SizeCapError):
+    with cell_cap(2):
+        assert kappa(looped) == 1
+    with cell_cap(1), pytest.raises(SizeCapError):
         kappa(looped)
     refused = bidirected_complete(["p", "q", "r"])
-    monkeypatch.delenv("CFG_CAP_CELLS")
     assert kappa(refused) == 3  # now cached; its cube at sink p has 4 cells
-    monkeypatch.setenv("CFG_CAP_CELLS", "3")
-    with pytest.raises(SizeCapError):
+    with cell_cap(3), pytest.raises(SizeCapError):
         kappa(refused)
-    monkeypatch.setenv("CFG_CAP_CELLS", "abc")
-    with pytest.raises(SettingError):
-        kappa(looped)
 
 
 def test_cube_size_computed_once_per_game(monkeypatch):
     from chipfiring import recurrent
 
-    monkeypatch.delenv("CFG_CAP_CELLS", raising=False)
     looped = MultiDigraph.of([("p", "q"), ("q", "p"), ("q", "r"), ("r", "q"), ("q", "q")])
     bare, _ = remove_loops(looped)
-    recurrent._check_cap(looped, 0)
+    recurrent._checked_game(looped, "p")
     assert kappa(looped) == 2
     assert recurrent._game(looped, 0).cells == 3 and recurrent._game(bare, 0).cells == 2
 
@@ -311,16 +299,16 @@ def test_cube_size_computed_once_per_game(monkeypatch):
         raise AssertionError("cube size recomputed")
 
     monkeypatch.setattr(recurrent.math, "prod", refuse)
-    recurrent._check_cap(looped, 0)
-    monkeypatch.setenv("CFG_CAP_CELLS", "2")  # the cap is still read on every call
-    with pytest.raises(SizeCapError):
-        recurrent._check_cap(looped, 0)
-    with pytest.raises(SizeCapError):
-        enumerate_recurrents(looped, "p")
-    with pytest.raises(SizeCapError):
-        kappa(looped)  # kappa's cube is the host's own at p, 3 cells
-    monkeypatch.setenv("CFG_CAP_CELLS", "3")
-    assert kappa(looped) == 2
+    recurrent._checked_game(looped, "p")
+    with cell_cap(2):  # the cap is still read on every call
+        with pytest.raises(SizeCapError):
+            recurrent._checked_game(looped, "p")
+        with pytest.raises(SizeCapError):
+            enumerate_recurrents(looped, "p")
+        with pytest.raises(SizeCapError):
+            kappa(looped)  # kappa's cube is the host's own at p, 3 cells
+    with cell_cap(3):
+        assert kappa(looped) == 2
 
 
 def test_enumeration_returns_one_record_per_game():
