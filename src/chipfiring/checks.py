@@ -14,16 +14,9 @@ from functools import partial
 
 from . import bijection, lattice, recurrent, tutte
 from .dynamics import Configuration
-from .errors import GraphError, InternalCheckError, PropertyViolationError
+from .errors import InternalCheckError, PropertyViolationError
 from .graph import MultiDigraph, is_eulerian
-
-PROPERTIES = (
-    "sink-independence",
-    "recursions",
-    "theta",
-    "max-sum",
-    "burning-uniqueness",
-)
+from .recurrent import _require_eulerian
 
 
 @dataclass
@@ -66,15 +59,21 @@ def check_sink_independence(g: MultiDigraph) -> CheckReport:
 
 
 def check_recursions(g: MultiDigraph) -> CheckReport:
-    # before the arc loop, whose bridge tests need strong connectivity
-    if not is_eulerian(g):
-        raise GraphError("recursion checks require an Eulerian graph")
+    _require_eulerian(g)  # before the arc loop, whose bridge tests need strong connectivity
     report = CheckReport("recursions")
+    # One verdict per distinct arc, read at its first index.  Parallel copies share
+    # a kind: is_bridge is False above multiplicity 1 and reverse_partner finds the
+    # same first reverse arc for each.  Each copy's rewrites hold the same arc
+    # multiset in another order, so they have the same T(y) and kappa.
+    verdicts: dict[tuple[str, str], tuple[str | None, bool]] = {}
     for i, (tail, head) in enumerate(g.arcs):
-        kind = tutte.recursion_kind(g, i)
+        if (tail, head) not in verdicts:
+            kind = tutte.recursion_kind(g, i)
+            verdicts[tail, head] = kind, kind is not None and tutte._arc_identity(g, kind, i)
+        kind, ok = verdicts[tail, head]
         if kind is None:
             continue
-        if tutte._arc_identity(g, kind, i):
+        if ok:
             report.note(f"{kind} at arc {i} ({tail}->{head}): ok")
         else:
             report.fail(f"{kind} at arc {i} ({tail}->{head})")
@@ -229,3 +228,4 @@ _RUNNERS = {
     "max-sum": check_max_sum,
     "burning-uniqueness": check_burning_uniqueness,
 }
+PROPERTIES = tuple(_RUNNERS)

@@ -136,11 +136,8 @@ def augment_sink(c: Configuration, extra: int = 0) -> Configuration:
         raise ConfigurationError("configuration has no sink to augment")
     if extra < 0:
         raise ConfigurationError("extra chips must be nonnegative")
-    on_sink = c.host.outdeg(c.sink) + extra
-    chips = []
-    it = iter(c.chips)
-    for v in c.host.vertices:
-        chips.append(on_sink if v == c.sink else next(it))
+    chips = list(c.chips)
+    chips.insert(c.host.vertex_index(c.sink), c.host.outdeg(c.sink) + extra)
     return Configuration(c.host, None, tuple(chips))
 
 

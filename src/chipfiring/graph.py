@@ -224,22 +224,13 @@ def _merged_name(g: MultiDigraph, merged: set[str]) -> str:
 
 def _contract(g: MultiDigraph, merged: set[str], dropped_arcs: set[int]) -> MultiDigraph:
     name = _merged_name(g, merged)
-    vertices = []
-    placed = False
-    for v in g.vertices:
-        if v in merged:
-            if not placed:
-                vertices.append(name)
-                placed = True
-        else:
-            vertices.append(v)
     rename = lambda v: name if v in merged else v
     arcs = tuple(
         (rename(tail), rename(head))
         for i, (tail, head) in enumerate(g.arcs)
         if i not in dropped_arcs
     )
-    return MultiDigraph(tuple(vertices), arcs)
+    return MultiDigraph(tuple(dict.fromkeys(map(rename, g.vertices))), arcs)
 
 
 def contract_arc(g: MultiDigraph, index: int) -> MultiDigraph:

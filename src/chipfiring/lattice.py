@@ -16,7 +16,7 @@ from operator import add
 from .dynamics import Configuration, _settle, beta
 from .errors import ConfigurationError, GraphError, InternalCheckError
 from .graph import MultiDigraph, is_eulerian
-from .recurrent import _checked_game, _game, enumerate_recurrents
+from .recurrent import _checked_game, _game, _require_strongly_connected, enumerate_recurrents
 
 
 def column_hnf(generators: tuple[tuple[int, ...], ...], dimension: int):
@@ -178,8 +178,7 @@ def conjecture1_check(g: MultiDigraph) -> dict:
     coincide across sinks.  On Eulerian inputs they must also reproduce the
     plain sum multisets, which is asserted.
     """
-    if not g.is_strongly_connected():
-        raise GraphError("the checker requires a strongly connected graph")
+    _require_strongly_connected(g)
     eulerian = is_eulerian(g)
     per_sink: dict[str, list[int]] = {}
     for s in g.vertices:

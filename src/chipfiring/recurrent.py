@@ -209,9 +209,6 @@ class RecurrentSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self):
-        return iter(self.configs)
-
     def __contains__(self, c: Configuration) -> bool:
         return self.index(c) is not None
 

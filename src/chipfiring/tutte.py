@@ -12,29 +12,26 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import GraphError, HypothesisError
+from .errors import HypothesisError
 from .graph import (
     MultiDigraph,
     contract_arc,
     contract_vertices,
     delete_arcs,
     is_bridge,
-    is_eulerian,
     is_undirected,
     reverse_partner,
 )
 from .oracles import undirected_tutte_oracle  # re-exported; perfbench/runner.py reads it here
 from .polynomial import LaurentPolynomial
-from .recurrent import enumerate_recurrents, kappa
+from .recurrent import _require_eulerian, enumerate_recurrents, kappa
 
 RECURSION_KINDS = ("loop", "bridge_no_reverse", "bridge_reverse", "del_contract", "mobius")
 
 
 def tutte_gen(g: MultiDigraph, s: str) -> LaurentPolynomial:
     """Sum of y^level over the recurrent configurations with sink s: the game
-    record's polynomial, read after ``enumerate_recurrents`` checks the caps."""
-    if not is_eulerian(g):
-        raise GraphError("the generating polynomial is defined for Eulerian graphs")
+    record's polynomial; ``enumerate_recurrents`` checks the host and caps."""
     return enumerate_recurrents(g, s).polynomial
 
 
@@ -81,8 +78,7 @@ def check_recursion(g: MultiDigraph, kind: str, site) -> bool:
     The two sides are computed independently and compared exactly; a site that
     violates the identity's hypothesis raises rather than returning False.
     """
-    if not is_eulerian(g):
-        raise GraphError("recursion checks require an Eulerian graph")
+    _require_eulerian(g)
     if kind not in RECURSION_KINDS:
         raise HypothesisError(f"unknown recursion kind {kind!r}")
     if kind == "mobius":
@@ -161,8 +157,7 @@ def pw_closed_form_check(g: MultiDigraph, s: str, w) -> bool:
     """Closed form of the support-filtered generating function for a subset
     w of the out-neighbors of s: both sides computed independently, compared
     exactly.  The geometric factors replace any division by (1 - y)."""
-    if not is_eulerian(g):
-        raise GraphError("closed-form check requires an Eulerian graph")
+    _require_eulerian(g)
     w = frozenset(w)
     neighbors = set(g.out_neighbors(s))
     if not w:

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import sys
 from collections import Counter
 
@@ -10,7 +11,9 @@ from chipfiring import (
     bijection,
     dynamics,
     enumerate_recurrents,
+    lattice,
     recurrent,
+    tutte,
 )
 from chipfiring.checks import PROPERTIES, run_check
 from chipfiring.cli import main
@@ -21,6 +24,7 @@ from support import (
     bidirected_complete,
     corpus,
     data_graph,
+    doubled_cycle,
     non_eulerian_corpus,
     parallel_pair,
     reference_burning_uniqueness,
@@ -200,6 +204,73 @@ def test_recursions_on_loopy_banana():
     assert any(line.startswith("del_contract") for line in report.lines)
     assert any(line.startswith("mobius") for line in report.lines)
     assert any(line.startswith("closed form") for line in report.lines)
+
+
+def _looped_banana(loops: int) -> MultiDigraph:
+    """``a b / b a / a a loops``: two bridges with reverse arcs, many parallel loops."""
+    return MultiDigraph.of([("a", "b"), ("b", "a")] + [("a", "a")] * loops)
+
+
+# parallel copies, some with their reverse arc listed between them
+PARALLEL_HOSTS = (
+    _looped_banana(3),
+    parallel_pair("u", "v", 3),
+    doubled_cycle(["p", "q", "r"]),
+    MultiDigraph.of([("a", "b"), ("b", "a"), ("a", "b"), ("b", "c"), ("c", "a"), ("b", "b")]),
+    MultiDigraph.of([("y", "x"), ("x", "y"), ("z", "z"), ("x", "y"), ("y", "z"), ("z", "x")]),
+)
+ARC_LINE = re.compile(r"(VIOLATION: )?(\w+) at arc (\d+) \(")
+
+
+@pytest.mark.parametrize("g", [_looped_banana(2000), parallel_pair("a", "b", 300)])
+def test_recursions_check_each_distinct_arc_once(monkeypatch, g):
+    calls = {"recursion_kind": 0, "_arc_identity": 0}
+    for name in calls:
+
+        def counted(*args, name=name, real=getattr(tutte, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(tutte, name, counted)
+    report = run_check("recursions", g)
+    assert report.ok
+    distinct = len(set(g.arcs))
+    assert calls == {"recursion_kind": distinct, "_arc_identity": distinct}
+    indices = [int(m[3]) for m in map(ARC_LINE.match, report.lines) if m]
+    assert indices == list(range(len(g.arcs)))  # one line per arc index, copies included
+
+
+def test_recursions_verdicts_match_the_per_index_checker():
+    for g in (*corpus(), *PARALLEL_HOSTS):
+        lines = run_check("recursions", g).lines
+        verdicts = {int(m[3]): (m[2], m[1] is None) for m in map(ARC_LINE.match, lines) if m}
+        kinds = {i: tutte.recursion_kind(g, i) for i in range(len(g.arcs))}
+        assert sorted(verdicts) == [i for i, kind in kinds.items() if kind is not None], g
+        for i, (kind, ok) in verdicts.items():
+            assert kind == kinds[i] and ok == tutte.check_recursion(g, kind, i), (g, i)
+
+
+NOT_STRONG = MultiDigraph.of([("a", "b"), ("b", "a"), ("b", "c")])
+EULERIAN_HOSTED = {
+    "tutte_gen": lambda g: tutte.tutte_gen(g, "a"),
+    "check_recursion": lambda g: tutte.check_recursion(g, "mobius", "a"),
+    "pw_closed_form_check": lambda g: tutte.pw_closed_form_check(g, "a", ["b"]),
+    "recursions suite": lambda g: run_check("recursions", g),
+}
+
+
+@pytest.mark.parametrize("host", [NON_EULERIAN, NOT_STRONG], ids=["unbalanced", "not-strong"])
+@pytest.mark.parametrize("name", EULERIAN_HOSTED)
+def test_eulerian_hypothesis_has_one_message(name, host):
+    with pytest.raises(GraphError) as raised:
+        EULERIAN_HOSTED[name](host)
+    assert str(raised.value) == "operation requires an Eulerian graph"
+
+
+def test_conjecture1_strong_connectivity_hypothesis_has_one_message():
+    with pytest.raises(GraphError) as raised:
+        lattice.conjecture1_check(NOT_STRONG)
+    assert str(raised.value) == "operation requires a strongly connected graph"
 
 
 # sha256 of `cfg check <input> --property P --verbose` stdout, recorded before

@@ -187,7 +187,7 @@ def test_check_recursions_with_a_vertex_named_like_a_contraction(graph_file, cap
 )
 def test_check_recursions_refuses_non_eulerian_hosts_first(graph_file, capsys, text):
     code, out, err = run(capsys, "check", graph_file(text), "--property", "recursions")
-    assert (code, out, err) == (2, "", "error: recursion checks require an Eulerian graph\n")
+    assert (code, out, err) == (2, "", "error: operation requires an Eulerian graph\n")
 
 
 def test_conjecture1(graph_file, capsys):
