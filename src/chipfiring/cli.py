@@ -20,6 +20,7 @@ import sys
 from collections.abc import Callable
 from fractions import Fraction
 from itertools import islice
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -112,19 +113,19 @@ def _cmd_recurrents(args) -> int:
     g = parse_graph(args.graph)
     sink = g.vertices[0] if args.sink is None else args.sink
     rs = enumerate_recurrents(g, sink)
-    rows = zip(rs.decode(), rs.sums, rs.levels)
     if args.format == "json":
         order = sorted(range(len(rs.domain)), key=rs.domain.__getitem__)
+        pick = itemgetter(*order) if len(order) > 1 else tuple  # one chip or none: already in order
         keys = ",\n".join(f"        {json.dumps(rs.domain[i]).replace('%', '%%')}: %d" for i in order)
         chips = f"{{\n{keys}\n      }}" if order else "{}"
         head, sep = '{\n  "configs": [\n', ",\n"
         member = f'    {{\n      "chips": {chips},\n      "level": %d,\n      "sum": %d\n    }}'
         tail = f'\n  ],\n  "kappa": {rs.kappa},\n  "sink": {json.dumps(rs.sink)}\n}}\n'
-        fields = ((*(vec[i] for i in order), lvl, total) for vec, total, lvl in rows)
+        fields = map(tuple.__add__, map(pick, rs.decode()), zip(rs.levels, rs.sums))
     else:
         head, sep, tail = f"sink: {sink}\nkappa: {rs.kappa}\ncount: {len(rs)}\n", "\n", "\n"
         member = "  " + ",".join(f"{v.replace('%', '%%')}=%d" for v in rs.domain) + "  sum=%d level=%d"
-        fields = (vec + (total, lvl) for vec, total, lvl in rows)
+        fields = map(tuple.__add__, rs.decode(), zip(rs.sums, rs.levels))
     sys.stdout.write(head)
     for start in range(0, len(rs), WRITE_BLOCK):
         block = sep.join(map(member.__mod__, islice(fields, WRITE_BLOCK)))

@@ -6,7 +6,10 @@ b >= 0; that run fires exactly σ.  On Eulerian hosts σ = 1 and b is one sink
 firing (Dhar).  Enumeration walks down the recurrent up-set of the stable cube
 prod_v [0, outdeg(v)-1] by reverse search on the integer firing kernel of
 ``dynamics``, on any strongly connected host, and cross-checks the count
-against det Δ.  Levels and ``kappa`` need an Eulerian host.  Every value of
+against det Δ.  A game of at least KERNEL_MIN_MEMBERS members burns with a
+kernel compiled for it, the same sweep unrolled over its firing table;
+smaller games, ``is_recurrent`` and the burning-uniqueness suite use the
+generic ``_settle``.  Levels and ``kappa`` need an Eulerian host.  Every value of
 one sink game lives in its record, ``RecurrentSet``, cached once per game;
 ``_checked_game`` hands it out, refusing a stable cube above ``CELL_CAP`` cells.
 """
@@ -153,6 +156,40 @@ def _burning_script(lap: list[list[int]]) -> tuple[tuple[int, ...], tuple[int, .
                 script[u] -= b // lap[u][u]
 
 
+# games with at least this many members burn with a kernel compiled for the game:
+# building one costs 0.2-0.5 ms, which its faster burns repay from 140-160 members on
+KERNEL_MIN_MEMBERS = 192
+
+
+def _burn_source(n: int, sink: int, movers: tuple, b) -> str:
+    """``_settle``'s sweep on cell + b, unrolled over one game's firing table: one
+    block per mover, one line per non-sink arc, vertex ``v``'s chips in ``cv`` and
+    its firings in ``nv``.  Only integer literals and fixed names enter it."""
+    domain = [v for v in range(n) if v != sink]
+    cells = "".join(f"c{v}, " for v in domain)
+    lines = ["def burn(cell):", f"    ({cells}) = cell", *(f"    c{u} += {x}" for u, x in b)]
+    lines += [f"    n{v} = 0" for v in domain] + ["    more = True", "    while more:", "        more = False"]
+    for v, out, drop, neighbors in movers:  # k = (c - out) // drop + 1 = (c - loops) // drop
+        lines += [
+            f"        if c{v} >= {out}:",
+            f"            k = {f'(c{v} - {out - drop})' if out > drop else f'c{v}'} // {drop}",
+            f"            c{v} -= k * {drop}",
+            f"            n{v} += k",
+            "            more = True",
+            *(f"            c{u} += k" + f" * {m}" * (m > 1) for u, m in neighbors if u != sink),
+        ]
+    counts = ", ".join("0" if v == sink else f"n{v}" for v in range(n))
+    return "\n".join([*lines, f"    return [{counts}] if ({cells}) == cell else None\n"])
+
+
+def _compiled_burn(n: int, sink: int, movers: tuple, b):
+    """``burner``'s ``burn`` for one game, compiled from ``_burn_source``: the same
+    firing counts or None, with no loop over the firing table."""
+    namespace: dict = {}
+    exec(_burn_source(n, sink, movers, b), namespace)
+    return namespace["burn"]
+
+
 def kappa(g: MultiDigraph) -> int:
     """Minimum of outdeg(s) + total chips over recurrents of the loopless host.
 
@@ -225,14 +262,22 @@ class RecurrentSet:
         return _movers(self.host, self.sink_index)
 
     @cached_property
+    def _burning(self) -> tuple[list[tuple[int, int]], list[int]]:
+        """b's nonzero entries and the script σ, both by vertex index (σ is 0 on the sink)."""
+        sink = self.sink_index
+        b, script = _burning_script(self._laplacian)
+        return [(u + (u >= sink), x) for u, x in enumerate(b) if x], [*script[:sink], 0, *script[sink:]]
+
+    @cached_property
     def burner(self):
         """Speer's burning test, set up once: ``burn`` and the script σ by vertex
         index, 0 on the sink.  ``burn(cell)`` settles a chip vector of V \\ {sink}
-        plus b, the sink's slot collecting the chips lost, and returns the firing
-        counts by vertex index when the run returns ``cell``, else None."""
+        plus b with the generic kernel ``_settle``, the sink's slot collecting the
+        chips lost, and returns the firing counts by vertex index when the run
+        returns ``cell``, else None.  ``is_recurrent`` and the burning-uniqueness
+        suite use it, and so does ``found`` below KERNEL_MIN_MEMBERS members."""
         sink, movers = self.sink_index, self.movers
-        b, script = _burning_script(self._laplacian)
-        b = [(u + (u >= sink), x) for u, x in enumerate(b) if x]  # by vertex index
+        b, script = self._burning
 
         def burn(cell: tuple[int, ...]) -> list[int] | None:
             chips = list(cell)
@@ -243,7 +288,7 @@ class RecurrentSet:
             del chips[sink]
             return counts if tuple(chips) == cell else None
 
-        return burn, [*script[:sink], 0, *script[sink:]]
+        return burn, script
 
     @cached_property
     def found(self) -> array:
@@ -255,9 +300,13 @@ class RecurrentSet:
         recurrent c has the recurrent parent c + e_k, k the first vertex of c below
         its maximum; only children c - e_i, i <= k, of recurrent cells are burned.
         Each cell is reached at most once, with its index, its chips and its mark,
-        one less than its parent's.
+        one less than its parent's.  From KERNEL_MIN_MEMBERS members on, the cells
+        burn with ``_compiled_burn``, built here for this one search; either kernel
+        must fire exactly σ, and the members must number ``count``.
         """
         burn, script = self.burner
+        if self.count >= KERNEL_MIN_MEMBERS:
+            burn = _compiled_burn(self.host.n_vertices, self.sink_index, self.movers, self._burning[0])
         weights, top = self.weights, tuple(out - 1 for out in self.bounds)
         total = self.sink_outdeg + sum(top)
         code = "B" if total < 1 << 8 else "H" if total < 1 << 16 else "Q"

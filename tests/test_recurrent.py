@@ -15,6 +15,7 @@ from chipfiring import (
     delete_arcs,
     enumerate_recurrents,
     fire,
+    is_eulerian,
     is_firable,
     is_minimal,
     is_minimum,
@@ -549,3 +550,97 @@ def test_recurrent_set_json_shape():
     assert data["configs"][0] == {"chips": {"a": 0, "b": 1}, "sum": 3, "level": 0}
     vectors = [tuple(c["chips"][v] for v in ("a", "b")) for c in data["configs"]]
     assert vectors == sorted(vectors)
+
+
+K6 = bidirected_complete([f"k{i}" for i in range(6)])  # 1,296 members at every sink
+
+
+def _kernel_hosts():
+    """Seeded Eulerian hosts with loops and parallel arcs, and strongly connected
+    non-Eulerian hosts, where Speer's script may exceed 1."""
+    rng = random.Random(2026)
+    eulerian = []
+    while len(eulerian) < 30:
+        g = random_eulerian(rng, 7, 24)
+        if g.loop_count and len(set(g.arcs)) < g.n_arcs:
+            eulerian.append(g)
+    larger = [random_strongly_connected(rng, 5, 16) for _ in range(10)]
+    return eulerian + larger + list(non_eulerian_corpus()[:40])
+
+
+def test_compiled_kernel_matches_the_generic_burn(monkeypatch):
+    from chipfiring import recurrent
+
+    def refuse(chips, movers):
+        raise AssertionError("the compiled path ran the generic kernel")
+
+    generic_settle, cells, scripts_above_one = recurrent._settle, 0, 0
+    for g in _kernel_hosts():
+        # names that would break the source if they entered it; indices stay the same
+        hostile = {v: f"{v}); import os #" for v in g.vertices}
+        renamed = MultiDigraph.of([(hostile[t], hostile[h]) for t, h in g.arcs], hostile.values())
+        for sink, s in enumerate(g.vertices):
+            monkeypatch.setattr(recurrent, "KERNEL_MIN_MEMBERS", float("inf"))
+            generic = recurrent.RecurrentSet(g, s)
+            generic.found
+            monkeypatch.setattr(recurrent, "KERNEL_MIN_MEMBERS", 0)
+            monkeypatch.setattr(recurrent, "_settle", refuse)
+            compiled = recurrent.RecurrentSet(renamed, hostile[s])
+            assert compiled.found == generic.found
+            monkeypatch.setattr(recurrent, "_settle", generic_settle)
+            assert compiled.members == generic.members and compiled.sums == generic.sums
+            if is_eulerian(g):
+                assert compiled.levels == generic.levels
+            args = (g.n_vertices, sink, compiled.movers, compiled._burning[0])
+            source = recurrent._burn_source(*args)
+            assert not any(name in source for name in hostile.values())
+            assert source == recurrent._burn_source(g.n_vertices, sink, generic.movers, generic._burning[0])
+            kernel, (burn, script) = recurrent._compiled_burn(*args), generic.burner
+            for cell in itertools.product(*map(range, generic.bounds)):
+                assert kernel(cell) == burn(cell)
+                cells += 1
+            scripts_above_one += max(script) > 1
+    assert cells == 32_613 and scripts_above_one == 33
+
+
+def _wrapped_kernel(real, spoil):
+    """``_compiled_burn`` whose kernel passes its second member's counts to ``spoil``."""
+
+    def compiled_burn(*args):
+        burn, members = real(*args), [0]
+
+        def spoiled(cell):
+            counts = burn(cell)
+            if counts is not None:
+                members[0] += 1
+                if members[0] == 2:
+                    return spoil(counts)
+            return counts
+
+        return spoiled
+
+    return compiled_burn
+
+
+def test_found_refuses_a_compiled_run_that_fires_a_vertex_twice(monkeypatch):
+    from chipfiring import InternalCheckError, recurrent
+
+    def fire_twice(counts):
+        counts[2] += 1
+        return counts
+
+    monkeypatch.setattr(recurrent, "_compiled_burn", _wrapped_kernel(recurrent._compiled_burn, fire_twice))
+    rs = recurrent.RecurrentSet(K6, "k0")
+    assert rs.count >= recurrent.KERNEL_MIN_MEMBERS
+    with pytest.raises(InternalCheckError, match="^burning run did not fire its burning script$"):
+        rs.found
+
+
+def test_found_refuses_a_compiled_kernel_that_rejects_a_member(monkeypatch):
+    from chipfiring import InternalCheckError, recurrent
+
+    monkeypatch.setattr(recurrent, "_compiled_burn", _wrapped_kernel(recurrent._compiled_burn, lambda counts: None))
+    rs = recurrent.RecurrentSet(K6, "k0")
+    assert rs.count >= recurrent.KERNEL_MIN_MEMBERS
+    with pytest.raises(InternalCheckError, match="determinant predicts 1296$"):
+        rs.found
