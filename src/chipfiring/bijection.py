@@ -44,30 +44,31 @@ def _swapper(g: MultiDigraph, s1: int, s2: int):
 
     ``swap(chips)`` takes a recurrent chip vector of the sink game with sink s1
     and finds the least i with stabilized chip count outdeg(s2) + i on s2; it
-    returns i and the final full-domain state.  Firing every vertex but s2 on
-    g's own firing table is stabilization on ``delete_out_arcs(g, s2)``, with
-    s2's slot collecting the chips.  Each increment adds one chip to s1 and
-    settles the previous state, which equals stabilizing the freshly augmented
-    configuration.  The search is certified to stop before the sandpile group
-    order.
+    returns i and the image on V \\ {s2}.  It settles in s2's game, from c with
+    outdeg(s1) chips on s1 and none on s2; by conservation s2 holds outdeg(s2) + i
+    when the domain holds sum(c) + outdeg(s1) - outdeg(s2).  Each increment adds
+    one chip to s1 and settles the previous state, which equals stabilizing the
+    freshly augmented configuration.  The search is certified to stop before
+    the sandpile group order.
     """
-    source_base = g._firing_table[s1][1]
-    target_base = g._firing_table[s2][1]
-    rs = _game(g, s2)
-    limit, movers = rs.count, rs.movers
+    rs, source_base = _game(g, s2), g._firing_table[s1][1]
+    limit, movers, goal_shift = rs.count, rs.movers, source_base - rs.sink_outdeg
+    source = s1 - (s1 > s2)  # s1's position in s2's domain
 
     def swap(chips: tuple[int, ...]) -> tuple[int, list[int]]:
+        goal = sum(chips) + goal_shift
         state = list(chips)
         state.insert(s1, source_base)
+        del state[s2]
         _settle(state, movers)
         i = 0
-        while state[s2] != target_base + i:
+        while sum(state) != goal:
             i += 1
             if i >= limit:
                 raise InternalCheckError(
                     f"no swap number below the group order {limit}; this cannot happen"
                 )
-            state[s1] += 1
+            state[source] += 1
             _settle(state, movers)
         return i, state
 
@@ -93,9 +94,7 @@ def swap_number(g: MultiDigraph, s1: str, s2: str, c: Configuration) -> int:
 
 def theta(g: MultiDigraph, s1: str, s2: str, c: Configuration) -> SwapResult:
     """Transport c from sink s1 to sink s2, preserving the sum statistic."""
-    i1, i2 = _swap_sinks(g, s1, s2, c)
-    i, state = _swapper(g, i1, i2)(c.chips)
-    del state[i2]
+    i, state = _swapper(g, *_swap_sinks(g, s1, s2, c))(c.chips)
     image = Configuration(c.host, s2, tuple(state))
     if not is_recurrent(g, s2, image):
         raise InternalCheckError("swap image is not recurrent; this cannot happen")

@@ -109,13 +109,11 @@ def check_theta(g: MultiDigraph) -> CheckReport:
     numbers: dict[tuple[str, str], list[int]] = {}
     images: dict[tuple[str, str], list[int]] = {}
     for s1, s2 in itertools.permutations(g.vertices, 2):
-        i2, targets = g.vertex_index(s2), positions[s2]
-        swap, out2 = bijection._swapper(g, g.vertex_index(s1), i2), g.outdeg(s2)
+        swap, out2 = bijection._swapper(g, g.vertex_index(s1), g.vertex_index(s2)), g.outdeg(s2)
         ks, js = numbers[s1, s2], images[s1, s2] = [], []
         for vec, total in zip(recurrents[s1].vectors, recurrents[s1].sums):
             k, state = swap(vec)
-            del state[i2]
-            j = targets.get(tuple(state))
+            j = positions[s2].get(tuple(state))
             if j is None:
                 raise InternalCheckError("swap image is not recurrent; this cannot happen")
             if total != out2 + sum(state):
@@ -207,13 +205,11 @@ def check_burning_uniqueness(g: MultiDigraph) -> CheckReport:
     report = CheckReport("burning-uniqueness")
     for s in g.vertices:
         rs = recurrent.enumerate_recurrents(g, s)
-        sink = g.vertex_index(s)
         burn, _ = rs.burner
         for vec in rs.vectors:
             counts = burn(vec)
             if counts is None:
                 raise InternalCheckError("burning run of a recurrent did not return it")
-            del counts[sink]
             bad = {v: k for v, k in zip(rs.domain, counts) if k != 1}
             if bad:
                 report.fail(f"burning run of {Configuration(g, s, vec)} fired {bad}")

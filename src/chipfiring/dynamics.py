@@ -4,9 +4,10 @@ Two kinds of configuration exist.  A *sink game* configuration declares a sink
 vertex and lives on the domain V \\ {sink}; chips reaching the sink vanish (the
 stabilization record counts them).  A *full-domain* configuration (sink None)
 assigns chips to every vertex; nothing vanishes, so on a host with a global
-sink the chips simply pile up there.  Sink-swapping runs on the integer kernel
-``_settle`` directly; full-domain configurations are the tests' reference path
-for it.
+sink the chips simply pile up there.  The integer kernel ``_settle`` runs on
+``_game_rows``, by domain position, so each game settles in its own coordinates;
+sink-swapping runs on it directly, with full-domain configurations as the
+tests' reference path.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class Configuration:
                 f"expected {len(self.domain)} chip counts, got {len(self.chips)}"
             )
         for v, c in zip(self.domain, self.chips):
-            if not isinstance(c, int) or c < 0:
+            if isinstance(c, bool) or not isinstance(c, int) or c < 0:
                 raise ConfigurationError(f"chip count on {v!r} must be a nonnegative integer")
 
     # ------------------------------------------------------------ constructors
@@ -53,13 +54,13 @@ class Configuration:
 
     @classmethod
     def of(cls, g: MultiDigraph, chips: dict[str, int], sink: str | None = None) -> "Configuration":
-        """Build from a mapping; omitted vertices default to 0 chips."""
+        """Build from a mapping of int counts; omitted vertices default to 0 chips."""
         for v in chips:
             g.vertex_index(v)
             if v == sink:
                 raise ConfigurationError(f"vertex {v!r} is the sink and carries no chips")
         domain = g.vertices if sink is None else tuple(v for v in g.vertices if v != sink)
-        return cls(g, sink, tuple(int(chips.get(v, 0)) for v in domain))
+        return cls(g, sink, tuple(chips.get(v, 0) for v in domain))
 
     # ----------------------------------------------------------------- queries
     def chip(self, v: str) -> int:
@@ -178,36 +179,45 @@ def fire(g: MultiDigraph, c: Configuration, v: str) -> Configuration:
     return Configuration(c.host, c.sink, tuple(chips))
 
 
+def _game_rows(g: MultiDigraph, sink: int | None) -> tuple:
+    """``g._firing_table`` on the game's domain, V minus ``sink`` (all of V at None):
+    rows and neighbors renumbered by domain position, arcs into the sink left out."""
+    if sink is None:
+        return g._firing_table
+    return tuple(
+        (v - (v > sink), out, drop, tuple((u - (u > sink), m) for u, m in neighbors if u != sink))
+        for v, out, drop, neighbors in g._firing_table
+        if v != sink
+    )
+
+
 def _movers(g: MultiDigraph, sink: int | None) -> tuple:
-    """Firing-table rows of the vertices that may fire: not the sink, and
-    holding a non-loop out-arc.  Uncached: a sink game's record keeps its own.
+    """``_game_rows`` of the vertices that may fire: not the sink, and holding a
+    non-loop out-arc.  Uncached: a sink game's record keeps its own.
 
     Also certifies that every game on them stops, whatever the chips: each
     mover must reach a vertex that never fires (Björner and Lovász, 1992).
     One backward search from those vertices decides it, in time linear in the
     vertices plus the distinct arcs; a mover it misses raises
-    NonTerminationError naming that vertex.
+    NonTerminationError naming the first (the search starts from every non-mover).
     """
-    movers = tuple(row for row in g._firing_table if row[0] != sink and row[2])
-    moving = {row[0] for row in movers}
-    reached = _reach([v for v in range(g.n_vertices) if v not in moving], g._predecessors)
-    for v, *_ in movers:
-        if not reached[v]:
-            raise NonTerminationError(
-                f"vertex {g.vertices[v]!r} can fire but reaches no vertex that never fires "
-                "(a sink, or a vertex without a non-loop out-arc), so its game need not stop"
-            )
-    return movers
+    reached = _reach([v for v, _, drop, _ in g._firing_table if v == sink or not drop], g._predecessors)
+    if not all(reached):
+        raise NonTerminationError(
+            f"vertex {g.vertices[reached.index(False)]!r} can fire but reaches no vertex that never "
+            "fires (a sink, or a vertex without a non-loop out-arc), so its game need not stop"
+        )
+    return tuple(row for row in _game_rows(g, sink) if row[2])
 
 
 def _settle(chips: list[int], movers: tuple) -> list[int]:
-    """Fire ``movers`` until none is firable; return per-vertex firing counts.
+    """Fire ``movers`` until none is firable; return per-position firing counts.
 
-    ``chips`` is indexed by canonical vertex index and is updated in place.
-    Chips sent to a vertex that is not a mover stay on it, so a sink's slot
-    collects what the sink game loses.  Sweeps in canonical order, firing each
-    vertex to exhaustion in one batch.  ``movers`` must come from ``_movers``,
-    whose certificate guarantees that the sweeps stop.
+    ``chips`` is indexed by domain position and updated in place.  Chips sent
+    to the sink vanish, its arcs being out of the rows; chips sent to a vertex
+    that is not a mover stay on it.  Sweeps in domain order, firing each vertex
+    to exhaustion in one batch.  ``movers`` must come from ``_movers``, whose
+    certificate guarantees that the sweeps stop.
     """
     counts = [0] * len(chips)
     progress = True
@@ -240,14 +250,12 @@ def stabilize(g: MultiDigraph, c: Configuration) -> tuple[Configuration, FiringR
     counts are schedule independent.
     """
     _check_host(g, c)
+    sink = None if c.sink is None else g.vertex_index(c.sink)
     chips = list(c.chips)
-    sink = None
-    if c.sink is not None:
-        sink = g.vertex_index(c.sink)
-        chips.insert(sink, 0)
     counts = _settle(chips, _movers(g, sink))
-    vanished = 0 if sink is None else chips.pop(sink)
-    record = FiringRecord(g.vertices, tuple(counts), vanished)
+    if sink is not None:
+        counts.insert(sink, 0)
+    record = FiringRecord(g.vertices, tuple(counts), c.total() - sum(chips))
     return Configuration(c.host, c.sink, tuple(chips)), record
 
 

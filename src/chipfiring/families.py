@@ -10,7 +10,15 @@ from __future__ import annotations
 
 import random
 
+from .errors import GraphError
 from .graph import MultiDigraph, is_eulerian
+
+
+def _vertex_count(rng: random.Random, max_vertices: int, max_arcs: int) -> int:
+    """n in [2, min(max_vertices, max_arcs)]: a strong host on n vertices has n arcs."""
+    if min(max_vertices, max_arcs) < 2:
+        raise GraphError(f"size budget of {max_vertices} vertices, {max_arcs} arcs is below 2")
+    return rng.randint(2, min(max_vertices, max_arcs))
 
 
 def random_eulerian(
@@ -20,7 +28,7 @@ def random_eulerian(
 ) -> MultiDigraph:
     """Random connected Eulerian multidigraph within the given size budget."""
     while True:
-        n = rng.randint(2, max_vertices)
+        n = _vertex_count(rng, max_vertices, max_arcs)
         names = [f"v{i}" for i in range(n)]
         arcs: list[tuple[str, str]] = []
         budget = rng.randint(n, max_arcs)
@@ -45,7 +53,7 @@ def random_strongly_connected(
 ) -> MultiDigraph:
     """Random strongly connected multidigraph; ``eulerian=False`` filters the class out."""
     while True:
-        n = rng.randint(2, max_vertices)
+        n = _vertex_count(rng, max_vertices, max_arcs)
         names = [f"v{i}" for i in range(n)]
         n_arcs = rng.randint(n, max_arcs)
         arcs = []

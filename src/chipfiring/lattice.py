@@ -122,17 +122,13 @@ def _representative(g: MultiDigraph, s: str):
     n = abs(rs.count)
     if n == 0:
         raise GraphError("degenerate host: the reduced Laplacian is singular")
-    sink, movers = rs.sink_index, rs.movers
-    base = [n * max(rs.bounds, default=1)] * g.n_vertices
-    base[sink] = 0
+    movers = rs.movers
+    base = [n * max(rs.bounds, default=1)] * len(rs.bounds)
     _settle(base, movers)
-    del base[sink]
 
     def represent(cell) -> tuple[int, ...]:
         chips = list(map(add, cell, base))
-        chips.insert(sink, 0)
         _settle(chips, movers)
-        del chips[sink]
         return tuple(chips)
 
     return represent

@@ -23,9 +23,9 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress, product
-from operator import itemgetter, lt, mul
+from operator import add, itemgetter, lt, mul
 
-from .dynamics import Configuration, _movers, _settle
+from .dynamics import Configuration, _game_rows, _movers, _settle
 from .errors import ConfigurationError, GraphError, InternalCheckError, SizeCapError
 from .graph import MAX_GAME_VERTICES, MultiDigraph, is_eulerian, remove_loops
 from .polynomial import LaurentPolynomial
@@ -57,16 +57,13 @@ def reduced_laplacian(g: MultiDigraph, s: str) -> list[list[int]]:
     Rows and columns follow the canonical order of V \\ {s}; the diagonal holds
     the loopless out-degrees, off-diagonal entries are -d(v_i, v_j).
     """
-    sink = g.vertex_index(s)
     rows = []
-    for v, _, drop, neighbors in g._firing_table:
-        if v != sink:
-            row = [0] * g.n_vertices
-            row[v] = drop
-            for u, m in neighbors:
-                row[u] = -m
-            del row[sink]
-            rows.append(row)
+    for v, _, drop, neighbors in _game_rows(g, g.vertex_index(s)):
+        row = [0] * (g.n_vertices - 1)
+        row[v] = drop
+        for u, m in neighbors:
+            row[u] = -m
+        rows.append(row)
     return rows
 
 
@@ -123,7 +120,7 @@ def is_recurrent(g: MultiDigraph, s: str, c: Configuration) -> bool:
     if c.sink != s or c.host.vertices != g.vertices:
         raise ConfigurationError("configuration does not belong to this sink game")
     rs = _game(g, g.vertex_index(s))
-    if any(c.chips[v - (v > rs.sink_index)] >= out for v, out, _, _ in rs.movers):
+    if any(c.chips[v] >= out for v, out, _, _ in rs.movers):
         raise ConfigurationError("burning test requires a stable configuration")
     burn, script = rs.burner
     counts = burn(c.chips)
@@ -131,8 +128,8 @@ def is_recurrent(g: MultiDigraph, s: str, c: Configuration) -> bool:
         return False
     if counts != script:
         raise InternalCheckError(
-            f"burning run of a recurrent configuration fired {dict(zip(g.vertices, counts))}, "
-            f"expected its burning script {dict(zip(g.vertices, script))}"
+            f"burning run of a recurrent configuration fired {dict(zip(rs.domain, counts))}, "
+            f"expected its burning script {dict(zip(rs.domain, script))}"
         )
     return True
 
@@ -161,13 +158,14 @@ def _burning_script(lap: list[list[int]]) -> tuple[tuple[int, ...], tuple[int, .
 KERNEL_MIN_MEMBERS = 192
 
 
-def _burn_source(n: int, sink: int, movers: tuple, b) -> str:
-    """``_settle``'s sweep on cell + b, unrolled over one game's firing table: one
-    block per mover, one line per non-sink arc, vertex ``v``'s chips in ``cv`` and
-    its firings in ``nv``.  Only integer literals and fixed names enter it."""
-    domain = [v for v in range(n) if v != sink]
+def _burn_source(movers: tuple, b) -> str:
+    """``_settle``'s sweep on cell + b, unrolled over one game's rows: one block
+    per mover, one line per arc in its row, domain position ``v``'s chips in ``cv``
+    and its firings in ``nv``.  Only integer literals and fixed names enter it."""
+    domain = range(len(b))
     cells = "".join(f"c{v}, " for v in domain)
-    lines = ["def burn(cell):", f"    ({cells}) = cell", *(f"    c{u} += {x}" for u, x in b)]
+    lines = ["def burn(cell):", f"    ({cells}) = cell"]
+    lines += [f"    c{u} += {x}" for u, x in enumerate(b) if x]
     lines += [f"    n{v} = 0" for v in domain] + ["    more = True", "    while more:", "        more = False"]
     for v, out, drop, neighbors in movers:  # k = (c - out) // drop + 1 = (c - loops) // drop
         lines += [
@@ -176,17 +174,17 @@ def _burn_source(n: int, sink: int, movers: tuple, b) -> str:
             f"            c{v} -= k * {drop}",
             f"            n{v} += k",
             "            more = True",
-            *(f"            c{u} += k" + f" * {m}" * (m > 1) for u, m in neighbors if u != sink),
+            *(f"            c{u} += k" + f" * {m}" * (m > 1) for u, m in neighbors),
         ]
-    counts = ", ".join("0" if v == sink else f"n{v}" for v in range(n))
+    counts = ", ".join(f"n{v}" for v in domain)
     return "\n".join([*lines, f"    return [{counts}] if ({cells}) == cell else None\n"])
 
 
-def _compiled_burn(n: int, sink: int, movers: tuple, b):
+def _compiled_burn(movers: tuple, b):
     """``burner``'s ``burn`` for one game, compiled from ``_burn_source``: the same
     firing counts or None, with no loop over the firing table."""
     namespace: dict = {}
-    exec(_burn_source(n, sink, movers, b), namespace)
+    exec(_burn_source(movers, b), namespace)
     return namespace["burn"]
 
 
@@ -217,9 +215,8 @@ class RecurrentSet:
     certifies them.  ``sums[i]`` is outdeg(sink) + member i's total chips and
     ``levels[i]`` is ``sums[i] - kappa``.  Chip vectors are decoded only where
     chips are read: ``decode``, ``vectors``, ``configs`` and ``to_json_dict``.
-    ``sink_index``, ``sink_outdeg``, ``domain``, ``bounds``, ``weights`` and
-    ``cells`` are set at construction, which refuses a game above
-    MAX_GAME_VERTICES non-sink vertices.
+    ``sink_outdeg``, ``domain``, ``bounds``, ``weights`` and ``cells`` are set at
+    construction, which refuses a game above MAX_GAME_VERTICES non-sink vertices.
     """
 
     host: MultiDigraph
@@ -234,7 +231,6 @@ class RecurrentSet:
         sink, vertices = self.host.vertex_index(self.sink), self.host.vertices
         bounds = tuple(out for v, out, _, _ in self.host._firing_table if v != sink)
         for name, value in (
-            ("sink_index", sink),
             ("sink_outdeg", self.host._firing_table[sink][1]),
             ("domain", vertices[:sink] + vertices[sink + 1 :]),
             ("bounds", bounds),
@@ -259,33 +255,28 @@ class RecurrentSet:
 
     @cached_property
     def movers(self) -> tuple:  # certified to stop, after the host checks
-        return _movers(self.host, self.sink_index)
+        return _movers(self.host, self.host.vertex_index(self.sink))
 
     @cached_property
-    def _burning(self) -> tuple[list[tuple[int, int]], list[int]]:
-        """b's nonzero entries and the script σ, both by vertex index (σ is 0 on the sink)."""
-        sink = self.sink_index
+    def _burning(self) -> tuple[tuple[int, ...], list[int]]:
+        """b and the script σ, both by domain position."""
         b, script = _burning_script(self._laplacian)
-        return [(u + (u >= sink), x) for u, x in enumerate(b) if x], [*script[:sink], 0, *script[sink:]]
+        return b, list(script)
 
     @cached_property
     def burner(self):
-        """Speer's burning test, set up once: ``burn`` and the script σ by vertex
-        index, 0 on the sink.  ``burn(cell)`` settles a chip vector of V \\ {sink}
-        plus b with the generic kernel ``_settle``, the sink's slot collecting the
-        chips lost, and returns the firing counts by vertex index when the run
-        returns ``cell``, else None.  ``is_recurrent`` and the burning-uniqueness
-        suite use it, and so does ``found`` below KERNEL_MIN_MEMBERS members."""
-        sink, movers = self.sink_index, self.movers
+        """Speer's burning test, set up once: ``burn`` and the script σ by domain
+        position.  ``burn(cell)`` settles a chip vector of V \\ {sink} plus b with
+        the generic kernel ``_settle`` and returns the firing counts by domain
+        position when the run returns ``cell``, else None.  ``is_recurrent`` and
+        the burning-uniqueness suite use it, and so does ``found`` below
+        KERNEL_MIN_MEMBERS members."""
+        movers = self.movers
         b, script = self._burning
 
         def burn(cell: tuple[int, ...]) -> list[int] | None:
-            chips = list(cell)
-            chips.insert(sink, 0)
-            for u, x in b:
-                chips[u] += x
+            chips = list(map(add, cell, b))
             counts = _settle(chips, movers)
-            del chips[sink]
             return counts if tuple(chips) == cell else None
 
         return burn, script
@@ -306,7 +297,7 @@ class RecurrentSet:
         """
         burn, script = self.burner
         if self.count >= KERNEL_MIN_MEMBERS:
-            burn = _compiled_burn(self.host.n_vertices, self.sink_index, self.movers, self._burning[0])
+            burn = _compiled_burn(self.movers, self._burning[0])
         weights, top = self.weights, tuple(out - 1 for out in self.bounds)
         total = self.sink_outdeg + sum(top)
         code = "B" if total < 1 << 8 else "H" if total < 1 << 16 else "Q"

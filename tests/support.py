@@ -20,10 +20,12 @@ from chipfiring import (
     InternalCheckError,
     MultiDigraph,
     add,
+    augment_sink,
     beta,
     bijection,
     checks,
     delete_arcs,
+    delete_out_arcs,
     enumerate_recurrents,
     is_bridge,
     is_eulerian,
@@ -43,7 +45,6 @@ from chipfiring.cli import (
     _cmd_swap,
     _cmd_tutte,
 )
-from chipfiring.dynamics import _movers, _settle
 from chipfiring.recurrent import CELL_CAP, _recurrent_vectors
 from chipfiring.families import random_eulerian, random_strongly_connected
 
@@ -405,8 +406,9 @@ def reference_representative(g: MultiDigraph, s: str, cell) -> tuple[int, ...]:
 
 
 # ``check_theta`` as it ran with a second swap search per member, the swap
-# back, a separate round-trip settle and a scan over every pair of members;
-# the reference its differential test compares against.
+# back, a separate round trip on the public full-domain path (``augment_sink``,
+# then ``stabilize`` toward s1) and a scan over every pair of members; the
+# reference its differential test compares against.
 def reference_theta(g: MultiDigraph) -> CheckReport:
     """Sink-swap suite on chip vectors of the enumerated recurrent sets.
 
@@ -423,15 +425,14 @@ def reference_theta(g: MultiDigraph) -> CheckReport:
         rs = recurrents[s1]
         config = partial(Configuration, g, s1)  # for report lines only
         i1, i2 = g.vertex_index(s1), g.vertex_index(s2)
-        out1, out2 = g.outdeg(s1), g.outdeg(s2)
+        out2 = g.outdeg(s2)
         swap, swap_back = bijection._swapper(g, i1, i2), bijection._swapper(g, i2, i1)
         targets = set(recurrents[s2].vectors)
-        back_movers = _movers(g, i1)
+        back_host = delete_out_arcs(g, s1)
         min_sum = min(rs.sums)
         swaps = []
         for vec, total, minimal in zip(rs.vectors, rs.sums, rs.minimal_flags):
             k, state = swap(vec)
-            del state[i2]
             image = tuple(state)
             if image not in targets:
                 raise InternalCheckError("swap image is not recurrent; this cannot happen")
@@ -447,13 +448,10 @@ def reference_theta(g: MultiDigraph) -> CheckReport:
                 report.fail(
                     f"swap symmetry broke for {config(vec)} between {s1} and {s2}: {k} vs {back}"
                 )
-            # the image augmented by k, stabilized toward s1, is c augmented by k
-            round_trip = list(image)
-            round_trip.insert(i2, out2 + k)
-            _settle(round_trip, back_movers)
-            expected = list(vec)
-            expected.insert(i1, out1 + k)
-            if round_trip != expected:
+            # the image augmented by k, stabilized toward s1, is c augmented by k,
+            # both on the full domain, settled by the public path
+            round_trip, _ = stabilize(back_host, augment_sink(Configuration(g, s2, image), k))
+            if round_trip != augment_sink(config(vec), k):
                 report.fail(f"round trip did not return {config(vec)} augmented by {k}")
             if total == min_sum and k != 0:
                 report.fail(f"minimum configuration {config(vec)} has swap number {k}")

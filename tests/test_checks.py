@@ -339,7 +339,8 @@ def test_burning_uniqueness_refuses_non_eulerian_hosts_like_the_reference(tmp_pa
 
 
 def _settle_firing_twice(real, vertex: int, run: int):
-    """``_settle`` that reports one extra firing of ``vertex`` on its ``run``-th call."""
+    """``_settle`` that reports one extra firing at domain position ``vertex`` on
+    its ``run``-th call."""
     calls = [0]
 
     def settle(chips, movers):
@@ -357,11 +358,11 @@ def test_burning_uniqueness_reports_a_double_firing_like_the_reference(monkeypat
     for s in g.vertices:
         enumerate_recurrents(g, s)  # enumerated before any _settle is patched
     real = dynamics._settle
-    # the third run has sink s (index 0) and fires v2 (index 2) twice
-    monkeypatch.setattr(dynamics, "_settle", _settle_firing_twice(real, 2, 3))
+    # the third run has sink s and fires v2 (domain position 1) twice
+    monkeypatch.setattr(dynamics, "_settle", _settle_firing_twice(real, 1, 3))
     expected = reference_burning_uniqueness(g)
     monkeypatch.setattr(dynamics, "_settle", real)
-    monkeypatch.setattr(recurrent, "_settle", _settle_firing_twice(real, 2, 3))
+    monkeypatch.setattr(recurrent, "_settle", _settle_firing_twice(real, 1, 3))
     report = run_check("burning-uniqueness", g)
     assert not report.ok and report == expected
     violations = [line for line in report.lines if line.startswith("VIOLATION")]

@@ -20,7 +20,7 @@ from chipfiring import (
     restrict,
     stabilize,
 )
-from chipfiring.dynamics import _movers
+from chipfiring.dynamics import _game_rows, _movers
 from chipfiring.families import random_eulerian
 
 from support import (
@@ -52,6 +52,12 @@ def test_configuration_validation():
         Configuration(C3, "s", (1, -1))
     with pytest.raises(ConfigurationError):
         Configuration.of(C3, {"s": 1}, sink="s")
+    # counts are ints as given: neither coerced nor taken as booleans
+    for count in (2.7, "3", True, False):
+        with pytest.raises(ConfigurationError, match="'a' must be a nonnegative integer"):
+            Configuration.of(C3, {"a": count}, sink="s")
+        with pytest.raises(ConfigurationError, match="'a' must be a nonnegative integer"):
+            Configuration(C3, "s", (count, 0))
     c = cfg(C3, "s", a=1)
     assert c.chip("a") == 1 and c.chip("b") == 0
     assert c.domain == ("a", "b") and Configuration.zeros(C3).domain == C3.vertices
@@ -164,10 +170,33 @@ def test_movers_certificate_matches_reachability():
             else:
                 accepted += 1
                 rows = _movers(g, index)
-                assert [g.vertices[row[0]] for row in rows] == movers
+                domain = [v for v in g.vertices if v != sink]
+                assert [domain[row[0]] for row in rows] == movers
     # strongly connected hosts are refused at None and accepted at every sink;
     # the random digraphs add refusals at sinks and accepted sink-free hosts
     assert refused > 300 and accepted > 1000
+
+
+def test_game_rows_match_a_reference_built_from_names():
+    # looped hosts with parallel arcs, beside the two corpora
+    rng = random.Random(2026)
+    looped = [g for g in (random_eulerian(rng, 7, 24) for _ in range(100)) if g.loop_count]
+    looped = [g for g in looped if len(set(g.arcs)) < g.n_arcs]
+    assert len(looped) >= 20
+    games = 0
+    for g in (*corpus(), *non_eulerian_corpus(), *looped):
+        for sink in (None, *g.vertices):
+            domain = [v for v in g.vertices if v != sink]
+            expected = tuple(
+                (i, g.outdeg(v), g.outdeg(v) - g.loops_at(v), tuple(
+                    (j, g.multiplicity(v, u)) for j, u in enumerate(domain)
+                    if u != v and g.multiplicity(v, u)
+                ))
+                for i, v in enumerate(domain)
+            )
+            assert _game_rows(g, None if sink is None else g.vertex_index(sink)) == expected
+            games += 1
+    assert games > 1500
 
 
 def test_stabilize_refuses_uncertified_host_before_firing():

@@ -22,7 +22,7 @@ from chipfiring import (
 )
 from chipfiring import graph
 from chipfiring.checks import run_check
-from chipfiring.families import random_strongly_connected
+from chipfiring.families import random_eulerian, random_strongly_connected
 
 from support import (
     bidirected_complete,
@@ -357,3 +357,16 @@ def test_bridges_match_arc_list_reference():
                 with pytest.raises(GraphError):
                     bridge_cut(g, i)
     assert bridges > 500 and cuts > 200
+
+
+def test_generators_fit_an_arc_budget_below_the_vertex_bound():
+    # the vertex count is drawn within the arc budget; a budget below 2 is refused
+    for seed in range(50):
+        g = random_eulerian(random.Random(seed), 5, 3)
+        assert is_eulerian(g) and g.n_arcs <= 3
+        g = random_strongly_connected(random.Random(seed), 6, 4)
+        assert g.is_strongly_connected() and not is_eulerian(g) and g.n_arcs <= 4
+    for sizes in ((1, 12), (5, 1)):
+        for generate in (random_eulerian, random_strongly_connected):
+            with pytest.raises(GraphError, match="is below 2"):
+                generate(random.Random(0), *sizes)

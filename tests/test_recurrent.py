@@ -579,7 +579,7 @@ def test_compiled_kernel_matches_the_generic_burn(monkeypatch):
         # names that would break the source if they entered it; indices stay the same
         hostile = {v: f"{v}); import os #" for v in g.vertices}
         renamed = MultiDigraph.of([(hostile[t], hostile[h]) for t, h in g.arcs], hostile.values())
-        for sink, s in enumerate(g.vertices):
+        for s in g.vertices:
             monkeypatch.setattr(recurrent, "KERNEL_MIN_MEMBERS", float("inf"))
             generic = recurrent.RecurrentSet(g, s)
             generic.found
@@ -591,10 +591,10 @@ def test_compiled_kernel_matches_the_generic_burn(monkeypatch):
             assert compiled.members == generic.members and compiled.sums == generic.sums
             if is_eulerian(g):
                 assert compiled.levels == generic.levels
-            args = (g.n_vertices, sink, compiled.movers, compiled._burning[0])
+            args = (compiled.movers, compiled._burning[0])
             source = recurrent._burn_source(*args)
             assert not any(name in source for name in hostile.values())
-            assert source == recurrent._burn_source(g.n_vertices, sink, generic.movers, generic._burning[0])
+            assert source == recurrent._burn_source(generic.movers, generic._burning[0])
             kernel, (burn, script) = recurrent._compiled_burn(*args), generic.burner
             for cell in itertools.product(*map(range, generic.bounds)):
                 assert kernel(cell) == burn(cell)
