@@ -6,12 +6,13 @@ b >= 0; that run fires exactly σ.  On Eulerian hosts σ = 1 and b is one sink
 firing (Dhar).  Enumeration walks down the recurrent up-set of the stable cube
 prod_v [0, outdeg(v)-1] by reverse search on the integer firing kernel of
 ``dynamics``, on any strongly connected host, and cross-checks the count
-against det Δ.  A game of at least KERNEL_MIN_MEMBERS members burns with a
-kernel compiled for it, the same sweep unrolled over its firing table;
-smaller games, ``is_recurrent`` and the burning-uniqueness suite use the
-generic ``_settle``.  Levels and ``kappa`` need an Eulerian host.  Every value of
-one sink game lives in its record, ``RecurrentSet``, cached once per game;
-``_checked_game`` hands it out, refusing a stable cube above ``CELL_CAP`` cells.
+against det Δ.  A game of at least KERNEL_MIN_MEMBERS members runs the
+whole search as one function compiled for it, with the same sweep unrolled
+over its firing table and flat stack entries; smaller games, ``is_recurrent``
+and the burning-uniqueness suite burn with the generic ``_settle``.  Levels
+and ``kappa`` need an Eulerian host.  Every value of one sink game lives in its
+record, ``RecurrentSet``, cached once per game; ``_checked_game`` hands it out,
+refusing a stable cube above ``CELL_CAP`` cells.
 """
 
 from __future__ import annotations
@@ -153,39 +154,67 @@ def _burning_script(lap: list[list[int]]) -> tuple[tuple[int, ...], tuple[int, .
                 script[u] -= b // lap[u][u]
 
 
-# games with at least this many members burn with a kernel compiled for the game:
-# building one costs 0.2-0.5 ms, which its faster burns repay from 140-160 members on
+# games with at least this many members run a reverse search compiled for the game:
+# building one costs 0.4-1.1 ms, which its faster search repays from 190-230 members on
 KERNEL_MIN_MEMBERS = 192
 
 
-def _burn_source(movers: tuple, b) -> str:
-    """``_settle``'s sweep on cell + b, unrolled over one game's rows: one block
-    per mover, one line per arc in its row, domain position ``v``'s chips in ``cv``
-    and its firings in ``nv``.  Only integer literals and fixed names enter it."""
-    domain = range(len(b))
-    cells = "".join(f"c{v}, " for v in domain)
-    lines = ["def burn(cell):", f"    ({cells}) = cell"]
-    lines += [f"    c{u} += {x}" for u, x in enumerate(b) if x]
-    lines += [f"    n{v} = 0" for v in domain] + ["    more = True", "    while more:", "        more = False"]
-    for v, out, drop, neighbors in movers:  # k = (c - out) // drop + 1 = (c - loops) // drop
+def _burn_lines(movers: tuple, b) -> list[str]:
+    """``_settle``'s sweep on cell + b, unrolled over one game's rows: domain
+    position ``v`` starts from the cell's chips in ``cv``, adds b's and ends with
+    the run's chips in ``cv`` and its firings in ``nv``.  One block per mover, one
+    line per arc in its row, indented from column 0.  Only integer literals and
+    fixed names enter it."""
+    lines = [f"c{u} += {x}" for u, x in enumerate(b) if x]
+    lines.append("".join(f"n{v} = " for v in range(len(b))) + "0")
+    lines += ["more = True", "while more:", "    more = False"]
+    # k = (c - out) // drop + 1 = (c - loops) // drop, and c - k * drop = c % drop without loops
+    for v, out, drop, neighbors in movers:
+        loops = out > drop
         lines += [
-            f"        if c{v} >= {out}:",
-            f"            k = {f'(c{v} - {out - drop})' if out > drop else f'c{v}'} // {drop}",
-            f"            c{v} -= k * {drop}",
-            f"            n{v} += k",
-            "            more = True",
-            *(f"            c{u} += k" + f" * {m}" * (m > 1) for u, m in neighbors),
+            f"    if c{v} >= {out}:",
+            f"        k = {f'(c{v} - {out - drop})' if loops else f'c{v}'} // {drop}",
+            f"        c{v} {'-= k *' if loops else '%='} {drop}",
+            f"        n{v} += k",
+            "        more = True",
+            *(f"        c{u} += k" + f" * {m}" * (m > 1) for u, m in neighbors),
         ]
-    counts = ", ".join(f"n{v}" for v in domain)
-    return "\n".join([*lines, f"    return [{counts}] if ({cells}) == cell else None\n"])
+    return lines
 
 
-def _compiled_burn(movers: tuple, b):
-    """``burner``'s ``burn`` for one game, compiled from ``_burn_source``: the same
-    firing counts or None, with no loop over the firing table."""
-    namespace: dict = {}
-    exec(_burn_source(movers, b), namespace)
-    return namespace["burn"]
+def _search_source(movers: tuple, b, script, weights, top) -> str:
+    """``found``'s reverse search for one game as one function, ``search(found)``,
+    which writes the member map and returns the member count.  Stack entries are
+    flat tuples (index, mark, c0, ..., c{n-1}); each popped cell burns with
+    ``_burn_lines``' block, a run that fires other than ``script`` raises, and
+    each child is pushed with its weight and top as literals.  Only integer
+    literals and fixed names enter it."""
+    cells = [f"c{t}" for t in range(len(b))]
+
+    def entry(*fields):
+        return "(" + "".join(f"{field}, " for field in fields) + ")"
+
+    lines = [
+        "def search(found):",
+        "    members = 0",
+        f"    stack = [{entry(sum(map(mul, top, weights)), 1 + sum(top), *top)}]",
+        "    pop, push = stack.pop, stack.append",
+        "    while stack:",
+        "        cell = pop()",
+        f"        {entry('i', 'mark', *cells)} = cell",
+        *(f"        {line}" for line in _burn_lines(movers, b)),
+        f"        if {entry('i', 'mark', *cells)} != cell:",
+        "            continue",
+        f"        if {entry(*(f'n{t}' for t in range(len(b))))} != {entry(*script)}:",
+        '            raise InternalCheckError("burning run did not fire its burning script")',
+        "        found[i] = mark",
+        "        members += 1",
+    ]
+    for t, (c, w, most) in enumerate(zip(cells, weights, top)):
+        child = entry(f"i - {w}", "mark - 1", *cells[:t], f"{c} - 1", *cells[t + 1 :])
+        lines += [f"        if {c}:", f"            push({child})"]
+        lines += [f"        if {c} < {most}:", "            continue"]
+    return "\n".join([*lines, "    return members\n"])
 
 
 def kappa(g: MultiDigraph) -> int:
@@ -270,7 +299,8 @@ class RecurrentSet:
         the generic kernel ``_settle`` and returns the firing counts by domain
         position when the run returns ``cell``, else None.  ``is_recurrent`` and
         the burning-uniqueness suite use it, and so does ``found`` below
-        KERNEL_MIN_MEMBERS members."""
+        KERNEL_MIN_MEMBERS members; above, the compiled search burns with the same
+        sweep unrolled, and this generic kernel stays the reference."""
         movers = self.movers
         b, script = self._burning
 
@@ -291,31 +321,37 @@ class RecurrentSet:
         recurrent c has the recurrent parent c + e_k, k the first vertex of c below
         its maximum; only children c - e_i, i <= k, of recurrent cells are burned.
         Each cell is reached at most once, with its index, its chips and its mark,
-        one less than its parent's.  From KERNEL_MIN_MEMBERS members on, the cells
-        burn with ``_compiled_burn``, built here for this one search; either kernel
-        must fire exactly σ, and the members must number ``count``.
+        one less than its parent's.  Below KERNEL_MIN_MEMBERS members the loop
+        here burns with ``burner``; from there on the whole search runs as one
+        function compiled from ``_search_source`` for this game, which burns the
+        same cells in the same order.  Either way every run of a member must fire
+        exactly σ, and the members must number ``count``.
         """
-        burn, script = self.burner
-        if self.count >= KERNEL_MIN_MEMBERS:
-            burn = _compiled_burn(self.movers, self._burning[0])
         weights, top = self.weights, tuple(out - 1 for out in self.bounds)
         total = self.sink_outdeg + sum(top)
         code = "B" if total < 1 << 8 else "H" if total < 1 << 16 else "Q"
         found = array(code, [0]) * self.cells
-        stack, members = [(self.cells - 1, top, 1 + sum(top))], 0
-        while stack:
-            i, cell, mark = stack.pop()
-            counts = burn(cell)
-            if counts is None:
-                continue
-            if counts != script:
-                raise InternalCheckError("burning run did not fire its burning script")
-            found[i], members = mark, members + 1
-            for t, x in enumerate(cell):
-                if x:
-                    stack.append((i - weights[t], cell[:t] + (x - 1,) + cell[t + 1 :], mark - 1))
-                if x < top[t]:
-                    break
+        if self.count >= KERNEL_MIN_MEMBERS:
+            namespace = {"InternalCheckError": InternalCheckError}
+            exec(_search_source(self.movers, *self._burning, weights, top), namespace)
+            members = namespace["search"](found)
+        else:
+            (burn, script), members = self.burner, 0
+            stack = [(self.cells - 1, top, 1 + sum(top))]
+            while stack:
+                i, cell, mark = stack.pop()
+                counts = burn(cell)
+                if counts is None:
+                    continue
+                if counts != script:
+                    raise InternalCheckError("burning run did not fire its burning script")
+                found[i], members = mark, members + 1
+                for t, x in enumerate(cell):
+                    if x:
+                        child = cell[:t] + (x - 1,) + cell[t + 1 :]
+                        stack.append((i - weights[t], child, mark - 1))
+                    if x < top[t]:
+                        break
         if members != self.count:
             raise InternalCheckError(
                 f"enumerated {members} recurrent configurations, "

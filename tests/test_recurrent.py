@@ -568,6 +568,32 @@ def _kernel_hosts():
     return eulerian + larger + list(non_eulerian_corpus()[:40])
 
 
+def _search_args(rs):
+    """``_search_source``'s arguments for a record: integers only."""
+    return rs.movers, *rs._burning, rs.weights, tuple(out - 1 for out in rs.bounds)
+
+
+def _block_kernel(movers, b):
+    """``_burn_lines``' block wrapped as ``burner``'s ``burn``: the firing counts by
+    domain position when the run returns the cell, else None."""
+    from chipfiring import recurrent
+
+    def names(prefix):
+        return "".join(f"{prefix}{v}, " for v in range(len(b)))
+
+    source = "\n    ".join(
+        [
+            "def burn(cell):",
+            f"({names('c')}) = cell",
+            *recurrent._burn_lines(movers, b),
+            f"return [{names('n')}] if ({names('c')}) == cell else None\n",
+        ]
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["burn"]
+
+
 def test_compiled_kernel_matches_the_generic_burn(monkeypatch):
     from chipfiring import recurrent
 
@@ -591,11 +617,11 @@ def test_compiled_kernel_matches_the_generic_burn(monkeypatch):
             assert compiled.members == generic.members and compiled.sums == generic.sums
             if is_eulerian(g):
                 assert compiled.levels == generic.levels
-            args = (compiled.movers, compiled._burning[0])
-            source = recurrent._burn_source(*args)
+            source = recurrent._search_source(*_search_args(compiled))
             assert not any(name in source for name in hostile.values())
-            assert source == recurrent._burn_source(generic.movers, generic._burning[0])
-            kernel, (burn, script) = recurrent._compiled_burn(*args), generic.burner
+            assert source == recurrent._search_source(*_search_args(generic))
+            kernel = _block_kernel(compiled.movers, compiled._burning[0])
+            burn, script = generic.burner
             for cell in itertools.product(*map(range, generic.bounds)):
                 assert kernel(cell) == burn(cell)
                 cells += 1
@@ -603,33 +629,48 @@ def test_compiled_kernel_matches_the_generic_burn(monkeypatch):
     assert cells == 32_613 and scripts_above_one == 33
 
 
-def _wrapped_kernel(real, spoil):
-    """``_compiled_burn`` whose kernel passes its second member's counts to ``spoil``."""
+def test_search_source_holds_only_fixed_names_and_integer_literals():
+    import io
+    import tokenize
 
-    def compiled_burn(*args):
-        burn, members = real(*args), [0]
+    from chipfiring import recurrent
 
-        def spoiled(cell):
-            counts = burn(cell)
-            if counts is not None:
-                members[0] += 1
-                if members[0] == 2:
-                    return spoil(counts)
-            return counts
+    fixed = {
+        "def", "search", "found", "members", "stack", "pop", "push", "append", "while", "if",
+        "cell", "i", "mark", "more", "k", "continue", "raise", "return", "True", "False",
+        "InternalCheckError",
+    }  # fmt: skip
+    games = [K6] + list(_kernel_hosts()[::4])
+    for g in games:
+        allowed = fixed | {f"{p}{v}" for p in "cn" for v in range(g.n_vertices - 1)}
+        for s in g.vertices:
+            source = recurrent._search_source(*_search_args(recurrent.RecurrentSet(g, s)))
+            tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+            names = {t.string for t in tokens if t.type == tokenize.NAME}
+            numbers = [t.string for t in tokens if t.type == tokenize.NUMBER]
+            strings = {t.string for t in tokens if t.type == tokenize.STRING}
+            assert names <= allowed, names - allowed
+            assert all(n.isdecimal() and str(int(n)) == n for n in numbers)
+            assert strings == {'"burning run did not fire its burning script"'}
 
-        return spoiled
 
-    return compiled_burn
+def _spoiled_block(spoil):
+    """``_burn_lines`` whose block ends with ``spoil`` on every burn made while the
+    search has found exactly one member, so the second member's run is spoiled."""
+    from chipfiring import recurrent
+
+    real = recurrent._burn_lines
+
+    def burn_lines(movers, b):
+        return [*real(movers, b), "if members == 1:", f"    {spoil}"]
+
+    return burn_lines
 
 
 def test_found_refuses_a_compiled_run_that_fires_a_vertex_twice(monkeypatch):
     from chipfiring import InternalCheckError, recurrent
 
-    def fire_twice(counts):
-        counts[2] += 1
-        return counts
-
-    monkeypatch.setattr(recurrent, "_compiled_burn", _wrapped_kernel(recurrent._compiled_burn, fire_twice))
+    monkeypatch.setattr(recurrent, "_burn_lines", _spoiled_block("n2 += 1"))
     rs = recurrent.RecurrentSet(K6, "k0")
     assert rs.count >= recurrent.KERNEL_MIN_MEMBERS
     with pytest.raises(InternalCheckError, match="^burning run did not fire its burning script$"):
@@ -639,7 +680,7 @@ def test_found_refuses_a_compiled_run_that_fires_a_vertex_twice(monkeypatch):
 def test_found_refuses_a_compiled_kernel_that_rejects_a_member(monkeypatch):
     from chipfiring import InternalCheckError, recurrent
 
-    monkeypatch.setattr(recurrent, "_compiled_burn", _wrapped_kernel(recurrent._compiled_burn, lambda counts: None))
+    monkeypatch.setattr(recurrent, "_burn_lines", _spoiled_block("c0 = -1"))
     rs = recurrent.RecurrentSet(K6, "k0")
     assert rs.count >= recurrent.KERNEL_MIN_MEMBERS
     with pytest.raises(InternalCheckError, match="determinant predicts 1296$"):
