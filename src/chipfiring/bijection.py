@@ -45,31 +45,37 @@ def _swapper(g: MultiDigraph, s1: int, s2: int):
     ``swap(chips)`` takes a recurrent chip vector of the sink game with sink s1
     and finds the least i with stabilized chip count outdeg(s2) + i on s2; it
     returns i and the image on V \\ {s2}.  It settles in s2's game, from c with
-    outdeg(s1) chips on s1 and none on s2; by conservation s2 holds outdeg(s2) + i
-    when the domain holds sum(c) + outdeg(s1) - outdeg(s2).  Each increment adds
+    outdeg(s1) chips on s1; s2 keeps its chips of c, and the chips fired into it
+    add up in a slot after the domain, a position that never fires, so the test
+    for outdeg(s2) + i reads one entry, not the whole state.  Each increment adds
     one chip to s1 and settles the previous state, which equals stabilizing the
     freshly augmented configuration.  The search is certified to stop before
     the sandpile group order.
     """
     rs, source_base = _game(g, s2), g._firing_table[s1][1]
-    limit, movers, goal_shift = rs.count, rs.movers, source_base - rs.sink_outdeg
+    limit, sink_base = rs.count, rs.sink_outdeg
     source = s1 - (s1 > s2)  # s1's position in s2's domain
+    slot = len(rs.domain)  # s2's position, after the domain
+    rows = []  # s2's game with its arcs into s2 kept, to the slot
+    for v, out, drop, neighbors in rs.movers:
+        into_s2 = drop - sum(m for _, m in neighbors)
+        rows.append((v, out, drop, neighbors + ((slot, into_s2),) if into_s2 else neighbors))
 
     def swap(chips: tuple[int, ...]) -> tuple[int, list[int]]:
-        goal = sum(chips) + goal_shift
         state = list(chips)
         state.insert(s1, source_base)
-        del state[s2]
-        _settle(state, movers)
+        state.append(state.pop(s2))
+        _settle(state, rows)
         i = 0
-        while sum(state) != goal:
+        while state[slot] != sink_base + i:
             i += 1
             if i >= limit:
                 raise InternalCheckError(
                     f"no swap number below the group order {limit}; this cannot happen"
                 )
             state[source] += 1
-            _settle(state, movers)
+            _settle(state, rows)
+        del state[slot]
         return i, state
 
     return swap

@@ -10,9 +10,13 @@ against det Δ.  A game of at least KERNEL_MIN_MEMBERS members runs the
 whole search as one function compiled for it, with the same sweep unrolled
 over its firing table and flat stack entries; smaller games, ``is_recurrent``
 and the burning-uniqueness suite burn with the generic ``_settle``.  Levels
-and ``kappa`` need an Eulerian host.  Every value of one sink game lives in its
-record, ``RecurrentSet``, cached once per game; ``_checked_game`` hands it out,
-refusing a stable cube above ``CELL_CAP`` cells.
+and ``kappa`` need an Eulerian host, where the record's ``sum_polynomial``, read
+by ``kappa`` and ``tutte.tutte_gen``, needs no enumeration: a recursion over the
+burnt sets of Dhar's burning counts the members by sum, and falls back to the
+enumerated sums past RECURSION_TERMS_PER_MEMBER terms per member.  Every value
+of one sink game lives in its record, ``RecurrentSet``, cached once per game;
+``_checked_game`` hands it out, refusing a stable cube above ``CELL_CAP`` cells,
+a bound the recursion keeps too.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from bisect import bisect_left
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, compress, product
+from itertools import accumulate, compress, filterfalse, product
 from operator import add, itemgetter, lt, mul
 
 from .dynamics import Configuration, _game_rows, _movers, _settle
@@ -217,16 +221,93 @@ def _search_source(movers: tuple, b, script, weights, top) -> str:
     return "\n".join([*lines, "    return members\n"])
 
 
+# the burnt-set recursion stops past this many terms per member and the record
+# enumerates instead: a term costs about a sixth of an enumerated member (0.4 against
+# 2.4 us on K_{2,12}, which needs 30 per member); benchmark games need at most 5.01
+RECURSION_TERMS_PER_MEMBER = 6
+
+
+class _Exhausted(Exception):
+    """The burnt-set recursion went past its term budget."""
+
+
+def _geometric(d: int, width: int) -> int:
+    """[d]_q = 1 + q + ... + q^(d-1), packed ``width`` bits per coefficient."""
+    return ((1 << width * d) - 1) // ((1 << width) - 1)
+
+
+def _burnt_set_recursion(table: tuple, sink: int, width: int, budget: int) -> int:
+    """Σ q^|f| over the f >= 0 on V \\ {sink} that Dhar's burning burns out, packed
+    ``width`` bits per coefficient; raises _Exhausted past ``budget`` terms.
+
+    Vertex v burns once f(v) < d(B, v), the non-loop arcs into v from the burnt set
+    B, which starts as {sink}.  g(V) = 1, and for a burnt set B, inclusion and
+    exclusion over the nonempty sets D of vertices that burn at once from B gives
+    g(B) = Σ_D (-1)^(|D|+1) Π_{v∈D} [d(B, v)]_q g(B ∪ D), v ranging over the
+    unburnt vertices with d(B, v) > 0.  A vertex whose in-arcs all come from B
+    burns whatever its f, so its factor comes out first.  Burnt sets are bitmasks
+    of vertex indices, and each g(B) is computed once.
+    """
+    into: list[list[tuple[int, int]]] = [[] for _ in table]
+    for u, _, _, neighbors in table:
+        for v, m in neighbors:
+            into[v].append((u, m))
+    indeg = [sum(m for _, m in arcs) for arcs in into]
+    everything = (1 << len(table)) - 1
+    memo, terms = {everything: 1}, 0
+
+    def fill(burnt: int) -> None:
+        """memo[burnt] = g(burnt)."""
+        nonlocal terms
+        start, factor = burnt, 1
+        d = {
+            v: sum(m for u, m in arcs if burnt >> u & 1)
+            for v, arcs in enumerate(into)
+            if not burnt >> v & 1
+        }
+        full = [v for v, x in d.items() if x == indeg[v]]
+        while full:
+            for v in full:
+                factor *= _geometric(d.pop(v), width)
+                burnt |= 1 << v
+            for v, _, _, neighbors in map(table.__getitem__, full):
+                for u, m in neighbors:
+                    if u in d:
+                        d[u] += m
+            full = [v for v, x in d.items() if x == indeg[v]]
+        if burnt not in memo:
+            weights, masks = [1], [burnt]  # per subset D: Π -[d(B, v)]_q, and B ∪ D
+            for v, x in d.items():
+                if x:
+                    w, bit = -_geometric(x, width), 1 << v
+                    weights += [y * w for y in weights]
+                    masks += [mask | bit for mask in masks]
+            terms += len(masks) - 1
+            if terms > budget:
+                raise _Exhausted
+            del weights[0], masks[0]
+            for mask in filterfalse(memo.__contains__, masks):
+                fill(mask)
+            memo[burnt] = -sum(map(mul, weights, map(memo.__getitem__, masks)))
+        memo[start] = factor * memo[burnt]
+
+    fill(1 << sink)
+    return memo[1 << sink]
+
+
 def kappa(g: MultiDigraph) -> int:
     """Minimum of outdeg(s) + total chips over recurrents of the loopless host.
 
     Read from g's own game record with the canonical first vertex as sink, whose
-    cap is checked on every call: ``loop_lift`` maps the loopless host's
+    cap is checked on every call: its enumerated sums once it has enumerated,
+    else its burnt-set recursion.  ``loop_lift`` maps the loopless host's
     recurrents onto g's and raises every sum by the loop count.  By sink
     independence of the sum multiset any other sink gives the same value.
     """
     _require_eulerian(g)
-    return min(_checked_game(g, g.vertices[0]).sums) - g.loop_count
+    rs = _checked_game(g, g.vertices[0])
+    lowest = min(rs.sums) if "found" in vars(rs) else rs.sum_polynomial.terms[0][0]
+    return lowest - g.loop_count
 
 
 # ---------------------------------------------------------------- game record
@@ -242,7 +323,8 @@ class RecurrentSet:
     holds 1 + the chip total at each recurrent cell and 0 elsewhere; ``members``
     holds the recurrent cells' indices in order, ``count`` is the determinant that
     certifies them.  ``sums[i]`` is outdeg(sink) + member i's total chips and
-    ``levels[i]`` is ``sums[i] - kappa``.  Chip vectors are decoded only where
+    ``levels[i]`` is ``sums[i] - kappa``; ``sum_polynomial`` counts the members
+    by sum without the member map.  Chip vectors are decoded only where
     chips are read: ``decode``, ``vectors``, ``configs`` and ``to_json_dict``.
     ``sink_outdeg``, ``domain``, ``bounds``, ``weights`` and ``cells`` are set at
     construction, which refuses a game above MAX_GAME_VERTICES non-sink vertices.
@@ -360,6 +442,37 @@ class RecurrentSet:
         return found
 
     @cached_property
+    def sum_polynomial(self) -> LaurentPolynomial:
+        """Σ y^sum over the members, on an Eulerian host, without enumeration.
+
+        c is recurrent iff f = outdeg - 1 - c burns out under Dhar's rule, f being
+        a G-parking function (Postnikov and Shapiro, 2004), so the sums are
+        outdeg(sink) + Σ_v (outdeg(v) - 1) - |f| over ``_burnt_set_recursion``'s
+        f.  Its coefficients are at most ``count``, which sets the packed width,
+        and its value at 1 must be ``count``.  Past RECURSION_TERMS_PER_MEMBER
+        terms per member it gives up, and the enumerated sums are read instead.
+        """
+        _require_eulerian(self.host)
+        width, budget = self.count.bit_length(), RECURSION_TERMS_PER_MEMBER * self.count
+        try:
+            packed = _burnt_set_recursion(
+                self.host._firing_table, self.host.vertex_index(self.sink), width, budget
+            )
+        except _Exhausted:
+            return LaurentPolynomial((total, 1) for total in self.sums)
+        counts, digit = [], (1 << width) - 1
+        while packed > 0:
+            counts.append(packed & digit)
+            packed >>= width
+        if sum(counts) != self.count:
+            raise InternalCheckError(
+                f"burnt-set recursion counts {sum(counts)} recurrent configurations, "
+                f"determinant predicts {self.count}"
+            )
+        top = self.sink_outdeg + sum(self.bounds) - len(self.bounds)
+        return LaurentPolynomial((top - k, x) for k, x in enumerate(counts))
+
+    @cached_property
     def members(self) -> array:
         return array("q", compress(range(self.cells), self.found))
 
@@ -448,15 +561,22 @@ def _game(g: MultiDigraph, sink: int) -> RecurrentSet:
 _recurrent_vectors.cache_info, _recurrent_vectors.cache_clear = _game.cache_info, _game.cache_clear
 
 
+def _eulerian_game(g: MultiDigraph, s: str) -> RecurrentSet:
+    """The record of the sink game (g, s) for a value that needs kappa, after its
+    checks, all made before any work: s is a vertex, the host is Eulerian, and
+    both caps hold, on the sink's cube and on kappa's, the first vertex's."""
+    g.vertex_index(s)
+    _require_eulerian(g)
+    rs = _checked_game(g, s)
+    _checked_game(g, g.vertices[0])
+    return rs
+
+
 def enumerate_recurrents(g: MultiDigraph, s: str) -> RecurrentSet:
     """The record of the sink game (g, s), the same object on every call while
     cached; the caps on the sink's cube and on kappa's are checked on every call."""
-    sink = g.vertex_index(s)
-    _require_eulerian(g)
-    _recurrent_vectors(g, s)  # the sink cube's cap
-    if sink:
-        _checked_game(g, g.vertices[0])  # kappa's, when it is another game's
-    rs = _game(g, sink)
+    rs = _eulerian_game(g, s)
+    _recurrent_vectors(g, s)
     rs.levels  # kappa and the level check run once per game, before the record is handed out
     return rs
 

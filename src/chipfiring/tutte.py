@@ -1,11 +1,14 @@
 """Generating polynomial of the recurrent configurations and its recursion checkers.
 
-``tutte_gen`` sums y^level over all recurrent configurations; by sink
-independence the result does not depend on the chosen sink, and on undirected
-graphs it equals the classical Tutte polynomial at x = 1.  The checkers verify
-the five recursive identities (loop, both bridge cases, deletion-contraction,
-and the inclusion-exclusion expansion over out-neighbor subsets) by computing
-both sides independently in exact arithmetic.
+``tutte_gen`` sums y^level over all recurrent configurations, read off the sink
+game's burnt-set recursion (``RecurrentSet.sum_polynomial``) rather than its
+members; by sink independence the result does not depend on the chosen sink,
+and on undirected graphs it equals the classical Tutte polynomial at x = 1.
+The checkers verify the five recursive identities (loop, both bridge cases,
+deletion-contraction, and the inclusion-exclusion expansion over out-neighbor
+subsets) by computing both sides independently in exact arithmetic.  The
+recursion's first step is that expansion, so its left side and the closed
+forms' are read from the enumerated members instead.
 """
 
 from __future__ import annotations
@@ -24,15 +27,15 @@ from .graph import (
 )
 from .oracles import undirected_tutte_oracle  # re-exported; perfbench/runner.py reads it here
 from .polynomial import LaurentPolynomial
-from .recurrent import _require_eulerian, enumerate_recurrents, kappa
+from .recurrent import _eulerian_game, _require_eulerian, enumerate_recurrents, kappa
 
 RECURSION_KINDS = ("loop", "bridge_no_reverse", "bridge_reverse", "del_contract", "mobius")
 
 
 def tutte_gen(g: MultiDigraph, s: str) -> LaurentPolynomial:
-    """Sum of y^level over the recurrent configurations with sink s: the game
-    record's polynomial; ``enumerate_recurrents`` checks the host and caps."""
-    return enumerate_recurrents(g, s).polynomial
+    """Sum of y^level over the recurrent configurations with sink s: the game's
+    ``sum_polynomial`` shifted by -kappa, after the host check and both caps."""
+    return _eulerian_game(g, s).sum_polynomial.shift(-kappa(g))
 
 
 def support_filtered_gen(g: MultiDigraph, s: str, w) -> LaurentPolynomial:
@@ -132,7 +135,7 @@ def _check_mobius(g: MultiDigraph, s: str) -> tuple[bool, dict]:
     neighbors = g.out_neighbors(s)
     if not neighbors:
         raise HypothesisError(f"vertex {s!r} has no out-neighbors besides itself")
-    lhs = tutte_gen(g, s)
+    lhs = enumerate_recurrents(g, s).polynomial  # enumerated: the recursion expands this way
     terms = {}
     rhs = LaurentPolynomial.zero()
     for r in range(1, len(neighbors) + 1):

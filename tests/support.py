@@ -479,3 +479,24 @@ def reference_theta(g: MultiDigraph) -> CheckReport:
             f"three-sink composition agreed on {composed_equal}/{composed_total} cases"
         )
     return report
+
+
+# The least number of arcs pointing backwards in any vertex order of the loopless
+# host, by a DP over the sets of vertices placed first: the minimum feedback arc
+# set, which equals kappa on Eulerian hosts (Perrot and Van Pham); the reference
+# for ``kappa``'s burnt-set recursion.
+def reference_min_feedback_arc_set(g: MultiDigraph) -> int:
+    n = g.n_vertices
+    arcs = [[0] * n for _ in range(n)]
+    for tail, head in g.arcs:
+        if tail != head:
+            arcs[g.vertex_index(tail)][g.vertex_index(head)] += 1
+    best = [0] + [None] * ((1 << n) - 1)
+    for placed in range(1, 1 << n):
+        # v placed last among ``placed``: its arcs into the earlier ones point back
+        best[placed] = min(
+            best[placed & ~(1 << v)] + sum(arcs[v][u] for u in range(n) if placed >> u & 1)
+            for v in range(n)
+            if placed >> v & 1
+        )
+    return best[-1]

@@ -605,10 +605,24 @@ def test_recurrents_and_kappa_leave_the_record_packed(graph_file, capsys):
     rs = _game(g, 0)  # the record the run enumerated, found by the parsed graph
     assert code == 0 and len(rs) == 16_807 and "vectors" not in vars(rs)
     _game.cache_clear()
-    assert kappa(g) == 21
+    assert kappa(g) == 21  # from the burnt-set recursion: no member map at all
     rs = _game(g, 0)
-    assert "found" in vars(rs) and "vectors" not in vars(rs)
+    assert "sum_polynomial" in vars(rs) and "found" not in vars(rs) and "vectors" not in vars(rs)
     _game.cache_clear()
+
+
+def test_tutte_on_k9_reads_no_member_map(graph_file, capsys):
+    # K9's games have 4.78M members each, and the stable cube at every sink is
+    # inside the default cap; the burnt-set recursion answers without them
+    from chipfiring.recurrent import _game
+
+    path = graph_file(complete_text(9), "k9.txt")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "tutte", path, "--eval", "2")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert out.splitlines()[-2:] == ["sinks consistent: true", "value at 2: 66296291072"]
+    assert "found" not in vars(_game(parse_graph(path), 0))
 
 
 # the child caps its own address space at its size after import plus a margin

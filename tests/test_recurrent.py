@@ -31,6 +31,7 @@ from chipfiring import (
 )
 from chipfiring.families import random_eulerian, random_strongly_connected
 from chipfiring.oracles import brute_recurrents, recurrent_definitional_test
+from chipfiring.polynomial import LaurentPolynomial
 from chipfiring.recurrent import (
     _burning_script,
     _game,
@@ -49,6 +50,7 @@ from support import (
     parallel_pair,
     recurrent_vectors,
     reference_covers,
+    reference_min_feedback_arc_set,
     reference_minimal_flags,
     small_corpus,
     undirected_graph,
@@ -140,6 +142,18 @@ def test_enumeration_cap():
     with cell_cap(1), pytest.raises(SizeCapError, match="smaller instance"):
         enumerate_recurrents(K3, "s")
     _recurrent_vectors.cache_clear()
+
+
+def test_enumeration_checks_kappas_cap_before_it_enumerates():
+    # a pendant first vertex on K7: kappa's cube (326,592 cells at v0) is above
+    # the cap, the sink's (54,432 at k1) is not, and k1's game is never listed
+    k7 = [(f"k{i}", f"k{j}") for i in range(7) for j in range(7) if i != j]
+    g = MultiDigraph.of([("v0", "k0"), ("k0", "v0"), *k7])
+    _game.cache_clear()
+    with cell_cap(100_000), pytest.raises(SizeCapError, match="has 326592 cells"):
+        enumerate_recurrents(g, "k1")
+    assert "found" not in vars(_game(g, g.vertex_index("k1")))
+    _game.cache_clear()
 
 
 def _burns_by_single_firings(g, s, combo):
@@ -685,3 +699,80 @@ def test_found_refuses_a_compiled_kernel_that_rejects_a_member(monkeypatch):
     assert rs.count >= recurrent.KERNEL_MIN_MEMBERS
     with pytest.raises(InternalCheckError, match="determinant predicts 1296$"):
         rs.found
+
+
+def _bipartite(m: int) -> MultiDigraph:
+    """K_{2,m} with each edge both ways: a wide frontier whose vertices are never
+    full while the other hub is unburnt, so the burnt-set recursion's terms per
+    member grow like 1.5^m."""
+    edges = [(a, f"b{j}") for a in ("a0", "a1") for j in range(m)]
+    return MultiDigraph.of(edges + [(h, t) for t, h in edges])
+
+
+def test_burnt_set_recursion_matches_the_enumerated_sums(monkeypatch):
+    from chipfiring import recurrent
+
+    # the recursion runs to the end on every game here, whatever its terms
+    monkeypatch.setattr(recurrent, "RECURSION_TERMS_PER_MEMBER", float("inf"))
+    looped = tuple(g for g in _kernel_hosts() if is_eulerian(g))  # loops and parallel arcs
+    games = 0
+    for g in corpus() + small_corpus() + looped:
+        for s in g.vertices:
+            rs = recurrent.RecurrentSet(g, s)
+            assert rs.sum_polynomial and "found" not in vars(rs)
+            assert rs.sum_polynomial == LaurentPolynomial((total, 1) for total in rs.sums)
+            games += 1
+    assert games == 1_385
+
+
+def test_a_wide_frontier_falls_back_to_the_enumerated_sums(monkeypatch):
+    from chipfiring import recurrent
+
+    g = _bipartite(7)  # 9.2 terms per member at a hub, 6.2 at a leaf
+    fallback = {s: recurrent.RecurrentSet(g, s) for s in ("a0", "b0")}
+    for rs in fallback.values():
+        assert rs.sum_polynomial and "found" in vars(rs)  # past the budget: enumerated
+    monkeypatch.setattr(recurrent, "RECURSION_TERMS_PER_MEMBER", 10)
+    for s, rs in fallback.items():
+        recursion = recurrent.RecurrentSet(g, s)
+        assert recursion.sum_polynomial == rs.sum_polynomial and "found" not in vars(recursion)
+
+
+def test_burnt_set_recursion_refuses_a_count_off_the_determinant(monkeypatch):
+    from chipfiring import InternalCheckError, recurrent
+
+    real = recurrent._geometric
+    # [2]_q spoiled to [3]_q: every term through a vertex fed twice by B
+    monkeypatch.setattr(recurrent, "_geometric", lambda d, width: real(d + (d == 2), width))
+    rs = recurrent.RecurrentSet(K6, "k0")
+    with pytest.raises(InternalCheckError, match="determinant predicts 1296$"):
+        rs.sum_polynomial
+    assert "found" not in vars(rs)
+
+
+def test_kappa_is_the_minimum_feedback_arc_set():
+    rng = random.Random(5150)
+    hosts = 0
+    _game.cache_clear()  # no record enumerated by an earlier test
+    while hosts < 80:
+        g = random_eulerian(rng, 7, 20)
+        if g.loop_count:
+            continue
+        assert kappa(g) == reference_min_feedback_arc_set(g)
+        assert "found" not in vars(_game(g, 0))  # read off the recursion
+        hosts += 1
+    _game.cache_clear()
+
+
+def test_enumeration_at_another_sink_fills_one_member_map():
+    from chipfiring import recurrent
+
+    k8 = bidirected_complete([f"v{i}" for i in range(8)])
+    recurrent._game.cache_clear()
+    try:
+        rs = enumerate_recurrents(k8, "v1")
+        assert len(rs) == 262_144 and rs.kappa == 28 == min(rs.levels) + 28
+        filled = [v for i, v in enumerate(k8.vertices) if "found" in vars(_game(k8, i))]
+        assert filled == ["v1"]  # kappa came from v0's recursion, not its member map
+    finally:
+        recurrent._game.cache_clear()
