@@ -36,9 +36,7 @@ from .errors import (
     SizeCapError,
 )
 from .graph import (
-    BridgeCut,
     MultiDigraph,
-    bridge_cut,
     contract_arc,
     contract_vertices,
     delete_arcs,
@@ -61,13 +59,9 @@ from .polynomial import LaurentPolynomial
 from .recurrent import (
     RecurrentSet,
     enumerate_recurrents,
-    is_minimal,
-    is_minimum,
     is_recurrent,
     kappa,
     level,
-    loop_lift,
-    support_after_sink_fire,
 )
 from .tutte import check_recursion, pw_closed_form_check, tutte_gen
 

@@ -141,8 +141,9 @@ class MultiDigraph:
         return tuple(self.vertices[u] for u in self._successors[self.vertex_index(v)])
 
     def arc(self, index: int) -> Arc:
-        if not 0 <= index < len(self.arcs):
-            raise GraphError(f"no arc with index {index}")
+        """The arc at ``index``: an ``int``, not a ``bool``, below ``n_arcs``."""
+        if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < len(self.arcs):
+            raise GraphError(f"no arc with index {index!r}")
         return self.arcs[index]
 
     # ----------------------------------------------------------- connectivity
@@ -175,15 +176,6 @@ def _reach(starts, *tables, skip: tuple[int, int] | None = None) -> list[bool]:
                     reached[u] = True
                     stack.append(u)
     return reached
-
-
-@dataclass(frozen=True)
-class BridgeCut:
-    """Vertex cut witnessing a bridge: exactly one arc leaves ``cut_set`` and one enters."""
-
-    cut_set: frozenset[str]
-    bridge: int
-    co_bridge: int
 
 
 def is_eulerian(g: MultiDigraph) -> bool:
@@ -288,29 +280,6 @@ def is_bridge(g: MultiDigraph, index: int) -> bool:
     if t == h or dict(g._firing_table[t][3])[h] > 1:
         return False
     return not _reach((t,), g._successors, skip=(t, h))[h]
-
-
-def bridge_cut(g: MultiDigraph, index: int) -> BridgeCut:
-    """Cut witness for a bridge b of an Eulerian graph.
-
-    Returns X = vertices reachable from tail(b) once b is removed, together with
-    the unique arc b' crossing back into X.  Both uniqueness properties are
-    verified by scanning the arc list.
-    """
-    if not is_bridge(g, index):
-        raise GraphError(f"arc {index} is not a bridge")
-    tail, head = g.arc(index)
-    start = g._index[tail]
-    reached = _reach((start,), g._successors, skip=(start, g._index[head]))
-    cut = frozenset(v for v, r in zip(g.vertices, reached) if r)
-    outward = [i for i, (t, h) in enumerate(g.arcs) if t in cut and h not in cut]
-    inward = [i for i, (t, h) in enumerate(g.arcs) if t not in cut and h in cut]
-    if outward != [index] or len(inward) != 1:
-        raise GraphError(
-            f"arc {index} admits no single-crossing cut "
-            f"(outward={outward}, inward={inward}); is the graph Eulerian?"
-        )
-    return BridgeCut(cut, index, inward[0])
 
 
 def parse_edge_list(text: str) -> MultiDigraph:

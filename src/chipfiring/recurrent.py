@@ -28,11 +28,11 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress, filterfalse, product
-from operator import add, itemgetter, lt, mul
+from operator import add, itemgetter, mul
 
 from .dynamics import Configuration, _game_rows, _movers, _settle
 from .errors import ConfigurationError, GraphError, InternalCheckError, SizeCapError
-from .graph import MAX_GAME_VERTICES, MultiDigraph, is_eulerian, remove_loops
+from .graph import MAX_GAME_VERTICES, MultiDigraph, is_eulerian
 from .polynomial import LaurentPolynomial
 
 DEFAULT_CELL_CAP = 20_000_000
@@ -95,11 +95,6 @@ def bareiss_determinant(rows) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def recurrent_count(g: MultiDigraph, s: str) -> int:
-    """Order of the sandpile group with sink s: det of the reduced Laplacian."""
-    return _game(g, g.vertex_index(s)).count
 
 
 # -------------------------------------------------------------- burning test
@@ -300,9 +295,10 @@ def kappa(g: MultiDigraph) -> int:
 
     Read from g's own game record with the canonical first vertex as sink, whose
     cap is checked on every call: its enumerated sums once it has enumerated,
-    else its burnt-set recursion.  ``loop_lift`` maps the loopless host's
-    recurrents onto g's and raises every sum by the loop count.  By sink
-    independence of the sum multiset any other sink gives the same value.
+    else its burnt-set recursion.  Adding d(v, v) chips at every non-sink vertex
+    maps the loopless host's recurrents onto g's and raises every sum by the loop
+    count.  By sink independence of the sum multiset any other sink gives the
+    same value.
     """
     _require_eulerian(g)
     rs = _checked_game(g, g.vertices[0])
@@ -352,9 +348,6 @@ class RecurrentSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, c: Configuration) -> bool:
-        return self.index(c) is not None
 
     @cached_property
     def _laplacian(self) -> list[list[int]]:
@@ -532,14 +525,6 @@ class RecurrentSet:
         covered = {j for _, j in self.covers}
         return tuple(j not in covered for j in range(len(self.members)))
 
-    def index(self, c: Configuration) -> int | None:
-        """c's position in ``members``, found by bisection; None for a non-member."""
-        if c.sink != self.sink or c.host != self.host or not all(map(lt, c.chips, self.bounds)):
-            return None
-        members, cell = self.members, sum(map(mul, c.chips, self.weights))
-        i = bisect_left(members, cell)
-        return i if i < len(members) and members[i] == cell else None
-
     def to_json_dict(self) -> dict:
         return {
             "sink": self.sink,
@@ -587,41 +572,3 @@ def level(g: MultiDigraph, s: str, c: Configuration) -> int:
     if not is_recurrent(g, s, c):
         raise ConfigurationError("level is defined for recurrent configurations only")
     return g.outdeg(s) + c.total() - kappa(g)
-
-
-def loop_lift(g: MultiDigraph, s: str, c: Configuration) -> Configuration:
-    """Transport a recurrent configuration of the loopless host onto g.
-
-    Bijectively adds d(v, v) chips at every non-sink vertex; the image is
-    recurrent on g and the chip total shifts by the non-sink loop count.
-    """
-    bare, _ = remove_loops(g)
-    base = Configuration(bare, s, c.chips)
-    if not is_recurrent(bare, s, base):
-        raise ConfigurationError("input must be recurrent on the loopless host")
-    return Configuration(g, s, tuple(x + g.loops_at(v) for v, x in zip(base.domain, base.chips)))
-
-
-def support_after_sink_fire(g: MultiDigraph, s: str, c: Configuration) -> frozenset[str]:
-    """Out-neighbors of s that become firable when s fires from c."""
-    return frozenset(
-        v for v in g.out_neighbors(s) if c.chip(v) >= g.outdeg(v) - g.multiplicity(s, v)
-    )
-
-
-def _require_member(rs: RecurrentSet, c: Configuration) -> int:
-    i = rs.index(c)
-    if i is None:
-        raise ConfigurationError("configuration is not in the recurrent set")
-    return i
-
-
-def is_minimal(rs: RecurrentSet, c: Configuration) -> bool:
-    """No other member of the set is pointwise <= c."""
-    return rs.minimal_flags[_require_member(rs, c)]
-
-
-def is_minimum(rs: RecurrentSet, c: Configuration) -> bool:
-    """c attains the minimum chip total over the set."""
-    i = _require_member(rs, c)
-    return rs.sums[i] == min(rs.sums)

@@ -41,8 +41,8 @@ def tutte_gen(g: MultiDigraph, s: str) -> LaurentPolynomial:
 def support_filtered_gen(g: MultiDigraph, s: str, w) -> LaurentPolynomial:
     """Sum of y^level over recurrents whose post-sink-firing support contains w.
 
-    That support is ``support_after_sink_fire``: on chip vectors, every v in w
-    is an out-neighbor of s with at least outdeg(v) - d(s, v) chips.
+    That support is the set of out-neighbors of s that firing s makes firable:
+    on chip vectors, every v in w has at least outdeg(v) - d(s, v) chips.
     """
     w = frozenset(w)
     rs = enumerate_recurrents(g, s)
@@ -87,11 +87,10 @@ def check_recursion(g: MultiDigraph, kind: str, site) -> bool:
     if kind == "mobius":
         return _check_mobius(g, site)[0]
 
-    index = int(site)
-    actual = recursion_kind(g, index)
+    actual = recursion_kind(g, site)
     if actual != kind:
-        raise HypothesisError(f"arc {index} admits {actual or 'no arc recursion'}, not {kind}")
-    return _arc_identity(g, kind, index)
+        raise HypothesisError(f"arc {site} admits {actual or 'no arc recursion'}, not {kind}")
+    return _arc_identity(g, kind, site)
 
 
 def _arc_identity(g: MultiDigraph, kind: str, index: int) -> bool:

@@ -12,13 +12,19 @@ import contextlib
 import functools
 import itertools
 import random
+from bisect import bisect_left
 from functools import partial
+from operator import lt, mul
 from pathlib import Path
+from typing import NamedTuple
 
 from chipfiring import (
     Configuration,
+    ConfigurationError,
+    GraphError,
     InternalCheckError,
     MultiDigraph,
+    RecurrentSet,
     add,
     augment_sink,
     beta,
@@ -29,8 +35,10 @@ from chipfiring import (
     enumerate_recurrents,
     is_bridge,
     is_eulerian,
+    is_recurrent,
     parse_edge_list,
     recurrent,
+    remove_loops,
     reverse_partner,
     stabilize,
 )
@@ -45,7 +53,12 @@ from chipfiring.cli import (
     _cmd_swap,
     _cmd_tutte,
 )
-from chipfiring.recurrent import CELL_CAP, _recurrent_vectors
+from chipfiring.recurrent import (
+    CELL_CAP,
+    _recurrent_vectors,
+    bareiss_determinant,
+    reduced_laplacian,
+)
 from chipfiring.families import random_eulerian, random_strongly_connected
 
 DATA = Path(__file__).parent / "data"
@@ -357,6 +370,87 @@ def reference_bridge_cut_set(g: MultiDigraph, index: int) -> frozenset[str]:
     return reference_reached(delete_arcs(g, [index]), g.arcs[index][0])
 
 
+# The paper's lemmas, stated as functions for the tests that check them: the
+# bridge cut, the loop lift, the support after a sink firing, and minimal and
+# minimum recurrents.  No command computes them.
+class BridgeCut(NamedTuple):
+    """Vertex cut witnessing a bridge: exactly one arc leaves ``cut_set`` and one enters."""
+
+    cut_set: frozenset[str]
+    bridge: int
+    co_bridge: int
+
+
+def bridge_cut(g: MultiDigraph, index: int) -> BridgeCut:
+    """Cut witness for a bridge b of an Eulerian graph: X, the vertices reachable
+    from tail(b) once b is removed, and the unique arc b' crossing back into X.
+    Both uniqueness properties are verified by scanning the arc list."""
+    if not is_bridge(g, index):
+        raise GraphError(f"arc {index} is not a bridge")
+    cut = reference_bridge_cut_set(g, index)
+    outward = [i for i, (t, h) in enumerate(g.arcs) if t in cut and h not in cut]
+    inward = [i for i, (t, h) in enumerate(g.arcs) if t not in cut and h in cut]
+    if outward != [index] or len(inward) != 1:
+        raise GraphError(
+            f"arc {index} admits no single-crossing cut "
+            f"(outward={outward}, inward={inward}); is the graph Eulerian?"
+        )
+    return BridgeCut(cut, index, inward[0])
+
+
+def loop_lift(g: MultiDigraph, s: str, c: Configuration) -> Configuration:
+    """Transport a recurrent configuration of the loopless host onto g.
+
+    Bijectively adds d(v, v) chips at every non-sink vertex; the image is
+    recurrent on g and the chip total shifts by the non-sink loop count.
+    """
+    bare, _ = remove_loops(g)
+    base = Configuration(bare, s, c.chips)
+    if not is_recurrent(bare, s, base):
+        raise ConfigurationError("input must be recurrent on the loopless host")
+    return Configuration(g, s, tuple(x + g.loops_at(v) for v, x in zip(base.domain, base.chips)))
+
+
+def support_after_sink_fire(g: MultiDigraph, s: str, c: Configuration) -> frozenset[str]:
+    """Out-neighbors of s that become firable when s fires from c."""
+    return frozenset(
+        v for v in g.out_neighbors(s) if c.chip(v) >= g.outdeg(v) - g.multiplicity(s, v)
+    )
+
+
+def member_index(rs: RecurrentSet, c: Configuration) -> int | None:
+    """c's position in ``rs.members``, found by bisection; None for a non-member."""
+    if c.sink != rs.sink or c.host != rs.host or not all(map(lt, c.chips, rs.bounds)):
+        return None
+    members, cell = rs.members, sum(map(mul, c.chips, rs.weights))
+    i = bisect_left(members, cell)
+    return i if i < len(members) and members[i] == cell else None
+
+
+def _require_member(rs: RecurrentSet, c: Configuration) -> int:
+    i = member_index(rs, c)
+    if i is None:
+        raise ConfigurationError("configuration is not in the recurrent set")
+    return i
+
+
+def is_minimal(rs: RecurrentSet, c: Configuration) -> bool:
+    """No other member of the set is pointwise <= c."""
+    return rs.minimal_flags[_require_member(rs, c)]
+
+
+def is_minimum(rs: RecurrentSet, c: Configuration) -> bool:
+    """c attains the minimum chip total over the set."""
+    i = _require_member(rs, c)
+    return rs.sums[i] == min(rs.sums)
+
+
+def determinant_count(g: MultiDigraph, s: str) -> int:
+    """Order of the sandpile group with sink s: det of the reduced Laplacian,
+    computed afresh, apart from the cached game record."""
+    return bareiss_determinant(reduced_laplacian(g, s))
+
+
 # ``tutte.recursion_kind`` as ``checks.check_recursions`` classified each arc
 # inline; the reference its differential test compares against.
 def reference_recursion_kind(g: MultiDigraph, i: int) -> str | None:
@@ -400,7 +494,7 @@ def reference_covers(vectors) -> tuple[tuple[int, int], ...]:
 # differential test compares against.
 def reference_representative(g: MultiDigraph, s: str, cell) -> tuple[int, ...]:
     most = max((g.outdeg(v) for v in g.vertices if v != s), default=1)
-    m = abs(recurrent.recurrent_count(g, s)) * most
+    m = abs(determinant_count(g, s)) * most
     stable, _ = stabilize(g, Configuration(g, s, tuple(x + m for x in cell)))
     return stable.chips
 

@@ -28,12 +28,14 @@ from chipfiring import (
 from chipfiring.checks import run_check
 from chipfiring.lattice import class_representative, firing_lattice
 from chipfiring.oracles import brute_acyclic_sets, brute_arborescences
-from chipfiring.recurrent import is_minimal, is_minimum, recurrent_count
 
 from support import (
     bidirected_complete,
     corpus,
     data_graph,
+    determinant_count,
+    is_minimal,
+    is_minimum,
     non_eulerian_corpus,
     parallel_pair,
     small_corpus,
@@ -108,7 +110,7 @@ def test_criterion_4_evaluation_oracles():
         bare_poly = tutte_gen(bare, bare.vertices[0])
         for s in g.vertices:
             at_one = poly.eval(1)
-            assert at_one == recurrent_count(g, s)
+            assert at_one == determinant_count(g, s)
             assert at_one == brute_arborescences(g, s)
             # the y=0 count identity is a loopless statement: a loop multiplies
             # the polynomial by y but never joins an acyclic arc set

@@ -15,9 +15,15 @@ from chipfiring import (
     theta,
 )
 from chipfiring.bijection import _swapper
-from chipfiring.recurrent import is_minimal, is_minimum
 
-from support import bidirected_complete, corpus, data_graph, directed_cycle
+from support import (
+    bidirected_complete,
+    corpus,
+    data_graph,
+    directed_cycle,
+    is_minimal,
+    is_minimum,
+)
 
 C3 = directed_cycle(["s", "a", "b"])
 K3 = bidirected_complete(["s", "a", "b"])

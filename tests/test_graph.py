@@ -5,10 +5,8 @@ from functools import lru_cache
 import pytest
 
 from chipfiring import (
-    BridgeCut,
     GraphError,
     MultiDigraph,
-    bridge_cut,
     contract_arc,
     contract_vertices,
     delete_arcs,
@@ -20,12 +18,14 @@ from chipfiring import (
     remove_loops,
     reverse_partner,
 )
-from chipfiring import graph
+from chipfiring import check_recursion, graph
 from chipfiring.checks import run_check
 from chipfiring.families import random_eulerian, random_strongly_connected
 
 from support import (
+    BridgeCut,
     bidirected_complete,
+    bridge_cut,
     corpus,
     directed_cycle,
     non_eulerian_corpus,
@@ -151,6 +151,28 @@ def test_is_bridge_examples():
     not_strong = MultiDigraph.of([("a", "b")])
     with pytest.raises(GraphError):
         is_bridge(not_strong, 0)
+
+
+LOOPED_BANANA = MultiDigraph.of([("u", "v"), ("u", "v"), ("v", "u"), ("v", "u"), ("v", "v")])
+
+
+@pytest.mark.parametrize("index", [True, 0.5, 1.0, "0"], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, i: g.arc(i),
+        lambda g, i: delete_arcs(g, [i]),
+        lambda g, i: contract_arc(g, i),
+        lambda g, i: reverse_partner(g, i),
+        lambda g, i: is_bridge(g, i),
+        lambda g, i: check_recursion(g, "loop", i),
+    ],
+    ids=["arc", "delete_arcs", "contract_arc", "reverse_partner", "is_bridge", "check_recursion"],
+)
+def test_arc_index_must_be_an_int(call, index):
+    # a bool or a float is not read as the arc it rounds to, and a string is refused too
+    with pytest.raises(GraphError, match="^no arc with index "):
+        call(LOOPED_BANANA, index)
 
 
 def test_bridge_cut_examples():
