@@ -5,13 +5,18 @@ The lattice is spanned by the firing vectors of the non-sink vertices
 multiplicities), optionally extended by the sink-firing vector.  A
 column-style Hermite normal form, computed with integer column operations
 only, gives every vector a canonical residue modulo the lattice; membership
-and the class partition both read it.
+reads it.  Row operations continue that basis into a Smith normal form: the
+invariant factors d_1 | d_2 | ... of Z^n / L and a unimodular U, whose rows give
+each vector a short coset key, (u_i . x) mod d_i over the factors above 1 and
+u_i . x past the rank.  The class partition groups the members by that key.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from operator import add
+from functools import cached_property
+from operator import add, mul
 
 from .dynamics import Configuration, _settle, beta
 from .errors import ConfigurationError, GraphError, InternalCheckError
@@ -60,10 +65,64 @@ def column_hnf(generators: tuple[tuple[int, ...], ...], dimension: int):
     return basis, tuple(pivots)
 
 
+def _smith_form(basis: tuple[tuple[int, ...], ...], dimension: int):
+    """Smith normal form of the lattice L with the independent columns ``basis``.
+
+    Returns the invariant factors d_1 | d_2 | ... | d_r (r the rank, each
+    positive) and the rows of a unimodular U such that U L is spanned by the
+    d_i e_i.  It reduces the rows of [A | I], A the basis matrix: row operations
+    act on both parts, so the right part ends as U; column operations, on A
+    only, just change the basis of L.
+    """
+    rank = len(basis)
+    rows = [
+        [*(col[i] for col in basis), *(int(i == k) for k in range(dimension))]
+        for i in range(dimension)
+    ]
+    factors = []
+    for t in range(rank):
+        while True:
+            # the smallest nonzero entry of A's trailing block moves to (t, t)
+            i, j = min(
+                ((i, j) for i in range(t, dimension) for j in range(t, rank) if rows[i][j]),
+                key=lambda ij: abs(rows[ij[0]][ij[1]]),
+            )
+            rows[t], rows[i] = rows[i], rows[t]
+            for row in rows[t:]:
+                row[t], row[j] = row[j], row[t]
+            pivot, clear = rows[t][t], True
+            for i in range(t + 1, dimension):
+                q = rows[i][t] // pivot
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[t])]
+                clear = clear and not rows[i][t]
+            for j in range(t + 1, rank):
+                q = rows[t][j] // pivot
+                if q:
+                    for row in rows[t:]:
+                        row[j] -= q * row[t]
+                clear = clear and not rows[t][j]
+            if not clear:
+                continue
+            # d_t must divide the rest of A: a row that it does not is added to row t
+            i = next(
+                (i for i in range(t + 1, dimension) if any(x % pivot for x in rows[i][t + 1 : rank])),
+                None,
+            )
+            if i is None:
+                break
+            rows[t] = list(map(add, rows[t], rows[i]))
+        if rows[t][t] < 0:
+            rows[t] = [-x for x in rows[t]]
+        factors.append(rows[t][t])
+    return tuple(factors), tuple(tuple(row[rank:]) for row in rows)
+
+
 @dataclass(frozen=True)
 class IntegerLattice:
     """Subgroup of Z^dimension spanned by integer generator vectors; ``basis``
-    is its column HNF, each column zero above its positive pivot."""
+    is its column HNF, each column zero above its positive pivot.  Its Smith
+    form and the coset key read from it are built on first use and kept."""
 
     dimension: int
     generators: tuple[tuple[int, ...], ...]
@@ -95,6 +154,28 @@ class IntegerLattice:
     def contains(self, vector) -> bool:
         """Exact membership: the residue of a lattice vector is zero."""
         return not any(self.residue(vector))
+
+    @cached_property
+    def _smith(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The invariant factors and the rows of U, from ``_smith_form``."""
+        return _smith_form(self.basis, self.dimension)
+
+    @cached_property
+    def _coset_key(self):
+        """key(x) == key(y) exactly when x - y lies in L: with U L spanned by the
+        d_i e_i, the tuple of (u_i . x) mod d_i over the factors above 1, then
+        u_i . x for the rows past the rank.  Rows are reduced mod d_i first."""
+        factors, rows = self._smith
+        cyclic = [(tuple(x % d for x in row), d) for row, d in zip(rows, factors) if d > 1]
+        free = rows[len(factors) :]
+
+        def key(vector) -> tuple[int, ...]:
+            return tuple(
+                [sum(map(mul, row, vector)) % d for row, d in cyclic]
+                + [sum(map(mul, row, vector)) for row in free]
+            )
+
+        return key
 
 
 def firing_lattice(g: MultiDigraph, s: str, include_beta: bool = False) -> IntegerLattice:
@@ -142,13 +223,28 @@ def class_representative(g: MultiDigraph, s: str, c: Configuration) -> Configura
 
 
 def _classes(g: MultiDigraph, s: str, include_beta: bool) -> list[list[tuple[int, ...]]]:
-    """Recurrent chip vectors grouped by lattice residue; classes in order of
-    their first member, members in enumeration order."""
-    vectors = _checked_game(g, s).vectors
-    residue = firing_lattice(g, s, include_beta).residue
+    """Recurrent chip vectors grouped by their lattice coset key; classes in
+    order of their first member, members in enumeration order.
+
+    The invariant factors multiply to the lattice's index in Z^(n-1).  Without
+    the sink vector that is |det Δ|, the game's ``count``, and so it is with it
+    on an Eulerian host, whose sink vector lies in the span; anything else is
+    an internal bug.
+    """
+    rs = _checked_game(g, s)
+    lat = firing_lattice(g, s, include_beta)
+    factors, _ = lat._smith
+    if not include_beta or is_eulerian(g):
+        index = math.prod(factors) if len(factors) == lat.dimension else 0
+        if index != abs(rs.count):
+            raise InternalCheckError(
+                f"invariant factors {list(factors)} give index {index}, "
+                f"determinant predicts {abs(rs.count)}"
+            )
+    key = lat._coset_key
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for vec in vectors:
-        classes.setdefault(residue(vec), []).append(vec)
+    for vec in rs.vectors:
+        classes.setdefault(key(vec), []).append(vec)
     return list(classes.values())
 
 
@@ -157,7 +253,7 @@ def equivalence_classes(
 ) -> list[list[Configuration]]:
     """Partition the recurrent configurations by lattice equivalence.
 
-    One pass keyed on ``IntegerLattice.residue``, linear in |Rec|.  Classes
+    One pass keyed on the lattice's Smith-form coset key, linear in |Rec|.  Classes
     come in order of their first member and members in lexicographic order.
     Works on every strongly connected host; on Eulerian hosts without the sink
     vector every class is a singleton.

@@ -241,25 +241,30 @@ def _burnt_set_recursion(table: tuple, sink: int, width: int, budget: int) -> in
     g(B) = Σ_D (-1)^(|D|+1) Π_{v∈D} [d(B, v)]_q g(B ∪ D), v ranging over the
     unburnt vertices with d(B, v) > 0.  A vertex whose in-arcs all come from B
     burns whatever its f, so its factor comes out first.  Burnt sets are bitmasks
-    of vertex indices, and each g(B) is computed once.
+    of vertex indices, and each g(B) is computed once.  d(B, v) is the sum of
+    m |B ∩ N_m(v)| over the sets N_m(v) of in-neighbours joined to v by m arcs,
+    one popcount each, and most vertices have a single m.
     """
-    into: list[list[tuple[int, int]]] = [[] for _ in table]
+    groups: list[dict[int, int]] = [{} for _ in table]
     for u, _, _, neighbors in table:
         for v, m in neighbors:
-            into[v].append((u, m))
-    indeg = [sum(m for _, m in arcs) for arcs in into]
+            groups[v][m] = groups[v].get(m, 0) | 1 << u
+    into = [tuple(by_m.items()) for by_m in groups]
+    indeg = [sum(m * mask.bit_count() for m, mask in arcs) for arcs in into]
     everything = (1 << len(table)) - 1
     memo, terms = {everything: 1}, 0
 
     def fill(burnt: int) -> None:
         """memo[burnt] = g(burnt)."""
         nonlocal terms
-        start, factor = burnt, 1
-        d = {
-            v: sum(m for u, m in arcs if burnt >> u & 1)
-            for v, arcs in enumerate(into)
-            if not burnt >> v & 1
-        }
+        start, factor, d = burnt, 1, {}
+        for v, arcs in enumerate(into):
+            if not burnt >> v & 1:
+                if len(arcs) == 1:
+                    ((m, mask),) = arcs
+                    d[v] = m * (burnt & mask).bit_count()
+                else:
+                    d[v] = sum(m * (burnt & mask).bit_count() for m, mask in arcs)
         full = [v for v, x in d.items() if x == indeg[v]]
         while full:
             for v in full:

@@ -14,6 +14,8 @@ forms' are read from the enumerated members instead.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from operator import ge, itemgetter
 
 from .errors import HypothesisError
 from .graph import (
@@ -45,15 +47,44 @@ def support_filtered_gen(g: MultiDigraph, s: str, w) -> LaurentPolynomial:
     on chip vectors, every v in w has at least outdeg(v) - d(s, v) chips.
     """
     w = frozenset(w)
-    rs = enumerate_recurrents(g, s)
+    enumerate_recurrents(g, s)  # the host and cap checks come first, for any w
     if not w <= set(g.out_neighbors(s)):
         return LaurentPolynomial.zero()
-    need = [(rs.domain.index(v), g.outdeg(v) - g.multiplicity(s, v)) for v in w]
-    return LaurentPolynomial(
-        (lvl, 1)
-        for vec, lvl in zip(rs.vectors, rs.levels)
-        if all(vec[slot] >= least for slot, least in need)
+    order = tuple(v for v in g.out_neighbors(s) if v in w)
+    return _support_counts(g, s, order).get((1 << len(order)) - 1, LaurentPolynomial.zero())
+
+
+def _support_counts(g: MultiDigraph, s: str, w: tuple[str, ...]) -> dict[int, LaurentPolynomial]:
+    """One pass over the members at sink s: for each support mask m over w (bit
+    i for w[i]) that occurs, the sum of y^level over the members whose
+    post-sink-firing support meets w exactly in m."""
+    rs = enumerate_recurrents(g, s)
+    least = (g.outdeg(v) - g.multiplicity(s, v) for v in w)
+    flags = (
+        map(ge, map(itemgetter(rs.domain.index(v)), rs.vectors), itertools.repeat(x))
+        for v, x in zip(w, least)
     )
+    terms: dict[int, list[tuple[int, int]]] = {}
+    for (lvl, *bits), count in Counter(zip(rs.levels, *flags)).items():
+        terms.setdefault(sum(bit << i for i, bit in enumerate(bits)), []).append((lvl, count))
+    return {mask: LaurentPolynomial(pairs) for mask, pairs in terms.items()}
+
+
+def _support_table(g: MultiDigraph, s: str) -> dict[tuple[str, ...], LaurentPolynomial]:
+    """``support_filtered_gen`` at every subset w of the out-neighbors of s, keyed
+    in canonical order: superset sums over ``_support_counts``'s masks."""
+    neighbors = g.out_neighbors(s)
+    counts = _support_counts(g, s, neighbors)
+    table = [counts.get(mask, LaurentPolynomial.zero()) for mask in range(1 << len(neighbors))]
+    for i in range(len(neighbors)):
+        bit = 1 << i
+        for mask in range(len(table)):
+            if not mask & bit:
+                table[mask] = table[mask] + table[mask | bit]
+    return {
+        tuple(itertools.compress(neighbors, (mask >> i & 1 for i in range(len(neighbors))))): poly
+        for mask, poly in enumerate(table)
+    }
 
 
 # --------------------------------------------------------- recursion checkers

@@ -21,11 +21,12 @@ from chipfiring import (
     recurrent_definitional_test,
     stabilize,
 )
-from chipfiring.errors import ConfigurationError
+from chipfiring import lattice as lattice_module
+from chipfiring.errors import ConfigurationError, InternalCheckError
 from chipfiring.families import random_strongly_connected
 from chipfiring.lattice import _representative, class_representative, column_hnf
 from chipfiring.oracles import brute_recurrents
-from chipfiring.recurrent import _recurrent_vectors
+from chipfiring.recurrent import _recurrent_vectors, bareiss_determinant
 
 from support import (
     bidirected_complete,
@@ -185,6 +186,86 @@ def test_residue_is_a_canonical_coset_representative():
                 g = math.gcd(*(v for v, in gens))
                 assert rx == ((x[0] % g,) if g else x)
     assert same > 300 and differ > 300
+
+
+def spoiled_generators(rng):
+    """Generators of the kinds the dense family leaves rare: rank-deficient (one
+    is a combination of the others), more or fewer than the dimension, zero
+    vectors and negative entries, in dimension 1 to 5."""
+    dim = rng.randint(1, 5)
+    gens = [tuple(rng.randint(-6, 6) for _ in range(dim)) for _ in range(rng.randint(0, 3))]
+    if gens and rng.random() < 0.5:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        gens.append(tuple(a * x + b * y for x, y in zip(gens[0], gens[-1])))
+    if rng.random() < 0.3:
+        gens.append((0,) * dim)
+    if rng.random() < 0.3:
+        gens.append(tuple(-rng.randint(1, 6) for _ in range(dim)))
+    rng.shuffle(gens)
+    return gens, dim
+
+
+def test_smith_key_partitions_like_the_residue():
+    # the coset key and the Hermite residue agree on which vectors share a coset;
+    # U is unimodular, each d_i divides the next, and for a full-rank lattice the
+    # factors multiply to the index, the product of the HNF pivots
+    rng = random.Random(31)
+    same = differ = deficient = 0
+    for trial in range(400):
+        family = trial % 4
+        if family == 0:
+            gens, scales = axis_generators(rng)
+            dim = len(scales)
+        elif family == 1:
+            gens, dim = line_generators(rng), 1
+        elif family == 2:
+            gens, dim = dense_generators(rng)
+        else:
+            gens, dim = spoiled_generators(rng)
+        lat = IntegerLattice.from_generators(gens, dim)
+        factors, rows = lat._smith
+        assert len(factors) == len(lat.basis) and len(rows) == dim
+        assert abs(bareiss_determinant(rows)) == 1
+        assert all(d > 0 for d in factors)
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        if len(factors) == dim:
+            assert math.prod(factors) == math.prod(lat.basis[j][row] for row, j in lat.pivots)
+        else:
+            deficient += 1
+        key = lat._coset_key
+        for _ in range(8):
+            x = tuple(rng.randint(-9, 9) for _ in range(dim))
+            if rng.random() < 0.5:  # shift by a lattice member
+                y = list(x)
+                for gen in gens:
+                    c = rng.randint(-3, 3)
+                    y = [a + c * b for a, b in zip(y, gen)]
+            else:
+                y = [rng.randint(-9, 9) for _ in range(dim)]
+            shared = lat.residue(x) == lat.residue(y)
+            assert (key(x) == key(y)) == shared
+            same += shared
+            differ += not shared
+    assert same > 300 and differ > 300 and deficient > 50
+
+
+def test_classes_refuse_invariant_factors_off_the_determinant(monkeypatch):
+    # the factors of an Eulerian host's firing lattice multiply to its
+    # determinant, with or without the sink vector; one spoiled factor is refused
+    for include_beta in (False, True):
+        assert len(equivalence_classes(K3, "s", include_beta)) == 3
+    real = lattice_module._smith_form
+
+    def spoiled(basis, dimension):
+        factors, rows = real(basis, dimension)
+        return factors[:-1] + (2 * factors[-1],), rows
+
+    monkeypatch.setattr(lattice_module, "_smith_form", spoiled)
+    for include_beta in (False, True):
+        with pytest.raises(InternalCheckError, match="determinant predicts 3"):
+            equivalence_classes(K3, "s", include_beta)
+    with pytest.raises(InternalCheckError):
+        conjecture1_check(K3)
 
 
 def pairwise_classes(g, s, include_beta):

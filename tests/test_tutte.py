@@ -231,6 +231,22 @@ def test_vector_support_filter_matches_configuration_reference():
         assert support_filtered_gen(C3, "s", w).is_zero
 
 
+def test_support_table_matches_configuration_reference():
+    # one pass of support masks and their superset sums give every subset's
+    # filtered polynomial, the empty subset included
+    entries = 0
+    for g in dict.fromkeys(corpus() + small_corpus()):
+        for s in g.vertices:
+            neighbors = g.out_neighbors(s)
+            table = tutte._support_table(g, s)
+            assert len(table) == 2 ** len(neighbors)
+            for r in range(len(neighbors) + 1):
+                for w in itertools.combinations(neighbors, r):
+                    assert table[w] == _reference_support_filtered_gen(g, s, w)
+                    entries += 1
+    assert entries > 2_000
+
+
 def test_recursion_suite_computes_each_contraction_term_once(monkeypatch):
     # one contraction per (sink, subset): the Möbius check and the closed-form
     # check of the same subset share it
