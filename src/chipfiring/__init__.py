@@ -6,8 +6,8 @@ multisets of every sink, transports members between sinks by the swap
 bijection (which the ``theta`` suite checks), builds the generating polynomial
 of levels (a one-variable Tutte generalization), and verifies its recursive
 identities.  All arithmetic is exact: big integers, integer lattices in
-Hermite normal form (membership) and Smith normal form (class keys), and
-integer Laurent polynomials.
+Smith normal form (membership and class keys), and integer Laurent
+polynomials.
 """
 
 from .bijection import SwapResult, check_sink_independence, swap_number, theta

@@ -2,13 +2,12 @@
 
 The lattice is spanned by the firing vectors of the non-sink vertices
 (diagonal entry -(outdeg - loops), off-diagonal entries the arc
-multiplicities), optionally extended by the sink-firing vector.  A
-column-style Hermite normal form, computed with integer column operations
-only, gives every vector a canonical residue modulo the lattice; membership
-reads it.  Row operations continue that basis into a Smith normal form: the
+multiplicities), optionally extended by the sink-firing vector.  Integer row
+and column operations take the generators to a Smith normal form: the
 invariant factors d_1 | d_2 | ... of Z^n / L and a unimodular U, whose rows give
 each vector a short coset key, (u_i . x) mod d_i over the factors above 1 and
-u_i . x past the rank.  The class partition groups the members by that key.
+u_i . x past the rank.  Membership reads a zero key; the class partition groups
+the members by their keys.
 """
 
 from __future__ import annotations
@@ -24,141 +23,97 @@ from .graph import MultiDigraph, is_eulerian
 from .recurrent import _checked_game, _game, _require_strongly_connected, enumerate_recurrents
 
 
-def column_hnf(generators: tuple[tuple[int, ...], ...], dimension: int):
-    """Column-style Hermite normal form of the lattice spanned by the generators.
-
-    Generators are treated as columns; only integer column operations are used
-    and the pivot order is deterministic (top row first, leftmost column
-    preferred).  Returns the nonzero columns and their (row, column) pivots.
-    """
-    cols = [list(gen) for gen in generators]
-    if any(len(col) != dimension for col in cols):
-        raise ConfigurationError("generator with wrong dimension")
-    pivots: list[tuple[int, int]] = []
-    front = 0
-    for row in range(dimension):
-        while True:
-            nonzero = [j for j in range(front, len(cols)) if cols[j][row] != 0]
-            if len(nonzero) <= 1:
-                break
-            base = min(nonzero, key=lambda j: (abs(cols[j][row]), j))
-            for j in nonzero:
-                if j == base:
-                    continue
-                q = cols[j][row] // cols[base][row]
-                if q:
-                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[base])]
-        nonzero = [j for j in range(front, len(cols)) if cols[j][row] != 0]
-        if not nonzero:
-            continue
-        j = nonzero[0]
-        cols[front], cols[j] = cols[j], cols[front]
-        if cols[front][row] < 0:
-            cols[front] = [-a for a in cols[front]]
-        for j in range(front):
-            q = cols[j][row] // cols[front][row]
-            if q:
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[front])]
-        pivots.append((row, front))
-        front += 1
-    basis = tuple(tuple(col) for col in cols[:front])
-    return basis, tuple(pivots)
+def _least_entry(rows: list[list[int]], t: int, width: int) -> tuple[int, int] | None:
+    """(i, j) of a nonzero entry of least absolute value in A's trailing block
+    rows[t:][t:width], the first in row order, stopping at one of absolute value
+    1; None when the block is zero."""
+    at, least = None, math.inf
+    for i in range(t, len(rows)):
+        for j, x in enumerate(rows[i][t:width], t):
+            if x and abs(x) < least:
+                at, least = (i, j), abs(x)
+                if least == 1:
+                    return at
+    return at
 
 
-def _smith_form(basis: tuple[tuple[int, ...], ...], dimension: int):
-    """Smith normal form of the lattice L with the independent columns ``basis``.
+def _smith_form(generators: tuple[tuple[int, ...], ...], dimension: int):
+    """Smith normal form of the lattice L spanned by the columns ``generators``.
 
     Returns the invariant factors d_1 | d_2 | ... | d_r (r the rank, each
     positive) and the rows of a unimodular U such that U L is spanned by the
-    d_i e_i.  It reduces the rows of [A | I], A the basis matrix: row operations
-    act on both parts, so the right part ends as U; column operations, on A
-    only, just change the basis of L.
+    d_i e_i.  It reduces the rows of [A | I], A the generator matrix: row
+    operations act on both parts, so the right part ends as U; column
+    operations, on A only, just change the spanning set of L.  Dependent, zero
+    and surplus columns are allowed: the reduction stops once A's trailing
+    block is zero.
     """
-    rank = len(basis)
-    rows = [
-        [*(col[i] for col in basis), *(int(i == k) for k in range(dimension))]
-        for i in range(dimension)
-    ]
-    factors = []
-    for t in range(rank):
-        while True:
-            # the smallest nonzero entry of A's trailing block moves to (t, t)
-            i, j = min(
-                ((i, j) for i in range(t, dimension) for j in range(t, rank) if rows[i][j]),
-                key=lambda ij: abs(rows[ij[0]][ij[1]]),
-            )
-            rows[t], rows[i] = rows[i], rows[t]
-            for row in rows[t:]:
-                row[t], row[j] = row[j], row[t]
-            pivot, clear = rows[t][t], True
-            for i in range(t + 1, dimension):
-                q = rows[i][t] // pivot
-                if q:
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[t])]
-                clear = clear and not rows[i][t]
-            for j in range(t + 1, rank):
-                q = rows[t][j] // pivot
-                if q:
-                    for row in rows[t:]:
-                        row[j] -= q * row[t]
-                clear = clear and not rows[t][j]
-            if not clear:
-                continue
-            # d_t must divide the rest of A: a row that it does not is added to row t
-            i = next(
-                (i for i in range(t + 1, dimension) if any(x % pivot for x in rows[i][t + 1 : rank])),
-                None,
-            )
-            if i is None:
-                break
+    width = len(generators)
+    rows = [[col[i] for col in generators] + [0] * dimension for i in range(dimension)]
+    for i, row in enumerate(rows):
+        row[width + i] = 1
+    factors, t = [], 0
+    # the least nonzero entry of A's trailing block moves to (t, t)
+    while at := _least_entry(rows, t, width):
+        i, j = at
+        rows[t], rows[i] = rows[i], rows[t]
+        for row in rows[t:]:
+            row[t], row[j] = row[j], row[t]
+        pivot, clear = rows[t][t], True
+        for i in range(t + 1, dimension):
+            q = rows[i][t] // pivot
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[t])]
+            clear = clear and not rows[i][t]
+        for j in range(t + 1, width):
+            q = rows[t][j] // pivot
+            if q:
+                for row in rows[t:]:
+                    row[j] -= q * row[t]
+            clear = clear and not rows[t][j]
+        if not clear:
+            continue
+        # d_t must divide the rest of A: a row that it does not is added to row t
+        i = next(
+            (i for i in range(t + 1, dimension) if any(x % pivot for x in rows[i][t + 1 : width])),
+            None,
+        )
+        if i is not None:
             rows[t] = list(map(add, rows[t], rows[i]))
-        if rows[t][t] < 0:
+            continue
+        if pivot < 0:
             rows[t] = [-x for x in rows[t]]
-        factors.append(rows[t][t])
-    return tuple(factors), tuple(tuple(row[rank:]) for row in rows)
+        factors.append(abs(pivot))
+        t += 1
+    return tuple(factors), tuple(tuple(row[width:]) for row in rows)
 
 
 @dataclass(frozen=True)
 class IntegerLattice:
-    """Subgroup of Z^dimension spanned by integer generator vectors; ``basis``
-    is its column HNF, each column zero above its positive pivot.  Its Smith
+    """Subgroup of Z^dimension spanned by integer generator vectors.  Its Smith
     form and the coset key read from it are built on first use and kept."""
 
     dimension: int
     generators: tuple[tuple[int, ...], ...]
-    basis: tuple[tuple[int, ...], ...]
-    pivots: tuple[tuple[int, int], ...]
 
     @classmethod
     def from_generators(cls, generators, dimension: int) -> "IntegerLattice":
         generators = tuple(tuple(int(x) for x in gen) for gen in generators)
-        basis, pivots = column_hnf(generators, dimension)
-        return cls(dimension, generators, basis, pivots)
-
-    def residue(self, vector) -> tuple[int, ...]:
-        """Canonical representative of vector + L (Cohen, 1993, 2.4): reduced at
-        each pivot row, in row order, into [0, pivot) by the pivot column, so
-        residue(x) == residue(y) exactly when x - y lies in L."""
-        x = [int(v) for v in vector]
-        if len(x) != self.dimension:
-            raise ConfigurationError(
-                f"vector has dimension {len(x)}, lattice has {self.dimension}"
-            )
-        for row, j in self.pivots:
-            col = self.basis[j]
-            quotient = x[row] // col[row]
-            if quotient:
-                x = [a - quotient * b for a, b in zip(x, col)]
-        return tuple(x)
+        if any(len(gen) != dimension for gen in generators):
+            raise ConfigurationError("generator with wrong dimension")
+        return cls(dimension, generators)
 
     def contains(self, vector) -> bool:
-        """Exact membership: the residue of a lattice vector is zero."""
-        return not any(self.residue(vector))
+        """Exact membership: a vector lies in L exactly when its coset key is zero."""
+        x = [int(v) for v in vector]
+        if len(x) != self.dimension:
+            raise ConfigurationError(f"vector has dimension {len(x)}, lattice has {self.dimension}")
+        return not any(self._coset_key(x))
 
     @cached_property
     def _smith(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """The invariant factors and the rows of U, from ``_smith_form``."""
-        return _smith_form(self.basis, self.dimension)
+        return _smith_form(self.generators, self.dimension)
 
     @cached_property
     def _coset_key(self):

@@ -298,17 +298,14 @@ def _burnt_set_recursion(table: tuple, sink: int, width: int, budget: int) -> in
 def kappa(g: MultiDigraph) -> int:
     """Minimum of outdeg(s) + total chips over recurrents of the loopless host.
 
-    Read from g's own game record with the canonical first vertex as sink, whose
-    cap is checked on every call: its enumerated sums once it has enumerated,
-    else its burnt-set recursion.  Adding d(v, v) chips at every non-sink vertex
-    maps the loopless host's recurrents onto g's and raises every sum by the loop
-    count.  By sink independence of the sum multiset any other sink gives the
-    same value.
+    Read as the least sum kept on g's own game record with the canonical first
+    vertex as sink, whose cap is checked on every call.  Adding d(v, v) chips at
+    every non-sink vertex maps the loopless host's recurrents onto g's and raises
+    every sum by the loop count.  By sink independence of the sum multiset any
+    other sink gives the same value.
     """
     _require_eulerian(g)
-    rs = _checked_game(g, g.vertices[0])
-    lowest = min(rs.sums) if "found" in vars(rs) else rs.sum_polynomial.terms[0][0]
-    return lowest - g.loop_count
+    return _checked_game(g, g.vertices[0])._least_sum - g.loop_count
 
 
 # ---------------------------------------------------------------- game record
@@ -488,6 +485,12 @@ class RecurrentSet:
     def sums(self) -> array:
         found, shift = self.found, self.sink_outdeg - 1
         return array(found.typecode, map(shift.__add__, filter(None, found)))
+
+    @cached_property
+    def _least_sum(self) -> int:
+        """The least member sum: read off the enumerated sums once the game has
+        enumerated, else off its burnt-set recursion; kept for ``kappa``."""
+        return min(self.sums) if "found" in vars(self) else self.sum_polynomial.terms[0][0]
 
     @cached_property
     def kappa(self) -> int:

@@ -499,6 +499,84 @@ def reference_representative(g: MultiDigraph, s: str, cell) -> tuple[int, ...]:
     return stable.chips
 
 
+# The column Hermite normal form and its canonical residue, a second normal
+# form of the lattice: the reference the lattice tests compare membership, the
+# Smith form's rank and the class partition against.
+def column_hnf(generators: tuple[tuple[int, ...], ...], dimension: int):
+    """Column-style Hermite normal form of the lattice spanned by the generators.
+
+    Generators are treated as columns; only integer column operations are used
+    and the pivot order is deterministic (top row first, leftmost column
+    preferred).  Returns the nonzero columns and their (row, column) pivots.
+    """
+    cols = [list(gen) for gen in generators]
+    if any(len(col) != dimension for col in cols):
+        raise ConfigurationError("generator with wrong dimension")
+    pivots: list[tuple[int, int]] = []
+    front = 0
+    for row in range(dimension):
+        while True:
+            nonzero = [j for j in range(front, len(cols)) if cols[j][row] != 0]
+            if len(nonzero) <= 1:
+                break
+            base = min(nonzero, key=lambda j: (abs(cols[j][row]), j))
+            for j in nonzero:
+                if j == base:
+                    continue
+                q = cols[j][row] // cols[base][row]
+                if q:
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[base])]
+        nonzero = [j for j in range(front, len(cols)) if cols[j][row] != 0]
+        if not nonzero:
+            continue
+        j = nonzero[0]
+        cols[front], cols[j] = cols[j], cols[front]
+        if cols[front][row] < 0:
+            cols[front] = [-a for a in cols[front]]
+        for j in range(front):
+            q = cols[j][row] // cols[front][row]
+            if q:
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[front])]
+        pivots.append((row, front))
+        front += 1
+    basis = tuple(tuple(col) for col in cols[:front])
+    return basis, tuple(pivots)
+
+
+class HermiteLattice(NamedTuple):
+    """A lattice by its column HNF ``basis``, each column zero above its
+    positive pivot, and the (row, column) ``pivots``."""
+
+    dimension: int
+    basis: tuple[tuple[int, ...], ...]
+    pivots: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, generators, dimension: int) -> "HermiteLattice":
+        generators = tuple(tuple(int(x) for x in gen) for gen in generators)
+        return cls(dimension, *column_hnf(generators, dimension))
+
+    def residue(self, vector) -> tuple[int, ...]:
+        """Canonical representative of vector + L (Cohen, 1993, 2.4): reduced at
+        each pivot row, in row order, into [0, pivot) by the pivot column, so
+        residue(x) == residue(y) exactly when x - y lies in L."""
+        x = [int(v) for v in vector]
+        if len(x) != self.dimension:
+            raise ConfigurationError(
+                f"vector has dimension {len(x)}, lattice has {self.dimension}"
+            )
+        for row, j in self.pivots:
+            col = self.basis[j]
+            quotient = x[row] // col[row]
+            if quotient:
+                x = [a - quotient * b for a, b in zip(x, col)]
+        return tuple(x)
+
+    def contains(self, vector) -> bool:
+        """Exact membership: the residue of a lattice vector is zero."""
+        return not any(self.residue(vector))
+
+
 # ``check_theta`` as it ran with a second swap search per member, the swap
 # back, a separate round trip on the public full-domain path (``augment_sink``,
 # then ``stabilize`` toward s1) and a scan over every pair of members; the
