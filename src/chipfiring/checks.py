@@ -122,30 +122,36 @@ def check_theta(g: MultiDigraph) -> CheckReport:
             ks.append(k)
             js.append(j)
     max_swap = max_swap_minimal = 0
-    for (s1, s2), ks in numbers.items():
+    for s1 in g.vertices:
         rs, config = recurrents[s1], partial(Configuration, g, s1)  # for report lines only
-        js, back, back_js = images[s1, s2], numbers[s2, s1], images[s2, s1]
-        max_swap = max(max_swap, *ks)
-        max_swap_minimal = max(max_swap_minimal, *itertools.compress(ks, rs.minimal_flags))
+        covers, minimal = _covers(rs.vectors, positions[s1])
         min_sum = min(rs.sums)
-        for i, (vec, total, k, j) in enumerate(zip(rs.vectors, rs.sums, ks, js)):
-            if back[j] != k:
-                report.fail(
-                    f"swap symmetry broke for {config(vec)} between {s1} and {s2}: "
-                    f"{k} vs {back[j]}"
-                )
-            elif back_js[j] != i:  # equal numbers: the swap back ended in the round trip's state
-                report.fail(f"round trip did not return {config(vec)} augmented by {k}")
-            if total == min_sum and k != 0:
-                report.fail(f"minimum configuration {config(vec)} has swap number {k}")
-        for lo, hi in rs.covers:  # covering steps join every comparable pair of members
-            if ks[lo] > ks[hi]:
-                report.fail(
-                    f"swap numbers not monotone: {config(rs.vectors[lo])} <= "
-                    f"{config(rs.vectors[hi])} but {ks[lo]} > {ks[hi]}"
-                )
-        if len(set(js)) != len(js):
-            report.fail(f"swap map is not injective from sink {s1} to {s2}")
+        for s2 in g.vertices:
+            if s2 == s1:
+                continue
+            ks, js = numbers[s1, s2], images[s1, s2]
+            back, back_js = numbers[s2, s1], images[s2, s1]
+            max_swap = max(max_swap, *ks)
+            max_swap_minimal = max(max_swap_minimal, *itertools.compress(ks, minimal))
+            for i, (vec, total, k, j) in enumerate(zip(rs.vectors, rs.sums, ks, js)):
+                if back[j] != k:
+                    report.fail(
+                        f"swap symmetry broke for {config(vec)} between {s1} and {s2}: "
+                        f"{k} vs {back[j]}"
+                    )
+                elif back_js[j] != i:  # equal numbers: the swap back ended in the round trip's state
+                    report.fail(f"round trip did not return {config(vec)} augmented by {k}")
+                if total == min_sum and k != 0:
+                    report.fail(f"minimum configuration {config(vec)} has swap number {k}")
+            for lo, hi in covers:  # covering steps join every comparable pair of members
+                if ks[lo] > ks[hi]:
+                    report.fail(
+                        f"swap numbers not monotone: {config(rs.vectors[lo])} <= "
+                        f"{config(rs.vectors[hi])} but {ks[lo]} > {ks[hi]}"
+                    )
+            if len(set(js)) != len(js):
+                report.fail(f"swap map is not injective from sink {s1} to {s2}")
+        del covers, minimal  # freed before the next source sink's walk, not during it
     report.note(f"max swap number observed: {max_swap}")
     report.note(f"max swap number over minimal configurations: {max_swap_minimal}")
     # composition across three sinks: experiment only, nothing is asserted
@@ -159,6 +165,24 @@ def check_theta(g: MultiDigraph) -> CheckReport:
             f"three-sink composition agreed on {composed_equal}/{composed_total} cases"
         )
     return report
+
+
+def _covers(vectors, positions) -> tuple[list[tuple[int, int]], list[bool]]:
+    """The covering steps of one recurrent set: the pairs (i, j) with member
+    j = member i + e_t, ordered by j, then i, and per member whether no pair ends
+    at it (no other member is <= it).  The members form an up-set of the stable
+    cube, so these steps join any two comparable members; each member's lower
+    neighbours are looked up in ``positions``, its vector -> index map."""
+    pairs, minimal = [], []
+    for j, vec in enumerate(vectors):
+        below = [
+            i
+            for t, x in enumerate(vec)
+            if x and (i := positions.get(vec[:t] + (x - 1,) + vec[t + 1 :])) is not None
+        ]  # ascending: lowering an earlier coordinate gives a lexicographically smaller vector
+        pairs.extend((i, j) for i in below)
+        minimal.append(not below)
+    return pairs, minimal
 
 
 def check_max_sum(g: MultiDigraph) -> CheckReport:

@@ -148,8 +148,8 @@ def firing_lattice(g: MultiDigraph, s: str, include_beta: bool = False) -> Integ
 
 
 def _representative(g: MultiDigraph, s: str):
-    """Integer core of ``class_representative``: maps chips on V \\ {s} to the
-    recurrent member of their class by adding m chips on every vertex and
+    """Maps chips on V \\ {s} to their class representative, the unique
+    recurrent member of their class, by adding m chips on every vertex and
     stabilizing, m a multiple of the group order N (N * x lies in the firing
     lattice for every integer x) and at least the largest out-degree.  The m
     chips are settled once, into ``base``; by the abelian property each cell
@@ -168,13 +168,6 @@ def _representative(g: MultiDigraph, s: str):
         return tuple(chips)
 
     return represent
-
-
-def class_representative(g: MultiDigraph, s: str, c: Configuration) -> Configuration:
-    """The unique recurrent configuration equivalent to c."""
-    if c.sink != s or c.host.vertices != g.vertices:
-        raise ConfigurationError("configuration does not belong to this sink game")
-    return Configuration(c.host, s, _representative(g, s)(c.chips))
 
 
 def _classes(g: MultiDigraph, s: str, include_beta: bool) -> list[list[tuple[int, ...]]]:

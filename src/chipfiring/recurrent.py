@@ -13,8 +13,9 @@ and the burning-uniqueness suite burn with the generic ``_settle``.  Levels
 and ``kappa`` need an Eulerian host, where the record's ``sum_polynomial``, read
 by ``kappa`` and ``tutte.tutte_gen``, needs no enumeration: a recursion over the
 burnt sets of Dhar's burning counts the members by sum, and falls back to the
-enumerated sums past RECURSION_TERMS_PER_MEMBER terms per member.  Every value
-of one sink game lives in its record, ``RecurrentSet``, cached once per game;
+enumerated sums past RECURSION_TERMS_PER_MEMBER terms per member.  The values
+of one sink game live in its record, ``RecurrentSet``, cached once per game,
+except what one suite alone reads, which that suite builds;
 ``_checked_game`` hands it out, refusing a stable cube above ``CELL_CAP`` cells,
 a bound the recursion keeps too.
 """
@@ -23,12 +24,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, compress, filterfalse, product
-from operator import add, itemgetter, mul
+from operator import add, mul
 
 from .dynamics import Configuration, _game_rows, _movers, _settle
 from .errors import ConfigurationError, GraphError, InternalCheckError, SizeCapError
@@ -311,7 +311,7 @@ def kappa(g: MultiDigraph) -> int:
 # ---------------------------------------------------------------- game record
 @dataclass(frozen=True)
 class RecurrentSet:
-    """The record of one sink game: its recurrent configurations and every value
+    """The record of one sink game: its recurrent configurations and the values
     derived from them, each computed on first use and kept.
 
     A cell of the stable cube prod_t [0, bounds[t] - 1] over ``domain`` (V minus
@@ -503,35 +503,8 @@ class RecurrentSet:
         return array(self.sums.typecode, map((-self.kappa).__add__, self.sums))
 
     @cached_property
-    def polynomial(self) -> LaurentPolynomial:
-        """T(y): the sum of y^level over the members."""
-        return LaurentPolynomial((level, 1) for level in self.levels)
-
-    @cached_property
     def configs(self) -> tuple[Configuration, ...]:
         return tuple(Configuration(self.host, self.sink, vec) for vec in self.decode())
-
-    @cached_property
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Index pairs (i, j) with member j = member i + e_t, ordered by j, then i.
-        The members form an up-set of the stable cube, so member i + e_t is a
-        member whenever digit t of member i is below its top, and these steps
-        join any two comparable members."""
-        members, steps = self.members, tuple(zip(self.weights, self.bounds))
-        pairs = [
-            (i, bisect_left(members, cell + w, i + 1))
-            for i, (cell, vec) in enumerate(zip(members, self.vectors))
-            for x, (w, out) in zip(vec, steps)
-            if x < out - 1
-        ]
-        pairs.sort(key=itemgetter(1))  # stable: each j keeps its i in ascending order
-        return tuple(pairs)
-
-    @cached_property
-    def minimal_flags(self) -> tuple[bool, ...]:
-        """Per member, in order: whether no other member is <= it (no cover ends at it)."""
-        covered = {j for _, j in self.covers}
-        return tuple(j not in covered for j in range(len(self.members)))
 
     def to_json_dict(self) -> dict:
         return {

@@ -165,7 +165,8 @@ def _check_mobius(g: MultiDigraph, s: str) -> tuple[bool, dict]:
     neighbors = g.out_neighbors(s)
     if not neighbors:
         raise HypothesisError(f"vertex {s!r} has no out-neighbors besides itself")
-    lhs = enumerate_recurrents(g, s).polynomial  # enumerated: the recursion expands this way
+    # enumerated levels: the recursion expands this way
+    lhs = LaurentPolynomial((level, 1) for level in enumerate_recurrents(g, s).levels)
     terms = {}
     rhs = LaurentPolynomial.zero()
     for r in range(1, len(neighbors) + 1):

@@ -60,6 +60,7 @@ from chipfiring.recurrent import (
     reduced_laplacian,
 )
 from chipfiring.families import random_eulerian, random_strongly_connected
+from chipfiring.lattice import _representative
 
 DATA = Path(__file__).parent / "data"
 
@@ -436,7 +437,7 @@ def _require_member(rs: RecurrentSet, c: Configuration) -> int:
 
 def is_minimal(rs: RecurrentSet, c: Configuration) -> bool:
     """No other member of the set is pointwise <= c."""
-    return rs.minimal_flags[_require_member(rs, c)]
+    return reference_minimal_flags(rs.vectors)[_require_member(rs, c)]
 
 
 def is_minimum(rs: RecurrentSet, c: Configuration) -> bool:
@@ -464,8 +465,9 @@ def reference_recursion_kind(g: MultiDigraph, i: int) -> str | None:
     return None
 
 
-# ``RecurrentSet.minimal_flags`` as a scan over every pair of members; the
-# reference its differential test compares against.
+# per member, whether no other member is pointwise <= it, as a scan over every
+# pair of members; the reference the minimal flags of ``checks._covers`` and
+# ``is_minimal`` are read from.
 def reference_minimal_flags(vectors) -> tuple[bool, ...]:
     return tuple(
         not any(
@@ -476,17 +478,26 @@ def reference_minimal_flags(vectors) -> tuple[bool, ...]:
     )
 
 
-# ``RecurrentSet.covers`` as it was defined on tuples: a dict of member
-# positions and one lookup per member and positive coordinate; the reference
-# its differential test compares against.
+# the covering steps of ``checks._covers`` as a scan over every pair of members:
+# (i, j) where member j is pointwise >= member i with one chip more, that is,
+# member i + e_t, ordered by j, then i; the reference its differential test
+# compares against.
 def reference_covers(vectors) -> tuple[tuple[int, int], ...]:
-    members = {vec: i for i, vec in enumerate(vectors)}
     return tuple(
-        (members[below], j)
-        for j, vec in enumerate(vectors)
-        for t, x in enumerate(vec)
-        if x and (below := vec[:t] + (x - 1,) + vec[t + 1 :]) in members
+        (i, j)
+        for j, upper in enumerate(vectors)
+        for i, lower in enumerate(vectors)
+        if sum(upper) == sum(lower) + 1 and all(a <= b for a, b in zip(lower, upper))
     )
+
+
+# ``lattice._representative`` on a ``Configuration``: the unique recurrent
+# configuration equivalent to c, for the tests that state the class
+# representative's properties on configurations.
+def class_representative(g: MultiDigraph, s: str, c: Configuration) -> Configuration:
+    if c.sink != s or c.host.vertices != g.vertices:
+        raise ConfigurationError("configuration does not belong to this sink game")
+    return Configuration(c.host, s, _representative(g, s)(c.chips))
 
 
 # ``lattice._representative`` as it ran before the m chips were settled once:
@@ -603,7 +614,7 @@ def reference_theta(g: MultiDigraph) -> CheckReport:
         back_host = delete_out_arcs(g, s1)
         min_sum = min(rs.sums)
         swaps = []
-        for vec, total, minimal in zip(rs.vectors, rs.sums, rs.minimal_flags):
+        for vec, total, minimal in zip(rs.vectors, rs.sums, reference_minimal_flags(rs.vectors)):
             k, state = swap(vec)
             image = tuple(state)
             if image not in targets:

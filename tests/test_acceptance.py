@@ -26,11 +26,12 @@ from chipfiring import (
     undirected_tutte_oracle,
 )
 from chipfiring.checks import run_check
-from chipfiring.lattice import class_representative, firing_lattice
+from chipfiring.lattice import firing_lattice
 from chipfiring.oracles import brute_acyclic_sets, brute_arborescences
 
 from support import (
     bidirected_complete,
+    class_representative,
     corpus,
     data_graph,
     determinant_count,

@@ -24,13 +24,14 @@ from chipfiring import (
 from chipfiring import lattice as lattice_module
 from chipfiring.errors import ConfigurationError, InternalCheckError
 from chipfiring.families import random_strongly_connected
-from chipfiring.lattice import _representative, class_representative
+from chipfiring.lattice import _representative
 from chipfiring.oracles import brute_recurrents
 from chipfiring.recurrent import _recurrent_vectors, bareiss_determinant
 
 from support import (
     HermiteLattice,
     bidirected_complete,
+    class_representative,
     column_hnf,
     corpus,
     determinant_count,
