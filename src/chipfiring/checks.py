@@ -104,15 +104,16 @@ def check_theta(g: MultiDigraph) -> CheckReport:
     """
     report = CheckReport("theta")
     recurrents = {s: recurrent.enumerate_recurrents(g, s) for s in g.vertices}
-    # the suite's own index of each set's chip vectors, for its many lookups
-    positions = {s: {vec: j for j, vec in enumerate(rs.vectors)} for s, rs in recurrents.items()}
+    # the suite's own index of each set's chip vectors, for its many lookups; its
+    # keys, in enumeration order, are the only decoded copy of the members
+    positions = {s: {vec: j for j, vec in enumerate(rs.decode())} for s, rs in recurrents.items()}
     # per ordered pair, per source member: its swap number, its image's index
     numbers: dict[tuple[str, str], list[int]] = {}
     images: dict[tuple[str, str], list[int]] = {}
     for s1, s2 in itertools.permutations(g.vertices, 2):
         swap, out2 = bijection._swapper(g, g.vertex_index(s1), g.vertex_index(s2)), g.outdeg(s2)
         ks, js = numbers[s1, s2], images[s1, s2] = [], []
-        for vec, total in zip(recurrents[s1].vectors, recurrents[s1].sums):
+        for vec, total in zip(positions[s1], recurrents[s1].sums):
             k, state = swap(vec)
             j = positions[s2].get(tuple(state))
             if j is None:
@@ -124,7 +125,8 @@ def check_theta(g: MultiDigraph) -> CheckReport:
     max_swap = max_swap_minimal = 0
     for s1 in g.vertices:
         rs, config = recurrents[s1], partial(Configuration, g, s1)  # for report lines only
-        covers, minimal = _covers(rs.vectors, positions[s1])
+        vectors = list(positions[s1])
+        covers, minimal = _covers(vectors, positions[s1])
         min_sum = min(rs.sums)
         for s2 in g.vertices:
             if s2 == s1:
@@ -133,7 +135,7 @@ def check_theta(g: MultiDigraph) -> CheckReport:
             back, back_js = numbers[s2, s1], images[s2, s1]
             max_swap = max(max_swap, *ks)
             max_swap_minimal = max(max_swap_minimal, *itertools.compress(ks, minimal))
-            for i, (vec, total, k, j) in enumerate(zip(rs.vectors, rs.sums, ks, js)):
+            for i, (vec, total, k, j) in enumerate(zip(vectors, rs.sums, ks, js)):
                 if back[j] != k:
                     report.fail(
                         f"swap symmetry broke for {config(vec)} between {s1} and {s2}: "
@@ -146,12 +148,12 @@ def check_theta(g: MultiDigraph) -> CheckReport:
             for lo, hi in covers:  # covering steps join every comparable pair of members
                 if ks[lo] > ks[hi]:
                     report.fail(
-                        f"swap numbers not monotone: {config(rs.vectors[lo])} <= "
-                        f"{config(rs.vectors[hi])} but {ks[lo]} > {ks[hi]}"
+                        f"swap numbers not monotone: {config(vectors[lo])} <= "
+                        f"{config(vectors[hi])} but {ks[lo]} > {ks[hi]}"
                     )
             if len(set(js)) != len(js):
                 report.fail(f"swap map is not injective from sink {s1} to {s2}")
-        del covers, minimal  # freed before the next source sink's walk, not during it
+        del vectors, covers, minimal  # freed before the next source sink's walk, not during it
     report.note(f"max swap number observed: {max_swap}")
     report.note(f"max swap number over minimal configurations: {max_swap_minimal}")
     # composition across three sinks: experiment only, nothing is asserted
@@ -188,23 +190,28 @@ def _covers(vectors, positions) -> tuple[list[tuple[int, int]], list[bool]]:
 def check_max_sum(g: MultiDigraph) -> CheckReport:
     """Recurrent configurations maximize the chip total inside their class.
 
-    Proven for Eulerian hosts (violations flip the verdict); on other strongly
-    connected hosts the comparison is reported as an experiment only.
+    The members are one per coset of the firing lattice (Holroyd et al., 2008),
+    certified by ``count`` distinct member keys, so each stable cell is compared
+    with the member under its coset key; nothing is settled.  Proven for
+    Eulerian hosts (violations flip the verdict); on other strongly connected
+    hosts the comparison is reported as an experiment only.
     """
     report = CheckReport("max-sum")
     eulerian = is_eulerian(g)
     observed_violations = 0
     for s in g.vertices:
-        bounds = recurrent._checked_game(g, s).bounds
-        lat = lattice.firing_lattice(g, s)
-        represent, config = lattice._representative(g, s), partial(Configuration, g, s)
-        for cell in itertools.product(*map(range, bounds)):
-            rep = represent(cell)
-            if not lat.contains([a - b for a, b in zip(cell, rep)]):
-                report.fail(f"class representative left the equivalence class of {config(cell)}")
-                continue
-            if sum(cell) > sum(rep):
+        rs, key = lattice._keyed_game(g, s)
+        best = {key(vec): sum(vec) for vec in rs.decode()}  # coset key -> its member's total
+        if len(best) != rs.count:
+            raise InternalCheckError(
+                f"{rs.count} recurrent configurations at sink {s} have {len(best)} "
+                "distinct coset keys; each class must hold exactly one"
+            )
+        config = partial(Configuration, g, s)  # for report lines only
+        for cell in itertools.product(*map(range, rs.bounds)):
+            if sum(cell) > best[key(cell)]:
                 if eulerian:
+                    rep = next(vec for vec in rs.decode() if key(vec) == key(cell))
                     report.fail(
                         f"stable {config(cell)} outweighs its recurrent representative {config(rep)}"
                     )
@@ -231,7 +238,7 @@ def check_burning_uniqueness(g: MultiDigraph) -> CheckReport:
     for s in g.vertices:
         rs = recurrent.enumerate_recurrents(g, s)
         burn, _ = rs.burner
-        for vec in rs.vectors:
+        for vec in rs.decode():
             counts = burn(vec)
             if counts is None:
                 raise InternalCheckError("burning run of a recurrent did not return it")

@@ -7,7 +7,8 @@ and column operations take the generators to a Smith normal form: the
 invariant factors d_1 | d_2 | ... of Z^n / L and a unimodular U, whose rows give
 each vector a short coset key, (u_i . x) mod d_i over the factors above 1 and
 u_i . x past the rank.  Membership reads a zero key; the class partition groups
-the members by their keys.
+the members by their keys, and ``max-sum`` finds each stable cell's class
+member by its key.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import add, mul
 
-from .dynamics import Configuration, _settle, beta
-from .errors import ConfigurationError, GraphError, InternalCheckError
+from .dynamics import Configuration, beta
+from .errors import ConfigurationError, InternalCheckError
 from .graph import MultiDigraph, is_eulerian
 from .recurrent import _checked_game, _game, _require_strongly_connected, enumerate_recurrents
 
@@ -147,32 +148,8 @@ def firing_lattice(g: MultiDigraph, s: str, include_beta: bool = False) -> Integ
     return IntegerLattice.from_generators(generators, g.n_vertices - 1)
 
 
-def _representative(g: MultiDigraph, s: str):
-    """Maps chips on V \\ {s} to their class representative, the unique
-    recurrent member of their class, by adding m chips on every vertex and
-    stabilizing, m a multiple of the group order N (N * x lies in the firing
-    lattice for every integer x) and at least the largest out-degree.  The m
-    chips are settled once, into ``base``; by the abelian property each cell
-    then settles from cell + base to the same configuration."""
-    rs = _game(g, g.vertex_index(s))
-    n = abs(rs.count)
-    if n == 0:
-        raise GraphError("degenerate host: the reduced Laplacian is singular")
-    movers = rs.movers
-    base = [n * max(rs.bounds, default=1)] * len(rs.bounds)
-    _settle(base, movers)
-
-    def represent(cell) -> tuple[int, ...]:
-        chips = list(map(add, cell, base))
-        _settle(chips, movers)
-        return tuple(chips)
-
-    return represent
-
-
-def _classes(g: MultiDigraph, s: str, include_beta: bool) -> list[list[tuple[int, ...]]]:
-    """Recurrent chip vectors grouped by their lattice coset key; classes in
-    order of their first member, members in enumeration order.
+def _keyed_game(g: MultiDigraph, s: str, include_beta: bool = False):
+    """The record of the sink game (g, s) and its firing lattice's coset key.
 
     The invariant factors multiply to the lattice's index in Z^(n-1).  Without
     the sink vector that is |det Δ|, the game's ``count``, and so it is with it
@@ -189,9 +166,15 @@ def _classes(g: MultiDigraph, s: str, include_beta: bool) -> list[list[tuple[int
                 f"invariant factors {list(factors)} give index {index}, "
                 f"determinant predicts {abs(rs.count)}"
             )
-    key = lat._coset_key
+    return rs, lat._coset_key
+
+
+def _classes(g: MultiDigraph, s: str, include_beta: bool) -> list[list[tuple[int, ...]]]:
+    """Recurrent chip vectors grouped by their lattice coset key; classes in
+    order of their first member, members in enumeration order."""
+    rs, key = _keyed_game(g, s, include_beta)
     classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for vec in rs.vectors:
+    for vec in rs.decode():
         classes.setdefault(key(vec), []).append(vec)
     return list(classes.values())
 

@@ -323,7 +323,8 @@ class RecurrentSet:
     certifies them.  ``sums[i]`` is outdeg(sink) + member i's total chips and
     ``levels[i]`` is ``sums[i] - kappa``; ``sum_polynomial`` counts the members
     by sum without the member map.  Chip vectors are decoded only where
-    chips are read: ``decode``, ``vectors``, ``configs`` and ``to_json_dict``.
+    chips are read, by streaming ``decode``: ``configs``, ``to_json_dict`` and
+    the suites that read chips.
     ``sink_outdeg``, ``domain``, ``bounds``, ``weights`` and ``cells`` are set at
     construction, which refuses a game above MAX_GAME_VERTICES non-sink vertices.
     """
@@ -473,13 +474,9 @@ class RecurrentSet:
 
     def decode(self):
         """The members' chip vectors, in order, one at a time: the stable cube
-        walked in order and filtered by the member map."""
+        walked in order and filtered by the member map.  No decoded member is
+        kept; a suite that needs them at random holds them itself."""
         return compress(product(*map(range, self.bounds)), self.found)
-
-    @cached_property
-    def vectors(self) -> tuple[tuple[int, ...], ...]:
-        """Every member decoded, for the suites that read chips; kept once read."""
-        return tuple(self.decode())
 
     @cached_property
     def sums(self) -> array:

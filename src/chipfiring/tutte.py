@@ -57,12 +57,13 @@ def support_filtered_gen(g: MultiDigraph, s: str, w) -> LaurentPolynomial:
 def _support_counts(g: MultiDigraph, s: str, w: tuple[str, ...]) -> dict[int, LaurentPolynomial]:
     """One pass over the members at sink s: for each support mask m over w (bit
     i for w[i]) that occurs, the sum of y^level over the members whose
-    post-sink-firing support meets w exactly in m."""
+    post-sink-firing support meets w exactly in m.  The members stream from
+    ``decode``, one copy of the stream per vertex of w, read in step."""
     rs = enumerate_recurrents(g, s)
     least = (g.outdeg(v) - g.multiplicity(s, v) for v in w)
     flags = (
-        map(ge, map(itemgetter(rs.domain.index(v)), rs.vectors), itertools.repeat(x))
-        for v, x in zip(w, least)
+        map(ge, map(itemgetter(rs.domain.index(v)), vectors), itertools.repeat(x))
+        for v, x, vectors in zip(w, least, itertools.tee(rs.decode(), len(w)))
     )
     terms: dict[int, list[tuple[int, int]]] = {}
     for (lvl, *bits), count in Counter(zip(rs.levels, *flags)).items():

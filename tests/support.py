@@ -59,8 +59,8 @@ from chipfiring.recurrent import (
     bareiss_determinant,
     reduced_laplacian,
 )
+from chipfiring.dynamics import _settle
 from chipfiring.families import random_eulerian, random_strongly_connected
-from chipfiring.lattice import _representative
 
 DATA = Path(__file__).parent / "data"
 
@@ -437,7 +437,7 @@ def _require_member(rs: RecurrentSet, c: Configuration) -> int:
 
 def is_minimal(rs: RecurrentSet, c: Configuration) -> bool:
     """No other member of the set is pointwise <= c."""
-    return reference_minimal_flags(rs.vectors)[_require_member(rs, c)]
+    return reference_minimal_flags(tuple(rs.decode()))[_require_member(rs, c)]
 
 
 def is_minimum(rs: RecurrentSet, c: Configuration) -> bool:
@@ -491,7 +491,32 @@ def reference_covers(vectors) -> tuple[tuple[int, int], ...]:
     )
 
 
-# ``lattice._representative`` on a ``Configuration``: the unique recurrent
+# Each stable cell's class member by settling: the reference that the member
+# ``check_max_sum`` reads off the coset key is compared against.
+def _representative(g: MultiDigraph, s: str):
+    """Maps chips on V \\ {s} to their class representative, the unique
+    recurrent member of their class, by adding m chips on every vertex and
+    stabilizing, m a multiple of the group order N (N * x lies in the firing
+    lattice for every integer x) and at least the largest out-degree.  The m
+    chips are settled once, into ``base``; by the abelian property each cell
+    then settles from cell + base to the same configuration."""
+    rs = recurrent._game(g, g.vertex_index(s))
+    n = abs(rs.count)
+    if n == 0:
+        raise GraphError("degenerate host: the reduced Laplacian is singular")
+    movers = rs.movers
+    base = [n * max(rs.bounds, default=1)] * len(rs.bounds)
+    _settle(base, movers)
+
+    def represent(cell) -> tuple[int, ...]:
+        chips = [x + y for x, y in zip(cell, base)]
+        _settle(chips, movers)
+        return tuple(chips)
+
+    return represent
+
+
+# ``_representative`` on a ``Configuration``: the unique recurrent
 # configuration equivalent to c, for the tests that state the class
 # representative's properties on configurations.
 def class_representative(g: MultiDigraph, s: str, c: Configuration) -> Configuration:
@@ -500,7 +525,7 @@ def class_representative(g: MultiDigraph, s: str, c: Configuration) -> Configura
     return Configuration(c.host, s, _representative(g, s)(c.chips))
 
 
-# ``lattice._representative`` as it ran before the m chips were settled once:
+# ``_representative`` as it ran before the m chips were settled once:
 # each cell is stabilized from cell + m on every vertex; the reference its
 # differential test compares against.
 def reference_representative(g: MultiDigraph, s: str, cell) -> tuple[int, ...]:
@@ -610,11 +635,12 @@ def reference_theta(g: MultiDigraph) -> CheckReport:
         i1, i2 = g.vertex_index(s1), g.vertex_index(s2)
         out2 = g.outdeg(s2)
         swap, swap_back = bijection._swapper(g, i1, i2), bijection._swapper(g, i2, i1)
-        targets = set(recurrents[s2].vectors)
+        targets = set(recurrents[s2].decode())
         back_host = delete_out_arcs(g, s1)
         min_sum = min(rs.sums)
         swaps = []
-        for vec, total, minimal in zip(rs.vectors, rs.sums, reference_minimal_flags(rs.vectors)):
+        vectors = tuple(rs.decode())
+        for vec, total, minimal in zip(vectors, rs.sums, reference_minimal_flags(vectors)):
             k, state = swap(vec)
             image = tuple(state)
             if image not in targets:
@@ -638,13 +664,13 @@ def reference_theta(g: MultiDigraph) -> CheckReport:
                 report.fail(f"round trip did not return {config(vec)} augmented by {k}")
             if total == min_sum and k != 0:
                 report.fail(f"minimum configuration {config(vec)} has swap number {k}")
-        for (i, c), (j, d) in itertools.permutations(enumerate(rs.vectors), 2):
+        for (i, c), (j, d) in itertools.permutations(enumerate(vectors), 2):
             if swaps[i] > swaps[j] and all(a <= b for a, b in zip(c, d)):
                 report.fail(
                     f"swap numbers not monotone: {config(c)} <= {config(d)} "
                     f"but {swaps[i]} > {swaps[j]}"
                 )
-        if len(set(images[(s1, s2, vec)] for vec in rs.vectors)) != len(rs.vectors):
+        if len(set(images[(s1, s2, vec)] for vec in vectors)) != len(vectors):
             report.fail(f"swap map is not injective from sink {s1} to {s2}")
     report.note(f"max swap number observed: {max_swap}")
     report.note(f"max swap number over minimal configurations: {max_swap_minimal}")
@@ -653,7 +679,7 @@ def reference_theta(g: MultiDigraph) -> CheckReport:
         composed_equal = 0
         composed_total = 0
         for s1, s2, s3 in itertools.permutations(g.vertices[:3], 3):
-            for vec in recurrents[s1].vectors:
+            for vec in recurrents[s1].decode():
                 direct = images[(s1, s3, vec)]
                 via = images[(s2, s3, images[(s1, s2, vec)])]
                 composed_total += 1

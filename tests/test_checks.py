@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import re
 import sys
 from collections import Counter
@@ -130,7 +131,7 @@ def _raising(chips: tuple[int, ...], by: int):
 
 def test_theta_reports_a_raised_swap_number_like_the_reference(monkeypatch):
     g = data_graph("demo5.txt")
-    top = enumerate_recurrents(g, g.vertices[0]).vectors[-1]  # the maximal member
+    top = tuple(enumerate_recurrents(g, g.vertices[0]).decode())[-1]  # the maximal member
     for report in _theta_under(monkeypatch, g, _raising(top, 1)):
         assert report.ok is False
         assert any(line.startswith("VIOLATION: swap symmetry broke for") for line in report.lines)
@@ -139,16 +140,17 @@ def test_theta_reports_a_raised_swap_number_like_the_reference(monkeypatch):
 def test_theta_reports_non_monotone_swap_numbers_like_the_reference(monkeypatch):
     g = data_graph("demo5.txt")
     rs = enumerate_recurrents(g, g.vertices[0])
+    vectors = tuple(rs.decode())
     # the first member has the least sum and lies below a covering member,
     # whose swap number it now exceeds
-    covers, _ = _covers(rs.vectors, {vec: j for j, vec in enumerate(rs.vectors)})
+    covers, _ = _covers(vectors, {vec: j for j, vec in enumerate(vectors)})
     assert rs.sums[0] == min(rs.sums) and any(lo == 0 for lo, _ in covers)
-    report, expected = _theta_under(monkeypatch, g, _raising(rs.vectors[0], len(rs)))
+    report, expected = _theta_under(monkeypatch, g, _raising(vectors[0], len(rs)))
     assert not report.ok and not expected.ok
     monotone = [line for line in report.lines if "swap numbers not monotone" in line]
     # the suite names covering pairs only, one line for each that starts at the
     # raised member, the reference every comparable pair
-    assert len(monotone) == sum(lo == 0 for lo, _ in reference_covers(rs.vectors)) > 1
+    assert len(monotone) == sum(lo == 0 for lo, _ in reference_covers(vectors)) > 1
     assert set(monotone) <= set(expected.lines)
     minimum = [line for line in report.lines if line.startswith("VIOLATION: minimum configuration")]
     assert minimum and set(minimum) <= set(expected.lines)
@@ -198,6 +200,26 @@ def test_max_sum_on_non_eulerian_is_observational():
     report = run_check("max-sum", NON_EULERIAN)
     assert report.ok  # open question: never asserted on non-Eulerian hosts
     assert any("open question" in line for line in report.lines)
+
+
+def test_max_sum_refuses_coset_keys_that_merge_two_members(monkeypatch, capsys):
+    # two members sharing a key break the one-member-per-class certificate,
+    # which is an internal bug, not a counterexample
+    g = data_graph("demo5.txt")
+    first, second = itertools.islice(enumerate_recurrents(g, g.vertices[0]).decode(), 2)
+    real = lattice.IntegerLattice._coset_key.func
+
+    def merged(self):
+        key = real(self)
+        return lambda vec: key(first) if key(vec) == key(second) else key(vec)
+
+    monkeypatch.setattr(lattice.IntegerLattice, "_coset_key", property(merged))
+    with pytest.raises(InternalCheckError, match="5 distinct coset keys"):
+        run_check("max-sum", g)
+    assert main(["check", str(DATA / "demo5.txt"), "--property", "max-sum"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("property violation: ")
+    assert "Traceback" not in err
 
 
 def test_recursions_on_loopy_banana():

@@ -24,12 +24,12 @@ from chipfiring import (
 from chipfiring import lattice as lattice_module
 from chipfiring.errors import ConfigurationError, InternalCheckError
 from chipfiring.families import random_strongly_connected
-from chipfiring.lattice import _representative
 from chipfiring.oracles import brute_recurrents
 from chipfiring.recurrent import _recurrent_vectors, bareiss_determinant
 
 from support import (
     HermiteLattice,
+    _representative,
     bidirected_complete,
     class_representative,
     column_hnf,
@@ -392,7 +392,8 @@ def test_class_representative_is_recurrent_and_equivalent():
 
 def test_representative_matches_settling_cell_plus_m_chips():
     # every stable cell and one layer above the cube, on Eulerian hosts and on
-    # non-Eulerian strongly connected ones (conjecture1 and max-sum use both)
+    # non-Eulerian strongly connected ones (max-sum's key-read member is
+    # compared with the settled one on both)
     cells = 0
     for g in small_corpus()[:40] + non_eulerian_corpus()[:40]:
         for s in g.vertices:
@@ -402,6 +403,22 @@ def test_representative_matches_settling_cell_plus_m_chips():
                 assert represent(cell) == reference_representative(g, s, cell)
                 cells += 1
     assert cells == 4_279
+
+
+def test_member_read_off_the_coset_key_is_the_settled_representative():
+    # max-sum reads each stable cell's class member off its coset key; the
+    # settled path it replaced must give the same member at every cell
+    cells = 0
+    for g in small_corpus() + corpus() + non_eulerian_corpus():
+        for s in g.vertices:
+            rs, key = lattice_module._keyed_game(g, s)
+            by_key = {key(vec): vec for vec in rs.decode()}
+            assert len(by_key) == rs.count
+            represent = _representative(g, s)
+            for cell in itertools.product(*map(range, rs.bounds)):
+                assert by_key[key(cell)] == represent(cell)
+                cells += 1
+    assert cells == 4_670 + 7_753 + 1_520
 
 
 def test_recurrents_maximize_chip_total_in_class():

@@ -240,7 +240,7 @@ def test_packed_record_matches_tuple_definitions():
             packed = _recurrent_vectors(g, s)
             assert list(packed) == sorted(packed) and unpack(g, s, packed) == expected
             rs = _game(g, g.vertex_index(s))
-            assert rs.vectors == expected and len(rs) == len(expected)
+            assert tuple(rs.decode()) == expected and len(rs) == len(expected)
             assert list(rs.sums) == [g.outdeg(s) + sum(vec) for vec in expected]
             positions = {vec: i for i, vec in enumerate(expected)}
             # and unstable cells whose digit t, at or above its bound, would
@@ -252,7 +252,7 @@ def test_packed_record_matches_tuple_definitions():
             ]
             for cell in cube + carries:
                 assert member_index(rs, Configuration(g, s, cell)) == positions.get(cell)
-            covers, minimal = _covers(rs.vectors, positions)
+            covers, minimal = _covers(tuple(rs.decode()), positions)
             assert tuple(covers) == reference_covers(expected)
             assert tuple(minimal) == reference_minimal_flags(expected)
             members += len(expected)
@@ -334,7 +334,7 @@ def test_enumeration_returns_one_record_per_game():
     for g, s in ((K3, "a"), (looped, "q")):
         rs = enumerate_recurrents(g, s)
         assert enumerate_recurrents(g, s) is rs
-        assert rs.vectors is enumerate_recurrents(g, s).vectors
+        assert rs.found is enumerate_recurrents(g, s).found
 
 
 def test_kappa_sink_independent_and_undirected_formula():
@@ -457,7 +457,8 @@ def test_minimal_flags_match_pointwise_definition():
             expected = tuple(
                 not any(d != c and d.leq(c) for d in rs.configs) for c in rs.configs
             )
-            _, minimal = _covers(rs.vectors, {vec: j for j, vec in enumerate(rs.vectors)})
+            vectors = tuple(rs.decode())
+            _, minimal = _covers(vectors, {vec: j for j, vec in enumerate(vectors)})
             assert tuple(minimal) == expected
             assert tuple(is_minimal(rs, c) for c in rs.configs) == expected
 
@@ -468,8 +469,9 @@ def test_minimal_flags_match_pairwise_scan():
     for g in corpus() + tuple(random_eulerian(rng, 6, 16) for _ in range(150)):
         for s in g.vertices:
             rs = enumerate_recurrents(g, s)
-            _, minimal = _covers(rs.vectors, {vec: j for j, vec in enumerate(rs.vectors)})
-            assert tuple(minimal) == reference_minimal_flags(rs.vectors)
+            vectors = tuple(rs.decode())
+            _, minimal = _covers(vectors, {vec: j for j, vec in enumerate(vectors)})
+            assert tuple(minimal) == reference_minimal_flags(vectors)
             members += len(rs)
     assert members > 10_000
 
