@@ -179,14 +179,14 @@ def fire(g: MultiDigraph, c: Configuration, v: str) -> Configuration:
     return Configuration(c.host, c.sink, tuple(chips))
 
 
-def _game_rows(g: MultiDigraph, sink: int | None) -> tuple:
-    """``g._firing_table`` on the game's domain, V minus ``sink`` (all of V at None):
+def _game_rows(table: tuple, sink: int | None) -> tuple:
+    """A firing table on the game's domain, V minus ``sink`` (all of V at None):
     rows and neighbors renumbered by domain position, arcs into the sink left out."""
     if sink is None:
-        return g._firing_table
+        return table
     return tuple(
         (v - (v > sink), out, drop, tuple((u - (u > sink), m) for u, m in neighbors if u != sink))
-        for v, out, drop, neighbors in g._firing_table
+        for v, out, drop, neighbors in table
         if v != sink
     )
 
@@ -207,7 +207,7 @@ def _movers(g: MultiDigraph, sink: int | None) -> tuple:
             f"vertex {g.vertices[reached.index(False)]!r} can fire but reaches no vertex that never "
             "fires (a sink, or a vertex without a non-loop out-arc), so its game need not stop"
         )
-    return tuple(row for row in _game_rows(g, sink) if row[2])
+    return tuple(row for row in _game_rows(g._firing_table, sink) if row[2])
 
 
 def _settle(chips: list[int], movers: tuple) -> list[int]:

@@ -39,43 +39,28 @@ class MultiDigraph:
         firing kernel in ``dynamics`` reads it.  ``_successors`` and
         ``_predecessors`` hold the distinct non-loop neighbors by index, and
         ``_indeg`` the in-degrees, loops included.  ``_eulerian`` and ``_strong``
-        are the connectivity flags; with balanced degrees one weak search decides both.
+        are the connectivity flags.  All but the index are read off the table,
+        by ``_table`` and ``_connectivity``, which rewritten tables share.
         """
         index = {v: i for i, v in enumerate(self.vertices)}
         if len(index) != len(self.vertices):
             raise GraphError("duplicate vertex names")
         rows: list[dict[int, int]] = [{} for _ in self.vertices]
-        indeg = [0] * len(self.vertices)
         # distinct arcs in first-appearance order, so the first bad one is the first bad arc
         for (tail, head), m in Counter(self.arcs).items():
             if tail not in index or head not in index:
                 i = self.arcs.index((tail, head))
                 raise GraphError(f"arc {i} ({tail} -> {head}) uses an undeclared vertex")
             rows[index[tail]][index[head]] = m
-            indeg[index[head]] += m
-        table = tuple(
-            (i, sum(row.values()), sum(row.values()) - row.get(i, 0),
-             tuple(sorted((j, m) for j, m in row.items() if j != i)))
-            for i, row in enumerate(rows)
-        )
-        successors = tuple(tuple(u for u, _ in row[3]) for row in table)
-        tails: list[list[int]] = [[] for _ in self.vertices]
-        for v, heads in enumerate(successors):
-            for u in heads:
-                tails[u].append(v)
-        predecessors = tuple(map(tuple, tails))
-        balanced = all(d == row[1] for d, row in zip(indeg, table))
-        strong = bool(self.vertices) and (
-            all(_reach((0,), successors, predecessors)) if balanced
-            else all(_reach((0,), successors)) and all(_reach((0,), predecessors))
-        )
+        table = _table(rows)
+        successors, predecessors, indeg, eulerian, strong = _connectivity(table)
         for name, value in (
             ("_index", index),
             ("_firing_table", table),
             ("_successors", successors),
             ("_predecessors", predecessors),
-            ("_indeg", tuple(indeg)),
-            ("_eulerian", balanced and strong),
+            ("_indeg", indeg),
+            ("_eulerian", eulerian),
             ("_strong", strong),
             # the dataclass hash, computed once: every cache keyed on a graph asks for it
             ("_hash", hash((self.vertices, self.arcs))),
@@ -161,6 +146,37 @@ class MultiDigraph:
         return f"MultiDigraph({list(self.vertices)!r}, {list(self.arcs)!r})"
 
 
+def _table(rows: list[dict[int, int]]) -> tuple:
+    """The firing table of the arc counts ``rows``: row i maps each head index to
+    the number of arcs from vertex i to it, loops at i included; zero counts are
+    left out."""
+    return tuple(
+        (i, sum(row.values()), sum(row.values()) - row.get(i, 0),
+         tuple(sorted((j, m) for j, m in row.items() if j != i and m)))
+        for i, row in enumerate(rows)
+    )
+
+
+def _connectivity(table: tuple) -> tuple:
+    """A firing table's successor and predecessor lists (distinct non-loop
+    neighbours by index), its in-degrees, loops included, and its Eulerian and
+    strong-connectivity flags; with balanced degrees one weak search decides both."""
+    successors = tuple(tuple(u for u, _ in row[3]) for row in table)
+    tails: list[list[int]] = [[] for _ in table]
+    indeg = [out - drop for _, out, drop, _ in table]
+    for v, _, _, neighbors in table:
+        for u, m in neighbors:
+            tails[u].append(v)
+            indeg[u] += m
+    predecessors = tuple(map(tuple, tails))
+    balanced = all(d == row[1] for d, row in zip(indeg, table))
+    strong = bool(table) and (
+        all(_reach((0,), successors, predecessors)) if balanced
+        else all(_reach((0,), successors)) and all(_reach((0,), predecessors))
+    )
+    return successors, predecessors, tuple(indeg), balanced and strong, strong
+
+
 def _reach(starts, *tables, skip: tuple[int, int] | None = None) -> list[bool]:
     """Which vertex indices a search from ``starts`` reaches along the rows of
     ``tables`` (vertex index -> indices it leads to), never taking the step ``skip``."""
@@ -223,6 +239,38 @@ def _contract(g: MultiDigraph, merged: set[str], dropped_arcs: set[int]) -> Mult
         if i not in dropped_arcs
     )
     return MultiDigraph(tuple(dict.fromkeys(map(rename, g.vertices))), arcs)
+
+
+def _rewrite(table: tuple, removed=(), merged=()) -> tuple:
+    """A rewrite of a firing table, in its row format, without a graph: one copy of
+    each (tail, head) index pair in ``removed`` deleted, and the vertex indices
+    ``merged`` made one vertex at their earliest member's position, the arcs among
+    them its loops; the others keep their order.  Equal to the ``_firing_table``
+    of the graph that ``delete_arcs`` and ``_contract`` build by name."""
+    merged = set(merged)
+    first = min(merged, default=None)
+    kept = [v for v in range(len(table)) if v == first or v not in merged]
+    position = {v: i for i, v in enumerate(kept)}
+    position.update(dict.fromkeys(merged, position.get(first)))
+    rows: list[dict[int, int]] = [{} for _ in kept]
+    for v, out, drop, neighbors in table:
+        row = rows[position[v]]
+        for u, m in ((v, out - drop), *neighbors):
+            row[position[u]] = row.get(position[u], 0) + m
+    for tail, head in removed:
+        rows[position[tail]][position[head]] -= 1
+    return _table(rows)
+
+
+def _from_table(table: tuple) -> MultiDigraph:
+    """A graph whose ``_firing_table`` is ``table``, its vertices named by index."""
+    names = tuple(map(str, range(len(table))))
+    return MultiDigraph(names, tuple(
+        (names[v], names[u])
+        for v, out, drop, neighbors in table
+        for u, m in ((v, out - drop), *neighbors)
+        for _ in range(m)
+    ))
 
 
 def contract_arc(g: MultiDigraph, index: int) -> MultiDigraph:

@@ -7,8 +7,8 @@ and column operations take the generators to a Smith normal form: the
 invariant factors d_1 | d_2 | ... of Z^n / L and a unimodular U, whose rows give
 each vector a short coset key, (u_i . x) mod d_i over the factors above 1 and
 u_i . x past the rank.  Membership reads a zero key; the class partition groups
-the members by their keys, and ``max-sum`` finds each stable cell's class
-member by its key.
+the members by their keys, ``conjecture1`` keeps one largest sum per key, and
+``max-sum`` finds each stable cell's class member by its key.
 """
 
 from __future__ import annotations
@@ -169,16 +169,6 @@ def _keyed_game(g: MultiDigraph, s: str, include_beta: bool = False):
     return rs, lat._coset_key
 
 
-def _classes(g: MultiDigraph, s: str, include_beta: bool) -> list[list[tuple[int, ...]]]:
-    """Recurrent chip vectors grouped by their lattice coset key; classes in
-    order of their first member, members in enumeration order."""
-    rs, key = _keyed_game(g, s, include_beta)
-    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for vec in rs.decode():
-        classes.setdefault(key(vec), []).append(vec)
-    return list(classes.values())
-
-
 def equivalence_classes(
     g: MultiDigraph, s: str, include_beta: bool = False
 ) -> list[list[Configuration]]:
@@ -189,7 +179,11 @@ def equivalence_classes(
     Works on every strongly connected host; on Eulerian hosts without the sink
     vector every class is a singleton.
     """
-    return [[Configuration(g, s, vec) for vec in cls] for cls in _classes(g, s, include_beta)]
+    rs, key = _keyed_game(g, s, include_beta)
+    classes: dict[tuple[int, ...], list[Configuration]] = {}
+    for vec in rs.decode():
+        classes.setdefault(key(vec), []).append(Configuration(g, s, vec))
+    return list(classes.values())
 
 
 def conjecture1_check(g: MultiDigraph) -> dict:
@@ -205,9 +199,12 @@ def conjecture1_check(g: MultiDigraph) -> dict:
     eulerian = is_eulerian(g)
     per_sink: dict[str, list[int]] = {}
     for s in g.vertices:
-        maxima = sorted(
-            g.outdeg(s) + max(map(sum, cls)) for cls in _classes(g, s, include_beta=True)
-        )
+        rs, key = _keyed_game(g, s, include_beta=True)
+        best: dict[tuple[int, ...], int] = {}  # coset key -> its class's largest sum
+        for vec, total in zip(rs.decode(), rs.sums):
+            k = key(vec)
+            best[k] = max(best.get(k, total), total)
+        maxima = sorted(best.values())
         per_sink[s] = maxima
         if eulerian:
             expected = sorted(enumerate_recurrents(g, s).sums)

@@ -46,13 +46,28 @@ def _checked_game(g: MultiDigraph, s: str) -> RecurrentSet:
     stable cube prod_{v != s} outdeg(v) refused above CELL_CAP before any cached
     value is used: the size is the record's, the cap is read on every call."""
     _require_strongly_connected(g)
-    rs, cap = _game(g, g.vertex_index(s)), CELL_CAP.get()
-    if rs.cells > cap:
+    rs = _game(g, g.vertex_index(s))
+    _check_cells(rs.cells)
+    return rs
+
+
+def _check_game_vertices(n_vertices: int) -> None:
+    """Refuse a sink game above MAX_GAME_VERTICES non-sink vertices."""
+    if n_vertices - 1 > MAX_GAME_VERTICES:
         raise SizeCapError(
-            f"stable cube has {rs.cells} cells, above the cap of {cap}; "
+            f"sink game has {n_vertices - 1} non-sink vertices, "
+            f"above the bound of {MAX_GAME_VERTICES}"
+        )
+
+
+def _check_cells(cells: int) -> None:
+    """Refuse a stable cube above CELL_CAP cells, the cap read on this call."""
+    cap = CELL_CAP.get()
+    if cells > cap:
+        raise SizeCapError(
+            f"stable cube has {cells} cells, above the cap of {cap}; "
             "use a smaller instance or raise CFG_CAP_CELLS"
         )
-    return rs
 
 
 # --------------------------------------------------------------------- algebra
@@ -62,9 +77,14 @@ def reduced_laplacian(g: MultiDigraph, s: str) -> list[list[int]]:
     Rows and columns follow the canonical order of V \\ {s}; the diagonal holds
     the loopless out-degrees, off-diagonal entries are -d(v_i, v_j).
     """
+    return _reduced_laplacian(g._firing_table, g.vertex_index(s))
+
+
+def _reduced_laplacian(table: tuple, sink: int) -> list[list[int]]:
+    """``reduced_laplacian`` of a firing table at the sink index ``sink``."""
     rows = []
-    for v, _, drop, neighbors in _game_rows(g, g.vertex_index(s)):
-        row = [0] * (g.n_vertices - 1)
+    for v, _, drop, neighbors in _game_rows(table, sink):
+        row = [0] * (len(table) - 1)
         row[v] = drop
         for u, m in neighbors:
             row[u] = -m
@@ -295,6 +315,30 @@ def _burnt_set_recursion(table: tuple, sink: int, width: int, budget: int) -> in
     return memo[1 << sink]
 
 
+def _sum_polynomial(table: tuple, sink: int, count: int, enumerated) -> LaurentPolynomial:
+    """Σ y^sum over the recurrents of the Eulerian game (table, sink), whose
+    reduced Laplacian has determinant ``count``: unpacked from
+    ``_burnt_set_recursion``, its value at 1 checked against ``count``; past
+    RECURSION_TERMS_PER_MEMBER terms per member, read off ``enumerated()``, the
+    game's enumerated sums, instead."""
+    width, budget = count.bit_length(), RECURSION_TERMS_PER_MEMBER * count
+    try:
+        packed = _burnt_set_recursion(table, sink, width, budget)
+    except _Exhausted:
+        return LaurentPolynomial((total, 1) for total in enumerated())
+    counts, digit = [], (1 << width) - 1
+    while packed > 0:
+        counts.append(packed & digit)
+        packed >>= width
+    if sum(counts) != count:
+        raise InternalCheckError(
+            f"burnt-set recursion counts {sum(counts)} recurrent configurations, "
+            f"determinant predicts {count}"
+        )
+    top = sum(out for _, out, _, _ in table) - len(table) + 1
+    return LaurentPolynomial((top - k, x) for k, x in enumerate(counts))
+
+
 def kappa(g: MultiDigraph) -> int:
     """Minimum of outdeg(s) + total chips over recurrents of the loopless host.
 
@@ -333,11 +377,7 @@ class RecurrentSet:
     sink: str
 
     def __post_init__(self):
-        if self.host.n_vertices - 1 > MAX_GAME_VERTICES:
-            raise SizeCapError(
-                f"sink game has {self.host.n_vertices - 1} non-sink vertices, "
-                f"above the bound of {MAX_GAME_VERTICES}"
-            )
+        _check_game_vertices(self.host.n_vertices)
         sink, vertices = self.host.vertex_index(self.sink), self.host.vertices
         bounds = tuple(out for v, out, _, _ in self.host._firing_table if v != sink)
         for name, value in (
@@ -446,27 +486,12 @@ class RecurrentSet:
         outdeg(sink) + Σ_v (outdeg(v) - 1) - |f| over ``_burnt_set_recursion``'s
         f.  Its coefficients are at most ``count``, which sets the packed width,
         and its value at 1 must be ``count``.  Past RECURSION_TERMS_PER_MEMBER
-        terms per member it gives up, and the enumerated sums are read instead.
+        terms per member it gives up, and the enumerated sums are read instead:
+        ``_sum_polynomial``, which the recursions suite runs on rewritten tables.
         """
         _require_eulerian(self.host)
-        width, budget = self.count.bit_length(), RECURSION_TERMS_PER_MEMBER * self.count
-        try:
-            packed = _burnt_set_recursion(
-                self.host._firing_table, self.host.vertex_index(self.sink), width, budget
-            )
-        except _Exhausted:
-            return LaurentPolynomial((total, 1) for total in self.sums)
-        counts, digit = [], (1 << width) - 1
-        while packed > 0:
-            counts.append(packed & digit)
-            packed >>= width
-        if sum(counts) != self.count:
-            raise InternalCheckError(
-                f"burnt-set recursion counts {sum(counts)} recurrent configurations, "
-                f"determinant predicts {self.count}"
-            )
-        top = self.sink_outdeg + sum(self.bounds) - len(self.bounds)
-        return LaurentPolynomial((top - k, x) for k, x in enumerate(counts))
+        table, sink = self.host._firing_table, self.host.vertex_index(self.sink)
+        return _sum_polynomial(table, sink, self.count, lambda: self.sums)
 
     @cached_property
     def members(self) -> array:

@@ -8,28 +8,45 @@ The checkers verify the five recursive identities (loop, both bridge cases,
 deletion-contraction, and the inclusion-exclusion expansion over out-neighbor
 subsets) by computing both sides independently in exact arithmetic.  The
 recursion's first step is that expansion, so its left side and the closed
-forms' are read from the enumerated members instead.
+forms' are read from the enumerated members instead.  The rewritten graphs
+on the right sides are integer firing tables, each made from its host's by
+``graph._rewrite``; ``_table_gen`` reads their T(y) and kappa off the same
+determinant and burnt-set recursion as a game record, memoized per table, and
+builds a named graph only when the recursion falls back to enumerating.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
+from functools import lru_cache
 from operator import ge, itemgetter
 
-from .errors import HypothesisError
+from .errors import GraphError, HypothesisError
 from .graph import (
     MultiDigraph,
-    contract_arc,
-    contract_vertices,
-    delete_arcs,
+    _connectivity,
+    _from_table,
+    _rewrite,
     is_bridge,
     is_undirected,
     reverse_partner,
 )
 from .oracles import undirected_tutte_oracle  # re-exported; perfbench/runner.py reads it here
 from .polynomial import LaurentPolynomial
-from .recurrent import _eulerian_game, _require_eulerian, enumerate_recurrents, kappa
+from .recurrent import (
+    _check_cells,
+    _check_game_vertices,
+    _eulerian_game,
+    _game,
+    _reduced_laplacian,
+    _require_eulerian,
+    _sum_polynomial,
+    bareiss_determinant,
+    enumerate_recurrents,
+    kappa,
+)
 
 RECURSION_KINDS = ("loop", "bridge_no_reverse", "bridge_reverse", "del_contract", "mobius")
 
@@ -88,10 +105,36 @@ def _support_table(g: MultiDigraph, s: str) -> dict[tuple[str, ...], LaurentPoly
     }
 
 
-# --------------------------------------------------------- recursion checkers
-def _tutte_any_sink(g: MultiDigraph) -> LaurentPolynomial:
-    return tutte_gen(g, g.vertices[0])
+def _table_gen(table: tuple) -> tuple[LaurentPolynomial, int]:
+    """``tutte_gen`` at the first vertex and ``kappa`` of the graph with firing
+    table ``table``, computed on the table.  The checks come first, in
+    ``tutte_gen``'s order and with its messages: the host is Eulerian, then
+    MAX_GAME_VERTICES and CELL_CAP, the cap read on every call; the values come
+    from ``_table_values``' memo."""
+    if not _connectivity(table)[3]:
+        raise GraphError("operation requires an Eulerian graph")
+    _check_game_vertices(len(table))
+    _check_cells(math.prod(out for _, out, _, _ in table[1:]))
+    return _table_values(table)
 
+
+@lru_cache(maxsize=1024)
+def _table_values(table: tuple) -> tuple[LaurentPolynomial, int]:
+    """T(y) and kappa of a checked firing table, at sink 0: the determinant and
+    the burnt-set recursion of the game record, run on the table.  Only past the
+    recursion's budget is a graph built, whose record enumerates the sums."""
+    count = bareiss_determinant(_reduced_laplacian(table, 0))
+    poly = _sum_polynomial(table, 0, count, lambda: _game(_from_table(table), 0).sums)
+    k = poly.terms[0][0] - sum(out - drop for _, out, drop, _ in table)
+    return poly.shift(-k), k
+
+
+def _rewritten(g: MultiDigraph, removed, merged=()) -> tuple[LaurentPolynomial, int]:
+    """``_table_gen`` of g's firing table rewritten by ``graph._rewrite``."""
+    return _table_gen(_rewrite(g._firing_table, removed, merged))
+
+
+# --------------------------------------------------------- recursion checkers
 
 def recursion_kind(g: MultiDigraph, index: int) -> str | None:
     """The arc recursion whose hypothesis holds at arc ``index``: ``loop``, a
@@ -128,34 +171,26 @@ def check_recursion(g: MultiDigraph, kind: str, site) -> bool:
 def _arc_identity(g: MultiDigraph, kind: str, index: int) -> bool:
     """Both sides of the arc identity ``kind`` at arc ``index``, compared; the
     caller has checked that ``recursion_kind`` gives ``kind`` there."""
-    lhs = _tutte_any_sink(g)
+    lhs = tutte_gen(g, g.vertices[0])
+    tail, head = map(g.vertex_index, g.arc(index))
+    arc, both, ends = [(tail, head)], [(tail, head), (head, tail)], {tail, head}
     if kind == "loop":
-        return lhs == LaurentPolynomial.y(1) * _tutte_any_sink(delete_arcs(g, [index]))
-    contracted = contract_arc(g, index)
+        return lhs == LaurentPolynomial.y(1) * _rewritten(g, arc)[0]
     if kind == "bridge_no_reverse":
-        return lhs == _tutte_any_sink(contracted)
-
-    partner = reverse_partner(g, index)
-    # the reverse arc keeps its list position, shifted once the arc is gone
-    partner_after = partner - (1 if partner > index else 0)
-    if kind == "bridge_reverse":
-        ok_shift = lhs == _tutte_any_sink(contracted).shift(-1)
-        ok_drop = lhs == _tutte_any_sink(delete_arcs(contracted, [partner_after]))
+        return lhs == _rewritten(g, arc, ends)[0]
+    if kind == "bridge_reverse":  # contracted, then also without the reverse arc
+        ok_shift = lhs == _rewritten(g, arc, ends)[0].shift(-1)
+        ok_drop = lhs == _rewritten(g, both, ends)[0]
         return ok_shift and ok_drop
 
     # deletion-contraction
-    both_removed = delete_arcs(g, [index, partner])
     k_g = kappa(g)
-    rhs = _tutte_any_sink(both_removed).shift(1 + kappa(both_removed) - k_g) + _tutte_any_sink(
-        contracted
-    ).shift(kappa(contracted) - k_g)
-    ok = lhs == rhs
+    deleted, k_deleted = _rewritten(g, both)
+    contracted, k_contracted = _rewritten(g, arc, ends)
+    ok = lhs == deleted.shift(1 + k_deleted - k_g) + contracted.shift(k_contracted - k_g)
     if ok and is_undirected(g):
-        loopless_contract = delete_arcs(contracted, [partner_after])
-        rhs_undirected = _tutte_any_sink(both_removed) + _tutte_any_sink(
-            loopless_contract
-        ).shift(1 - g.multiplicity(*g.arc(index)))
-        ok = lhs == rhs_undirected
+        loopless_contract = _rewritten(g, both, ends)[0]
+        ok = lhs == deleted + loopless_contract.shift(1 - g.multiplicity(*g.arc(index)))
     return ok
 
 
@@ -179,13 +214,13 @@ def _check_mobius(g: MultiDigraph, s: str) -> tuple[bool, dict]:
 
 def _contraction_term(g: MultiDigraph, s: str, w: tuple[str, ...]) -> LaurentPolynomial:
     """The term of w, in canonical order, in the Möbius expansion at sink s."""
-    contracted = contract_vertices(g, set(w) | {s})
+    contracted, k_contracted = _rewritten(g, (), map(g.vertex_index, (s, *w)))
     arcs_into_w = sum(g.multiplicity(s, v) for v in w)
     factor = LaurentPolynomial.one()
     for v in w:
         factor = factor * LaurentPolynomial.geometric(g.multiplicity(s, v))
-    shift = kappa(contracted) - kappa(g) - arcs_into_w
-    return (factor * _tutte_any_sink(contracted)).shift(shift)
+    shift = k_contracted - kappa(g) - arcs_into_w
+    return (factor * contracted).shift(shift)
 
 
 def pw_closed_form_check(g: MultiDigraph, s: str, w) -> bool:

@@ -426,10 +426,20 @@ def test_suites_compute_one_reduced_laplacian_per_game(monkeypatch):
             monkeypatch.setattr(
                 module, "reduced_laplacian", lambda g, s: calls.update([(g, s)]) or real(g, s)
             )
+    # the recursion suite's rewrites are firing tables, whose Laplacians tutte builds
+    # at the table level: one per distinct table while the table memo holds it
+    tables = Counter()
+    real_table = tutte._reduced_laplacian
+    monkeypatch.setattr(
+        tutte,
+        "_reduced_laplacian",
+        lambda table, sink: tables.update([(table, sink)]) or real_table(table, sink),
+    )
+    tutte._table_values.cache_clear()
     for g in graphs:
         for prop in PROPERTIES:
             assert run_check(prop, g).ok
-    assert len(calls) > 100 and set(calls.values()) == {1}
+    assert len(calls) + len(tables) > 100 and set(calls.values()) == set(tables.values()) == {1}
 
 
 @pytest.mark.parametrize("prop", PROPERTIES)

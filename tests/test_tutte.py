@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -8,21 +9,30 @@ from chipfiring import (
     LaurentPolynomial,
     MultiDigraph,
     check_recursion,
+    contract_arc,
+    contract_vertices,
+    delete_arcs,
     is_bridge,
+    is_eulerian,
     is_undirected,
+    kappa,
     pw_closed_form_check,
     remove_loops,
     reverse_partner,
     tutte_gen,
     undirected_tutte_oracle,
 )
-from chipfiring import enumerate_recurrents, tutte
+from chipfiring import enumerate_recurrents, recurrent, tutte
 from chipfiring.checks import run_check
+from chipfiring.errors import SizeCapError
+from chipfiring.families import random_eulerian
+from chipfiring.graph import _from_table, _rewrite
 from chipfiring.oracles import brute_acyclic_sets
 from chipfiring.tutte import support_filtered_gen
 
 from support import (
     bidirected_complete,
+    cell_cap,
     corpus,
     determinant_count,
     directed_cycle,
@@ -252,10 +262,14 @@ def test_recursion_suite_computes_each_contraction_term_once(monkeypatch):
     # check of the same subset share it
     graphs = tuple(dict.fromkeys(corpus()[:30]))
     contractions = []
-    real = tutte.contract_vertices
-    monkeypatch.setattr(
-        tutte, "contract_vertices", lambda g, w: contractions.append(w) or real(g, w)
-    )
+    real = tutte._rewrite
+
+    def counted(table, removed, merged=()):
+        if not removed:  # a table rewrite that deletes no arc is a Möbius term's contraction
+            contractions.append(merged)
+        return real(table, removed, merged)
+
+    monkeypatch.setattr(tutte, "_rewrite", counted)
     for g in graphs:
         assert run_check("recursions", g).ok
     assert len(contractions) == sum(
@@ -276,5 +290,101 @@ def test_contraction_term_cache_respects_a_lowered_cap():
             tutte._check_mobius(k4, "p")
         with pytest.raises(SizeCapError):
             tutte._contraction_term(k4, "p", ("q",))
+        # the table memo holds the contraction of {p, q} from above; it is keyed
+        # by the table alone, and the cap is checked before it is read
+        with pytest.raises(SizeCapError):
+            tutte._table_gen(_rewrite(k4._firing_table, (), {0, 1}))
     finally:
         CELL_CAP.reset(token)
+
+
+def _table_rewrite_hosts():
+    """The two corpora and seeded hosts with loops and parallel arcs."""
+    rng = random.Random(32)
+    looped = [g for g in (random_eulerian(rng, 5, 14) for _ in range(80)) if g.loop_count]
+    looped = [g for g in looped if len(set(g.arcs)) < g.n_arcs]
+    assert len(looped) >= 15
+    return tuple(dict.fromkeys((*small_corpus(), *corpus(), *looped)))
+
+
+def _named_and_table_rewrites(g):
+    """Each rewrite the recursions suite makes of g, at every distinct arc and every
+    (sink, subset): the graph the named operations build, and the table rewrite."""
+    table = g._firing_table
+    for i, (tail, head) in enumerate(g.arcs):
+        if g.arcs.index((tail, head)) != i:
+            continue
+        t, h = g.vertex_index(tail), g.vertex_index(head)
+        yield delete_arcs(g, [i]), _rewrite(table, [(t, h)])
+        if t == h:
+            continue
+        yield contract_arc(g, i), _rewrite(table, [(t, h)], {t, h})
+        partner = reverse_partner(g, i)
+        if partner is not None:
+            both = [(t, h), (h, t)]
+            yield delete_arcs(g, [i, partner]), _rewrite(table, both)
+            dropped = delete_arcs(contract_arc(g, i), [partner - (partner > i)])
+            yield dropped, _rewrite(table, both, {t, h})
+    for s in g.vertices:
+        neighbors = g.out_neighbors(s)
+        for r in range(1, len(neighbors) + 1):
+            for w in itertools.combinations(neighbors, r):
+                merged = contract_vertices(g, {s, *w})
+                yield merged, _rewrite(table, (), map(g.vertex_index, (s, *w)))
+
+
+def test_table_rewrites_match_the_named_rewrites():
+    tutte._table_values.cache_clear()
+    rewrites = 0
+    for g in _table_rewrite_hosts():
+        for named, table in _named_and_table_rewrites(g):
+            assert table == named._firing_table, (g, named)
+            assert _from_table(table)._firing_table == table
+            if is_eulerian(named):  # deleting one non-loop arc, or a bridge and its partner, is not
+                expected = tutte_gen(named, named.vertices[0]), kappa(named)
+                assert tutte._table_gen(table) == expected, (g, named)
+                rewrites += 1
+            else:
+                assert _refusals(named, GraphError)[1] == "operation requires an Eulerian graph"
+    assert rewrites > 3000
+
+
+def test_recursions_report_is_the_same_when_every_table_falls_back(monkeypatch):
+    hosts = _table_rewrite_hosts()
+    expected = [run_check("recursions", g).lines for g in hosts]
+    built = []
+    real = tutte._from_table
+    monkeypatch.setattr(tutte, "_from_table", lambda table: built.append(table) or real(table))
+    monkeypatch.setattr(recurrent, "RECURSION_TERMS_PER_MEMBER", 0)
+    # no value computed under the real budget may be served
+    tutte._table_values.cache_clear()
+    recurrent._game.cache_clear()
+    try:
+        assert [run_check("recursions", g).lines for g in hosts] == expected
+    finally:
+        tutte._table_values.cache_clear()
+        recurrent._game.cache_clear()
+    assert len(built) > 500
+
+
+def _refusals(g, error) -> tuple[str, str]:
+    """The messages of ``tutte_gen`` on g and of ``_table_gen`` on its table."""
+    with pytest.raises(error) as named:
+        tutte_gen(g, g.vertices[0])
+    with pytest.raises(error) as table:
+        tutte._table_gen(g._firing_table)
+    return str(named.value), str(table.value)
+
+
+def test_table_gen_refuses_as_tutte_gen_does(monkeypatch):
+    # the host check, then the vertex bound, then the cell cap, with tutte_gen's messages
+    named, table = _refusals(MultiDigraph.of([("s", "a"), ("a", "b"), ("b", "a")]), GraphError)
+    assert named == table == "operation requires an Eulerian graph"
+    k4 = bidirected_complete(["m0", "m1", "m2", "m3"])  # no record of it is cached yet
+    with cell_cap(26):
+        monkeypatch.setattr(recurrent, "MAX_GAME_VERTICES", 2)
+        named, table = _refusals(k4, SizeCapError)
+        assert named == table and "3 non-sink vertices" in table
+        monkeypatch.undo()
+        named, table = _refusals(k4, SizeCapError)
+        assert named == table and "27 cells" in table
