@@ -5,19 +5,19 @@ c, where b = Δᵀσ, Δ is the reduced Laplacian and σ >= 1 the least script w
 b >= 0; that run fires exactly σ.  On Eulerian hosts σ = 1 and b is one sink
 firing (Dhar).  Enumeration walks down the recurrent up-set of the stable cube
 prod_v [0, outdeg(v)-1] by reverse search on the integer firing kernel of
-``dynamics``, on any strongly connected host, and cross-checks the count
-against det Δ.  A game of at least KERNEL_MIN_MEMBERS members runs the
-whole search as one function compiled for it, with the same sweep unrolled
-over its firing table and flat stack entries; smaller games, ``is_recurrent``
-and the burning-uniqueness suite burn with the generic ``_settle``.  Levels
-and ``kappa`` need an Eulerian host, where the record's ``sum_polynomial``, read
-by ``kappa`` and ``tutte.tutte_gen``, needs no enumeration: a recursion over the
-burnt sets of Dhar's burning counts the members by sum, and falls back to the
-enumerated sums past RECURSION_TERMS_PER_MEMBER terms per member.  The values
-of one sink game live in its record, ``RecurrentSet``, cached once per game,
-except what one suite alone reads, which that suite builds;
-``_checked_game`` hands it out, refusing a stable cube above ``CELL_CAP`` cells,
-a bound the recursion keeps too.
+``dynamics``, on any strongly connected host, into one member map, the only
+copy of the members, and cross-checks their count against det Δ.  A game of at
+least KERNEL_MIN_MEMBERS members runs the whole search as one function compiled
+for it, with the same sweep unrolled over its firing table and flat stack
+entries; smaller games, ``is_recurrent`` and the burning-uniqueness suite burn
+with the generic ``_settle``.  Levels and ``kappa`` need an Eulerian host, where
+the record's ``sum_polynomial``, read by ``kappa`` and ``tutte.tutte_gen``,
+needs no enumeration: a recursion over the burnt sets of Dhar's burning counts
+the members by sum, and falls back to the enumerated sums past
+RECURSION_TERMS_PER_MEMBER terms per member.  The values of one sink game live
+in its record, ``RecurrentSet``, cached once per game, except what one suite
+alone reads, which that suite builds; ``_checked_game`` hands it out, refusing a
+stable cube above ``CELL_CAP`` cells, a bound the recursion keeps too.
 """
 
 from __future__ import annotations
@@ -154,9 +154,11 @@ def is_recurrent(g: MultiDigraph, s: str, c: Configuration) -> bool:
     return True
 
 
-def _recurrent_vectors(g: MultiDigraph, s: str) -> array:
-    """The packed members, cube indices in ascending (lexicographic) order."""
-    return _checked_game(g, s).members
+def _recurrent_vectors(g: MultiDigraph, s: str) -> RecurrentSet:
+    """The record of the sink game (g, s) once its member map is written."""
+    rs = _checked_game(g, s)
+    rs.found
+    return rs
 
 
 def _burning_script(lap: list[list[int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -362,9 +364,9 @@ class RecurrentSet:
     the sink, in canonical order) is packed as its mixed-radix index
     sum_t chips[t] * weights[t], the first vertex most significant, so ascending
     index is lexicographic order.  ``found``, the member map the search writes,
-    holds 1 + the chip total at each recurrent cell and 0 elsewhere; ``members``
-    holds the recurrent cells' indices in order, ``count`` is the determinant that
-    certifies them.  ``sums[i]`` is outdeg(sink) + member i's total chips and
+    holds 1 + the chip total at each recurrent cell and 0 elsewhere, the record's
+    one copy of its members; ``count``, the determinant that certifies them, is
+    the record's length.  ``sums[i]`` is outdeg(sink) + member i's total chips and
     ``levels[i]`` is ``sums[i] - kappa``; ``sum_polynomial`` counts the members
     by sum without the member map.  Chip vectors are decoded only where
     chips are read, by streaming ``decode``: ``configs``, ``to_json_dict`` and
@@ -390,7 +392,7 @@ class RecurrentSet:
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.count
 
     @cached_property
     def _laplacian(self) -> list[list[int]]:
@@ -492,10 +494,6 @@ class RecurrentSet:
         _require_eulerian(self.host)
         table, sink = self.host._firing_table, self.host.vertex_index(self.sink)
         return _sum_polynomial(table, sink, self.count, lambda: self.sums)
-
-    @cached_property
-    def members(self) -> array:
-        return array("q", compress(range(self.cells), self.found))
 
     def decode(self):
         """The members' chip vectors, in order, one at a time: the stable cube

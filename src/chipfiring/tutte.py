@@ -107,12 +107,10 @@ def _support_table(g: MultiDigraph, s: str) -> dict[tuple[str, ...], LaurentPoly
 
 def _table_gen(table: tuple) -> tuple[LaurentPolynomial, int]:
     """``tutte_gen`` at the first vertex and ``kappa`` of the graph with firing
-    table ``table``, computed on the table.  The checks come first, in
-    ``tutte_gen``'s order and with its messages: the host is Eulerian, then
-    MAX_GAME_VERTICES and CELL_CAP, the cap read on every call; the values come
-    from ``_table_values``' memo."""
-    if not _connectivity(table)[3]:
-        raise GraphError("operation requires an Eulerian graph")
+    table ``table``, computed on the table.  MAX_GAME_VERTICES and CELL_CAP come
+    first, with ``tutte_gen``'s messages, the cap read on every call; the values
+    come from ``_table_values``' memo, which checks on a miss that the host is
+    Eulerian."""
     _check_game_vertices(len(table))
     _check_cells(math.prod(out for _, out, _, _ in table[1:]))
     return _table_values(table)
@@ -120,9 +118,11 @@ def _table_gen(table: tuple) -> tuple[LaurentPolynomial, int]:
 
 @lru_cache(maxsize=1024)
 def _table_values(table: tuple) -> tuple[LaurentPolynomial, int]:
-    """T(y) and kappa of a checked firing table, at sink 0: the determinant and
-    the burnt-set recursion of the game record, run on the table.  Only past the
-    recursion's budget is a graph built, whose record enumerates the sums."""
+    """T(y) and kappa at sink 0 of a firing table, refused unless Eulerian: the
+    determinant and the burnt-set recursion of the game record, run on the table.
+    A graph is built only past the recursion's budget, to enumerate the sums."""
+    if not _connectivity(table)[3]:
+        raise GraphError("operation requires an Eulerian graph")
     count = bareiss_determinant(_reduced_laplacian(table, 0))
     poly = _sum_polynomial(table, 0, count, lambda: _game(_from_table(table), 0).sums)
     k = poly.terms[0][0] - sum(out - drop for _, out, drop, _ in table)

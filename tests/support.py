@@ -12,6 +12,7 @@ import contextlib
 import functools
 import itertools
 import random
+from array import array
 from bisect import bisect_left
 from functools import partial
 from operator import lt, mul
@@ -151,9 +152,15 @@ def unpack(g: MultiDigraph, s: str, members) -> tuple[tuple[int, ...], ...]:
     return tuple(vectors)
 
 
+def members(rs: RecurrentSet) -> array:
+    """The members' cube indices in ascending (lexicographic) order, read off
+    the record's member map."""
+    return array("q", itertools.compress(range(rs.cells), rs.found))
+
+
 def recurrent_vectors(g: MultiDigraph, s: str) -> tuple[tuple[int, ...], ...]:
     """The enumerated members of the sink game (g, s), unpacked."""
-    return unpack(g, s, _recurrent_vectors(g, s))
+    return unpack(g, s, members(_recurrent_vectors(g, s)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -420,12 +427,12 @@ def support_after_sink_fire(g: MultiDigraph, s: str, c: Configuration) -> frozen
 
 
 def member_index(rs: RecurrentSet, c: Configuration) -> int | None:
-    """c's position in ``rs.members``, found by bisection; None for a non-member."""
+    """c's position in ``members(rs)``, found by bisection; None for a non-member."""
     if c.sink != rs.sink or c.host != rs.host or not all(map(lt, c.chips, rs.bounds)):
         return None
-    members, cell = rs.members, sum(map(mul, c.chips, rs.weights))
-    i = bisect_left(members, cell)
-    return i if i < len(members) and members[i] == cell else None
+    packed, cell = members(rs), sum(map(mul, c.chips, rs.weights))
+    i = bisect_left(packed, cell)
+    return i if i < len(packed) and packed[i] == cell else None
 
 
 def _require_member(rs: RecurrentSet, c: Configuration) -> int:

@@ -37,6 +37,7 @@ from chipfiring.recurrent import (
     reduced_laplacian,
 )
 
+import support
 from support import (
     bidirected_complete,
     cell_cap,
@@ -237,7 +238,7 @@ def test_packed_record_matches_tuple_definitions():
                 expected = tuple(cell for cell in cube if _burns_by_single_firings(g, s, cell))
             else:
                 expected = tuple(c.chips for c in brute_recurrents(g, s))
-            packed = _recurrent_vectors(g, s)
+            packed = support.members(_recurrent_vectors(g, s))
             assert list(packed) == sorted(packed) and unpack(g, s, packed) == expected
             rs = _game(g, g.vertex_index(s))
             assert tuple(rs.decode()) == expected and len(rs) == len(expected)
@@ -260,6 +261,15 @@ def test_packed_record_matches_tuple_definitions():
     assert members == 5_134 and scripts_above_one == 62
 
 
+def test_length_is_the_determinant_and_counts_the_member_map():
+    # len(rs) reads the determinant ``count``, which the search checks against
+    # the members it writes; the map's nonzero cells are those members
+    for g in small_corpus() + corpus() + non_eulerian_corpus():
+        for s in g.vertices:
+            rs = _recurrent_vectors(g, s)
+            assert len(rs) == rs.count == len(support.members(rs)) == sum(map(bool, rs.found))
+
+
 @pytest.mark.parametrize(
     "m, loop, top, code",
     [
@@ -278,7 +288,7 @@ def test_narrow_types_at_their_boundaries(m, loop, top, code):
     for sink in g.vertices:
         rs = enumerate_recurrents(g, sink)
         vectors = list(rs.decode())
-        assert len(vectors) == len(rs) == m and vectors == list(unpack(g, sink, rs.members))
+        assert len(vectors) == len(rs) == m and vectors == list(unpack(g, sink, support.members(rs)))
         expected = [g.outdeg(sink) + sum(vec) for vec in vectors]
         assert list(rs.sums) == expected and list(rs.levels) == [x - rs.kappa for x in expected]
         assert rs.sums.typecode == rs.levels.typecode == code
@@ -635,7 +645,8 @@ def test_compiled_kernel_matches_the_generic_burn(monkeypatch):
             compiled = recurrent.RecurrentSet(renamed, hostile[s])
             assert compiled.found == generic.found
             monkeypatch.setattr(recurrent, "_settle", generic_settle)
-            assert compiled.members == generic.members and compiled.sums == generic.sums
+            assert support.members(compiled) == support.members(generic)
+            assert compiled.sums == generic.sums
             if is_eulerian(g):
                 assert compiled.levels == generic.levels
             source = recurrent._search_source(*_search_args(compiled))

@@ -377,7 +377,9 @@ def _refusals(g, error) -> tuple[str, str]:
 
 
 def test_table_gen_refuses_as_tutte_gen_does(monkeypatch):
-    # the host check, then the vertex bound, then the cell cap, with tutte_gen's messages
+    # the vertex bound, then the cell cap, then the host check on a memo miss, with
+    # tutte_gen's messages; the order is tutte_gen's but for a table both
+    # non-Eulerian and over a bound, which refuses by the bound
     named, table = _refusals(MultiDigraph.of([("s", "a"), ("a", "b"), ("b", "a")]), GraphError)
     assert named == table == "operation requires an Eulerian graph"
     k4 = bidirected_complete(["m0", "m1", "m2", "m3"])  # no record of it is cached yet
