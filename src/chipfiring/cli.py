@@ -121,11 +121,11 @@ def _cmd_recurrents(args) -> int:
         head, sep = '{\n  "configs": [\n', ",\n"
         member = f'    {{\n      "chips": {chips},\n      "level": %d,\n      "sum": %d\n    }}'
         tail = f'\n  ],\n  "kappa": {rs.kappa},\n  "sink": {json.dumps(rs.sink)}\n}}\n'
-        fields = map(tuple.__add__, map(pick, rs.decode()), zip(rs.levels, rs.sums))
+        fields = map(tuple.__add__, map(pick, rs.decode()), zip(rs.levels(), rs.sums))
     else:
         head, sep, tail = f"sink: {sink}\nkappa: {rs.kappa}\ncount: {len(rs)}\n", "\n", "\n"
         member = "  " + ",".join(f"{v.replace('%', '%%')}=%d" for v in rs.domain) + "  sum=%d level=%d"
-        fields = map(tuple.__add__, rs.decode(), zip(rs.sums, rs.levels))
+        fields = map(tuple.__add__, rs.decode(), zip(rs.sums, rs.levels()))
     sys.stdout.write(head)
     for start in range(0, len(rs), WRITE_BLOCK):
         block = sep.join(map(member.__mod__, islice(fields, WRITE_BLOCK)))

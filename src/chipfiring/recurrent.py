@@ -10,8 +10,9 @@ copy of the members, and cross-checks their count against det Δ.  A game of at
 least KERNEL_MIN_MEMBERS members runs the whole search as one function compiled
 for it, with the same sweep unrolled over its firing table and flat stack
 entries; smaller games, ``is_recurrent`` and the burning-uniqueness suite burn
-with the generic ``_settle``.  Levels and ``kappa`` need an Eulerian host, where
-the record's ``sum_polynomial``, read by ``kappa`` and ``tutte.tutte_gen``,
+with the generic ``_settle``; every path reads b and σ off ``burner``.  ``kappa``
+and the levels, streamed off the sums less ``kappa``, need an Eulerian host,
+where the record's ``sum_polynomial``, read by ``kappa`` and ``tutte.tutte_gen``,
 needs no enumeration: a recursion over the burnt sets of Dhar's burning counts
 the members by sum, and falls back to the enumerated sums past
 RECURSION_TERMS_PER_MEMBER terms per member.  The values of one sink game live
@@ -142,7 +143,7 @@ def is_recurrent(g: MultiDigraph, s: str, c: Configuration) -> bool:
     rs = _game(g, g.vertex_index(s))
     if any(c.chips[v] >= out for v, out, _, _ in rs.movers):
         raise ConfigurationError("burning test requires a stable configuration")
-    burn, script = rs.burner
+    burn, _, script = rs.burner
     counts = burn(c.chips)
     if counts is None:
         return False
@@ -366,11 +367,12 @@ class RecurrentSet:
     index is lexicographic order.  ``found``, the member map the search writes,
     holds 1 + the chip total at each recurrent cell and 0 elsewhere, the record's
     one copy of its members; ``count``, the determinant that certifies them, is
-    the record's length.  ``sums[i]`` is outdeg(sink) + member i's total chips and
-    ``levels[i]`` is ``sums[i] - kappa``; ``sum_polynomial`` counts the members
-    by sum without the member map.  Chip vectors are decoded only where
-    chips are read, by streaming ``decode``: ``configs``, ``to_json_dict`` and
-    the suites that read chips.
+    the record's length.  ``sums[i]`` is outdeg(sink) + member i's total chips;
+    ``kappa``, checked once against the least sum, enumerates the game, and
+    ``levels()`` streams ``sums[i] - kappa`` without a kept copy.
+    ``sum_polynomial`` counts the members by sum without the member map.  Chip
+    vectors are decoded only where chips are read, by streaming ``decode``:
+    ``configs``, ``to_json_dict`` and the suites that read chips.
     ``sink_outdeg``, ``domain``, ``bounds``, ``weights`` and ``cells`` are set at
     construction, which refuses a game above MAX_GAME_VERTICES non-sink vertices.
     """
@@ -407,29 +409,22 @@ class RecurrentSet:
         return _movers(self.host, self.host.vertex_index(self.sink))
 
     @cached_property
-    def _burning(self) -> tuple[tuple[int, ...], list[int]]:
-        """b and the script σ, both by domain position."""
-        b, script = _burning_script(self._laplacian)
-        return b, list(script)
-
-    @cached_property
     def burner(self):
-        """Speer's burning test, set up once: ``burn`` and the script σ by domain
-        position.  ``burn(cell)`` settles a chip vector of V \\ {sink} plus b with
-        the generic kernel ``_settle`` and returns the firing counts by domain
+        """Speer's burning test, set up once: ``(burn, b, σ)``, b and the script σ by
+        domain position.  ``burn(cell)`` settles a chip vector of V \\ {sink} plus b
+        with the generic kernel ``_settle`` and returns the firing counts by domain
         position when the run returns ``cell``, else None.  ``is_recurrent`` and
         the burning-uniqueness suite use it, and so does ``found`` below
         KERNEL_MIN_MEMBERS members; above, the compiled search burns with the same
-        sweep unrolled, and this generic kernel stays the reference."""
-        movers = self.movers
-        b, script = self._burning
+        sweep unrolled from b and σ, and this generic kernel stays the reference."""
+        movers, (b, script) = self.movers, _burning_script(self._laplacian)
 
         def burn(cell: tuple[int, ...]) -> list[int] | None:
             chips = list(map(add, cell, b))
             counts = _settle(chips, movers)
             return counts if tuple(chips) == cell else None
 
-        return burn, script
+        return burn, b, list(script)
 
     @cached_property
     def found(self) -> array:
@@ -453,10 +448,10 @@ class RecurrentSet:
         found = array(code, [0]) * self.cells
         if self.count >= KERNEL_MIN_MEMBERS:
             namespace = {"InternalCheckError": InternalCheckError}
-            exec(_search_source(self.movers, *self._burning, weights, top), namespace)
+            exec(_search_source(self.movers, *self.burner[1:], weights, top), namespace)
             members = namespace["search"](found)
         else:
-            (burn, script), members = self.burner, 0
+            (burn, _, script), members = self.burner, 0
             stack = [(self.cells - 1, top, 1 + sum(top))]
             while stack:
                 i, cell, mark = stack.pop()
@@ -514,13 +509,14 @@ class RecurrentSet:
 
     @cached_property
     def kappa(self) -> int:
-        return kappa(self.host)
-
-    @cached_property
-    def levels(self) -> array:
-        if min(self.sums) - self.kappa != self.host.loop_count:
+        value = kappa(self.host)
+        if min(self.sums) - value != self.host.loop_count:
             raise InternalCheckError("lowest level is not the loop count; kappa inconsistent")
-        return array(self.sums.typecode, map((-self.kappa).__add__, self.sums))
+        return value
+
+    def levels(self):
+        """The members' levels, ``sums[i] - kappa``, in order, one at a time."""
+        return map((-self.kappa).__add__, self.sums)
 
     @cached_property
     def configs(self) -> tuple[Configuration, ...]:
@@ -532,7 +528,7 @@ class RecurrentSet:
             "kappa": self.kappa,
             "configs": [
                 {"chips": dict(zip(self.domain, vec)), "sum": s, "level": l}
-                for vec, s, l in zip(self.decode(), self.sums, self.levels)
+                for vec, s, l in zip(self.decode(), self.sums, self.levels())
             ],
         }
 
@@ -563,7 +559,7 @@ def enumerate_recurrents(g: MultiDigraph, s: str) -> RecurrentSet:
     cached; the caps on the sink's cube and on kappa's are checked on every call."""
     rs = _eulerian_game(g, s)
     _recurrent_vectors(g, s)
-    rs.levels  # kappa and the level check run once per game, before the record is handed out
+    rs.kappa  # kappa and the level check run once per game, before the record is handed out
     return rs
 
 

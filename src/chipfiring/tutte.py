@@ -83,7 +83,7 @@ def _support_counts(g: MultiDigraph, s: str, w: tuple[str, ...]) -> dict[int, La
         for v, x, vectors in zip(w, least, itertools.tee(rs.decode(), len(w)))
     )
     terms: dict[int, list[tuple[int, int]]] = {}
-    for (lvl, *bits), count in Counter(zip(rs.levels, *flags)).items():
+    for (lvl, *bits), count in Counter(zip(rs.levels(), *flags)).items():
         terms.setdefault(sum(bit << i for i, bit in enumerate(bits)), []).append((lvl, count))
     return {mask: LaurentPolynomial(pairs) for mask, pairs in terms.items()}
 
@@ -202,7 +202,7 @@ def _check_mobius(g: MultiDigraph, s: str) -> tuple[bool, dict]:
     if not neighbors:
         raise HypothesisError(f"vertex {s!r} has no out-neighbors besides itself")
     # enumerated levels: the recursion expands this way
-    lhs = LaurentPolynomial((level, 1) for level in enumerate_recurrents(g, s).levels)
+    lhs = LaurentPolynomial((level, 1) for level in enumerate_recurrents(g, s).levels())
     terms = {}
     rhs = LaurentPolynomial.zero()
     for r in range(1, len(neighbors) + 1):

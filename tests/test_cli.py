@@ -504,7 +504,7 @@ def _reference_outputs(path, sink):
     g = parse_graph(path)
     rs = enumerate_recurrents(g, sink)
     lines = [f"sink: {sink}", f"kappa: {rs.kappa}", f"count: {len(rs)}"]
-    for vec, total, lvl in zip(unpack(g, sink, members(rs)), rs.sums, rs.levels):
+    for vec, total, lvl in zip(unpack(g, sink, members(rs)), rs.sums, rs.levels()):
         chips = ",".join(f"{v}={x}" for v, x in zip(rs.domain, vec))
         lines.append(f"  {chips}  sum={total} level={lvl}")
     text = "\n".join(lines) + "\n"
@@ -606,7 +606,7 @@ def test_recurrents_and_kappa_leave_the_record_packed(graph_file, capsys):
     rs = _game(g, 0)  # the record the run enumerated, found by the parsed graph
     assert code == 0 and len(rs) == 16_807 and "vectors" not in vars(rs)
     # the member map is the record's one copy of its members
-    assert {k for k, v in vars(rs).items() if isinstance(v, array)} == {"found", "sums", "levels"}
+    assert {k for k, v in vars(rs).items() if isinstance(v, array)} == {"found", "sums"}
     _game.cache_clear()
     assert kappa(g) == 21  # from the burnt-set recursion: no member map at all
     rs = _game(g, 0)

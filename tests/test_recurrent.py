@@ -257,7 +257,7 @@ def test_packed_record_matches_tuple_definitions():
             assert tuple(covers) == reference_covers(expected)
             assert tuple(minimal) == reference_minimal_flags(expected)
             members += len(expected)
-            scripts_above_one += max(rs.burner[1]) > 1
+            scripts_above_one += max(rs.burner[2]) > 1
     assert members == 5_134 and scripts_above_one == 62
 
 
@@ -290,8 +290,8 @@ def test_narrow_types_at_their_boundaries(m, loop, top, code):
         vectors = list(rs.decode())
         assert len(vectors) == len(rs) == m and vectors == list(unpack(g, sink, support.members(rs)))
         expected = [g.outdeg(sink) + sum(vec) for vec in vectors]
-        assert list(rs.sums) == expected and list(rs.levels) == [x - rs.kappa for x in expected]
-        assert rs.sums.typecode == rs.levels.typecode == code
+        assert list(rs.sums) == expected and list(rs.levels()) == [x - rs.kappa for x in expected]
+        assert rs.sums.typecode == code
         assert max(rs.sums) == top and rs.sums[-1] == top  # the top cell's sum, held exactly
 
 
@@ -378,14 +378,34 @@ def test_level_check_refuses_a_kappa_off_by_one(monkeypatch):
 
     looped = MultiDigraph.of([("p", "q"), ("q", "p"), ("q", "r"), ("r", "q"), ("r", "r")])
     real = recurrent.kappa
-    monkeypatch.setattr(recurrent, "kappa", lambda g: real(g) - 1)
-    recurrent._game.cache_clear()
     try:
-        for s in looped.vertices:
-            with pytest.raises(InternalCheckError):
-                enumerate_recurrents(looped, s)
+        for off in (-1, 1):
+            monkeypatch.setattr(recurrent, "kappa", lambda g, off=off: real(g) + off)
+            recurrent._game.cache_clear()
+            for g in (looped, K3, BANANA):
+                for s in g.vertices:
+                    with pytest.raises(InternalCheckError, match="^lowest level is not the loop count"):
+                        enumerate_recurrents(g, s)
+        host = non_eulerian_corpus()[0]
+        rs = recurrent.RecurrentSet(host, host.vertices[0])
+        with pytest.raises(GraphError):
+            rs.kappa
+        assert "found" not in vars(rs)  # refused before any enumeration
     finally:
         recurrent._game.cache_clear()
+
+
+def test_records_keep_no_levels_and_no_burning_copy():
+    from chipfiring.checks import run_check
+
+    _game.cache_clear()
+    try:
+        assert run_check("theta", K6).ok and run_check("burning-uniqueness", K6).ok
+        records = [vars(_game(K6, i)) for i in range(K6.n_vertices)]
+        assert all("found" in held for held in records)
+        assert not any("levels" in held or "_burning" in held for held in records)
+    finally:
+        _game.cache_clear()
 
 
 def test_level_examples():
@@ -601,7 +621,7 @@ def _kernel_hosts():
 
 def _search_args(rs):
     """``_search_source``'s arguments for a record: integers only."""
-    return rs.movers, *rs._burning, rs.weights, tuple(out - 1 for out in rs.bounds)
+    return rs.movers, *rs.burner[1:], rs.weights, tuple(out - 1 for out in rs.bounds)
 
 
 def _block_kernel(movers, b):
@@ -648,12 +668,12 @@ def test_compiled_kernel_matches_the_generic_burn(monkeypatch):
             assert support.members(compiled) == support.members(generic)
             assert compiled.sums == generic.sums
             if is_eulerian(g):
-                assert compiled.levels == generic.levels
+                assert list(compiled.levels()) == list(generic.levels())
             source = recurrent._search_source(*_search_args(compiled))
             assert not any(name in source for name in hostile.values())
             assert source == recurrent._search_source(*_search_args(generic))
-            kernel = _block_kernel(compiled.movers, compiled._burning[0])
-            burn, script = generic.burner
+            kernel = _block_kernel(compiled.movers, compiled.burner[1])
+            burn, _, script = generic.burner
             for cell in itertools.product(*map(range, generic.bounds)):
                 assert kernel(cell) == burn(cell)
                 cells += 1
@@ -789,7 +809,7 @@ def test_enumeration_at_another_sink_fills_one_member_map():
     recurrent._game.cache_clear()
     try:
         rs = enumerate_recurrents(k8, "v1")
-        assert len(rs) == 262_144 and rs.kappa == 28 == min(rs.levels) + 28
+        assert len(rs) == 262_144 and rs.kappa == 28 == min(rs.levels()) + 28
         filled = [v for i, v in enumerate(k8.vertices) if "found" in vars(_game(k8, i))]
         assert filled == ["v1"]  # kappa came from v0's recursion, not its member map
     finally:

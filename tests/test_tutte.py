@@ -223,7 +223,7 @@ def _reference_support_filtered_gen(g, s, w):
     rs = enumerate_recurrents(g, s)
     return LaurentPolynomial(
         (lvl, 1)
-        for c, lvl in zip(rs.configs, rs.levels)
+        for c, lvl in zip(rs.configs, rs.levels())
         if frozenset(w) <= support_after_sink_fire(g, s, c)
     )
 
