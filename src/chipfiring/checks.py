@@ -43,17 +43,19 @@ def run_check(prop: str, g: MultiDigraph) -> CheckReport:
 
 def check_sink_independence(g: MultiDigraph) -> CheckReport:
     report = CheckReport("sink-independence")
-    for s in g.vertices:
-        rs, out_s = recurrent.enumerate_recurrents(g, s), g.outdeg(s)
-        raw = tuple(sorted(total - out_s for total in rs.sums))
-        report.note(f"sink {s}: raw chip totals {raw}")
     try:
         common = bijection.check_sink_independence(g)
     except PropertyViolationError as exc:
-        report.fail(f"{exc} ({exc.details})")
+        common, violation = None, exc
+    for s in g.vertices:  # a sink's own sums are read again only when the multisets differ
+        sums = common if common is not None else sorted(recurrent.enumerate_recurrents(g, s).sums)
+        out_s = g.outdeg(s)
+        report.note(f"sink {s}: raw chip totals {tuple(total - out_s for total in sums)}")
+    if common is None:
+        report.fail(f"{violation} ({violation.details})")
         return report
     report.note(f"sum multiset: {common}")
-    k = rs.kappa  # every sink's record holds the host's one kappa
+    k = recurrent.kappa(g)
     report.note(f"level multiset: {tuple(total - k for total in common)}")
     return report
 
@@ -66,31 +68,28 @@ def check_recursions(g: MultiDigraph) -> CheckReport:
     # same first reverse arc for each.  Each copy's rewrites hold the same arc
     # multiset in another order, so they have the same T(y) and kappa.
     verdicts: dict[tuple[str, str], tuple[str | None, bool]] = {}
+    arcs = []  # (line, verdict) per arc index with a kind
     for i, (tail, head) in enumerate(g.arcs):
         if (tail, head) not in verdicts:
             kind = tutte.recursion_kind(g, i)
             verdicts[tail, head] = kind, kind is not None and tutte._arc_identity(g, kind, i)
         kind, ok = verdicts[tail, head]
-        if kind is None:
-            continue
+        if kind is not None:
+            arcs.append((f"{kind} at arc {i} ({tail}->{head})", ok))
+    # a sink's Möbius terms and support table are its closed forms' two sides
+    mobius, closed = [], []
+    for s in filter(g.out_neighbors, g.vertices):
+        ok, terms, filtered = tutte._check_mobius(g, s)
+        mobius.append((f"mobius at sink {s}", ok))
+        closed.extend(
+            (f"closed form at sink {s}, subset {list(w)}", filtered[w] == term)
+            for w, term in terms.items()
+        )
+    for line, ok in itertools.chain(arcs, mobius, closed):
         if ok:
-            report.note(f"{kind} at arc {i} ({tail}->{head}): ok")
+            report.note(f"{line}: ok")
         else:
-            report.fail(f"{kind} at arc {i} ({tail}->{head})")
-    # each sink's Möbius terms are the right-hand sides of its closed forms
-    mobius = {s: tutte._check_mobius(g, s) for s in g.vertices if g.out_neighbors(s)}
-    for s, (ok, _) in mobius.items():
-        if ok:
-            report.note(f"mobius at sink {s}: ok")
-        else:
-            report.fail(f"mobius at sink {s}")
-    for s, (_, terms) in mobius.items():
-        filtered = tutte._support_table(g, s)
-        for w, term in terms.items():
-            if filtered[w] == term:
-                report.note(f"closed form at sink {s}, subset {list(w)}: ok")
-            else:
-                report.fail(f"closed form at sink {s}, subset {list(w)}")
+            report.fail(line)
     return report
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -322,13 +323,13 @@ def _sum_polynomial(table: tuple, sink: int, count: int, enumerated) -> LaurentP
     """Σ y^sum over the recurrents of the Eulerian game (table, sink), whose
     reduced Laplacian has determinant ``count``: unpacked from
     ``_burnt_set_recursion``, its value at 1 checked against ``count``; past
-    RECURSION_TERMS_PER_MEMBER terms per member, read off ``enumerated()``, the
-    game's enumerated sums, instead."""
+    RECURSION_TERMS_PER_MEMBER terms per member, counted off ``enumerated()``,
+    the game's enumerated sums, instead."""
     width, budget = count.bit_length(), RECURSION_TERMS_PER_MEMBER * count
     try:
         packed = _burnt_set_recursion(table, sink, width, budget)
     except _Exhausted:
-        return LaurentPolynomial((total, 1) for total in enumerated())
+        return LaurentPolynomial(Counter(enumerated()))
     counts, digit = [], (1 << width) - 1
     while packed > 0:
         counts.append(packed & digit)

@@ -8,7 +8,7 @@ The checkers verify the five recursive identities (loop, both bridge cases,
 deletion-contraction, and the inclusion-exclusion expansion over out-neighbor
 subsets) by computing both sides independently in exact arithmetic.  The
 recursion's first step is that expansion, so its left side and the closed
-forms' are read from the enumerated members instead.  The rewritten graphs
+forms' come from the enumerated members' support table.  The rewritten graphs
 on the right sides are integer firing tables, each made from its host's by
 ``graph._rewrite``; ``_table_gen`` reads their T(y) and kappa off the same
 determinant and burnt-set recursion as a game record, memoized per table, and
@@ -194,22 +194,22 @@ def _arc_identity(g: MultiDigraph, kind: str, index: int) -> bool:
     return ok
 
 
-def _check_mobius(g: MultiDigraph, s: str) -> tuple[bool, dict]:
+def _check_mobius(g: MultiDigraph, s: str) -> tuple[bool, dict, dict]:
     """Inclusion-exclusion expansion over nonempty subsets of the out-neighbors
-    of s: the verdict, and the term of each subset, keyed in canonical order."""
+    of s: the verdict, each subset's term and ``_support_table``, keyed canonically."""
     g.vertex_index(s)
     neighbors = g.out_neighbors(s)
     if not neighbors:
         raise HypothesisError(f"vertex {s!r} has no out-neighbors besides itself")
-    # enumerated levels: the recursion expands this way
-    lhs = LaurentPolynomial((level, 1) for level in enumerate_recurrents(g, s).levels())
+    # enumerated levels, every member at the empty subset: the recursion expands this way
+    filtered = _support_table(g, s)
     terms = {}
     rhs = LaurentPolynomial.zero()
     for r in range(1, len(neighbors) + 1):
         for w in itertools.combinations(neighbors, r):
             term = terms[w] = _contraction_term(g, s, w)
             rhs = rhs + term if r % 2 == 1 else rhs - term
-    return lhs == rhs, terms
+    return filtered[()] == rhs, terms, filtered
 
 
 def _contraction_term(g: MultiDigraph, s: str, w: tuple[str, ...]) -> LaurentPolynomial:

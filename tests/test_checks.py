@@ -31,6 +31,7 @@ from support import (
     reference_burning_uniqueness,
     reference_covers,
     reference_theta,
+    small_corpus,
 )
 
 K3 = bidirected_complete(["s", "a", "b"])
@@ -54,6 +55,48 @@ def test_sink_independence_report_lines():
     assert any("raw chip totals (2, 2, 3, 3, 3, 4)" in line for line in report.lines)
     assert any("sum multiset: (4, 4, 5, 5, 5, 6)" in line for line in report.lines)
     assert any("level multiset: (0, 0, 1, 1, 1, 2)" in line for line in report.lines)
+
+
+class _RaisedFirstSum:
+    """A game record whose first member's sum reads one higher; all else is the record's."""
+
+    def __init__(self, rs):
+        self._rs = rs
+        self.sums = [rs.sums[0] + 1, *rs.sums[1:]]
+
+    def __getattr__(self, name):
+        return getattr(self._rs, name)
+
+
+def test_sink_independence_reports_differing_sum_multisets(monkeypatch, capsys):
+    g = data_graph("demo5.txt")
+    last = g.vertices[-1]
+    real = recurrent.enumerate_recurrents
+
+    def raised_at_last(host, s):
+        rs = real(host, s)
+        return _RaisedFirstSum(rs) if s == last else rs
+
+    monkeypatch.setattr(recurrent, "enumerate_recurrents", raised_at_last)
+    monkeypatch.setattr(bijection, "enumerate_recurrents", raised_at_last)
+    report = run_check("sink-independence", g)
+    assert not report.ok
+    raw = [
+        f"sink {s}: raw chip totals "
+        f"{tuple(sorted(total - g.outdeg(s) for total in raised_at_last(g, s).sums))}"
+        for s in g.vertices
+    ]
+    assert report.lines[:-1] == raw
+    assert len(report.lines) == g.n_vertices + 1
+    assert report.lines[-1].startswith(
+        f"VIOLATION: sum multisets differ between sinks {g.vertices[0]!r} and {last!r} "
+    )
+    assert not any("multiset:" in line for line in report.lines)
+    assert main(["check", str(DATA / "demo5.txt"), "--property", "sink-independence"]) == 1
+    out, err = capsys.readouterr()
+    failed = [f"{DATA / 'demo5.txt'}: FAILED", *(f"  {line}" for line in report.lines)]
+    assert out.splitlines() == failed
+    assert "Traceback" not in out + err
 
 
 def test_theta_report_observations():
@@ -440,6 +483,31 @@ def test_suites_compute_one_reduced_laplacian_per_game(monkeypatch):
         for prop in PROPERTIES:
             assert run_check(prop, g).ok
     assert len(calls) + len(tables) > 100 and set(calls.values()) == set(tables.values()) == {1}
+
+
+def test_suites_read_each_sink_game_once(monkeypatch):
+    # each suite reads a sink game's members through one path: the recursions
+    # suite its levels, in the support table, and sink independence its record
+    graphs = [*small_corpus(), bidirected_complete([f"k{i}" for i in range(6)])]
+    levels, records = Counter(), Counter()
+    real_levels = recurrent.RecurrentSet.levels
+    monkeypatch.setattr(
+        recurrent.RecurrentSet,
+        "levels",
+        lambda rs: levels.update([(rs.host, rs.sink)]) or real_levels(rs),
+    )
+    real = recurrent.enumerate_recurrents
+    for module in (recurrent, bijection):
+        monkeypatch.setattr(
+            module, "enumerate_recurrents", lambda g, s: records.update([(g, s)]) or real(g, s)
+        )
+    for g in graphs:
+        assert run_check("recursions", g).ok
+        assert levels == Counter({(g, s): 1 for s in g.vertices if g.out_neighbors(s)})
+        assert run_check("sink-independence", g).ok
+        assert records == Counter({(g, s): 1 for s in g.vertices})
+        levels.clear()
+        records.clear()
 
 
 @pytest.mark.parametrize("prop", PROPERTIES)
