@@ -49,10 +49,12 @@ SIZE_CAP = 3
 
 def parse_graph(path: str) -> MultiDigraph:
     """Read a graph from an edge-list file (see ``parse_edge_list``); a UTF-8
-    byte-order mark at its start is dropped, and text that is not UTF-8 is refused."""
+    byte-order mark at its start is dropped, and text that is not UTF-8 is refused.
+    The bytes are decoded whole: ``splitlines`` ends a line at every line end
+    that a text-mode read would translate."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read().removeprefix("\ufeff")
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8").removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read {path}: {exc}") from exc
     return parse_edge_list(text)

@@ -15,13 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from operator import add, mul
 
 from .dynamics import Configuration, beta
 from .errors import ConfigurationError, InternalCheckError
 from .graph import MultiDigraph, is_eulerian
-from .recurrent import _checked_game, _game, _require_strongly_connected, enumerate_recurrents
+from .recurrent import (
+    _checked_game,
+    _game,
+    _require_strongly_connected,
+    cached_property,
+    enumerate_recurrents,
+)
 
 
 def _least_entry(rows: list[list[int]], t: int, width: int) -> tuple[int, int] | None:

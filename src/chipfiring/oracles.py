@@ -8,6 +8,7 @@ acyclicity test and Tutte deletion-contraction.  Only value types are shared.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from .dynamics import Configuration
@@ -18,6 +19,11 @@ from .polynomial import LaurentPolynomial
 MAX_ARB_VERTICES = 6
 MAX_ACYCLIC_ARCS = 18
 MAX_RECURRENT_VERTICES = 4
+# work bounds, each about 2 s of the oracle on a 2-vCPU VM with Python 3.11:
+# out-arc choices tried by the arborescence count, and steps of the recurrence
+# oracle's stabilizer (floods x firings per flood x arcs and vertices per firing)
+MAX_ARB_CHOICES = 500_000
+MAX_RECURRENT_WORK = 10_000_000
 
 
 def brute_arborescences(g: MultiDigraph, s: str) -> int:
@@ -36,6 +42,11 @@ def brute_arborescences(g: MultiDigraph, s: str) -> int:
         if not outs:
             return 0
         choices.append(outs)
+    picks = math.prod(map(len, choices))
+    if picks > MAX_ARB_CHOICES:
+        raise SizeCapError(
+            f"arborescence oracle capped at {MAX_ARB_CHOICES} out-arc choices, this host has {picks}"
+        )
     count = 0
     for pick in itertools.product(*choices):
         successor = dict(zip(others, pick))
@@ -147,9 +158,16 @@ def _last_firable_stabilize(g: MultiDigraph, sink: str, chips: dict[str, int]) -
             raise SizeCapError("oracle stabilizer exceeded its firing guard")
 
 
-def _flood(g: MultiDigraph, s: str) -> int:
-    """A saturating multiple of the group order; refuses hosts above the cap or
-    not strongly connected (their reduced Laplacian may be singular)."""
+def _flood(g: MultiDigraph, s: str, floods: int) -> int:
+    """A saturating multiple of the group order; refuses hosts above the caps or
+    not strongly connected (their reduced Laplacian may be singular).
+
+    A flood of m = order * (1 + max outdeg) chips, order = det Δ, fires
+    (m / order) 1ᵀ adj(Δ) 1 = (1 + max outdeg) (det(Δ + J) - det Δ) times when
+    the cell is recurrent (the matrix determinant lemma), about that otherwise,
+    and each firing scans every vertex and arc: ``floods`` such runs above
+    MAX_RECURRENT_WORK steps are refused before the first.
+    """
     if not g.is_strongly_connected():
         raise GraphError("definitional test requires a strongly connected graph")
     if g.n_vertices > MAX_RECURRENT_VERTICES:
@@ -162,8 +180,15 @@ def _flood(g: MultiDigraph, s: str) -> int:
         ]
         for v in others
     ]
-    order = abs(_cofactor_determinant(laplacian))
-    return order * (1 + max((g.outdeg(v) for v in others), default=0))
+    order = _cofactor_determinant(laplacian)
+    saturation = 1 + max((g.outdeg(v) for v in others), default=0)
+    firings = saturation * (_cofactor_determinant([[x + 1 for x in row] for row in laplacian]) - order)
+    work = floods * (firings + 1) * (g.n_arcs + g.n_vertices)
+    if work > MAX_RECURRENT_WORK:
+        raise SizeCapError(
+            f"recurrence oracle capped at {MAX_RECURRENT_WORK} steps, this host needs {work}"
+        )
+    return order * saturation
 
 
 def _flood_fixed(g: MultiDigraph, s: str, flood: int, chips) -> bool:
@@ -180,14 +205,15 @@ def recurrent_definitional_test(g: MultiDigraph, s: str, c: Configuration) -> bo
     """
     if c.sink != s or c.host.vertices != g.vertices:
         raise ConfigurationError("configuration does not belong to this sink game")
-    return _flood_fixed(g, s, _flood(g, s), c.chips)
+    return _flood_fixed(g, s, _flood(g, s, 1), c.chips)
 
 
 def brute_recurrents(g: MultiDigraph, s: str) -> list[Configuration]:
     """The stable configurations that pass the definitional test, in cube order."""
     g.vertex_index(s)
-    flood = _flood(g, s)
-    cube = itertools.product(*(range(g.outdeg(v)) for v in g.vertices if v != s))
+    bounds = [g.outdeg(v) for v in g.vertices if v != s]
+    flood = _flood(g, s, math.prod(bounds))
+    cube = itertools.product(*map(range, bounds))
     return [Configuration(g, s, combo) for combo in cube if _flood_fixed(g, s, flood, combo)]
 
 

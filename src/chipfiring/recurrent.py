@@ -25,16 +25,15 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, compress, filterfalse, product
 from operator import add, mul
 
 from .dynamics import Configuration, _game_rows, _movers, _settle
 from .errors import ConfigurationError, GraphError, InternalCheckError, SizeCapError
-from .graph import MAX_GAME_VERTICES, MultiDigraph, is_eulerian
+from .graph import MAX_GAME_VERTICES, MultiDigraph, is_eulerian, tally
 from .polynomial import LaurentPolynomial
 
 DEFAULT_CELL_CAP = 20_000_000
@@ -182,20 +181,27 @@ def _burning_script(lap: list[list[int]]) -> tuple[tuple[int, ...], tuple[int, .
 KERNEL_MIN_MEMBERS = 192
 
 
-def _burn_lines(movers: tuple, b) -> list[str]:
+def _burn_lines(movers: tuple, b, script) -> list[str]:
     """``_settle``'s sweep on cell + b, unrolled over one game's rows: domain
     position ``v`` starts from the cell's chips in ``cv``, adds b's and ends with
     the run's chips in ``cv`` and its firings in ``nv``.  One block per mover, one
-    line per arc in its row, indented from column 0.  Only integer literals and
+    line per arc in its row, indented from column 0.  A mover whose script entry
+    σ_v is 1 fires once per block: σ stabilizes every cell + b, so by the least
+    action principle (Fey, Levine and Peres, 2010) no run fires v twice, and its
+    block is written without the batch count ``k``.  Only integer literals and
     fixed names enter it."""
     lines = [f"c{u} += {x}" for u, x in enumerate(b) if x]
     lines.append("".join(f"n{v} = " for v in range(len(b))) + "0")
     lines += ["more = True", "while more:", "    more = False"]
-    # k = (c - out) // drop + 1 = (c - loops) // drop, and c - k * drop = c % drop without loops
     for v, out, drop, neighbors in movers:
+        lines.append(f"    if c{v} >= {out}:")
+        if script[v] == 1:
+            lines += [f"        c{v} -= {drop}", f"        n{v} += 1", "        more = True"]
+            lines += [f"        c{u} += {m}" for u, m in neighbors]
+            continue
+        # k = (c - out) // drop + 1 = (c - loops) // drop, and c - k * drop = c % drop without loops
         loops = out > drop
         lines += [
-            f"    if c{v} >= {out}:",
             f"        k = {f'(c{v} - {out - drop})' if loops else f'c{v}'} // {drop}",
             f"        c{v} {'-= k *' if loops else '%='} {drop}",
             f"        n{v} += k",
@@ -225,7 +231,7 @@ def _search_source(movers: tuple, b, script, weights, top) -> str:
         "    while stack:",
         "        cell = pop()",
         f"        {entry('i', 'mark', *cells)} = cell",
-        *(f"        {line}" for line in _burn_lines(movers, b)),
+        *(f"        {line}" for line in _burn_lines(movers, b, script)),
         f"        if {entry('i', 'mark', *cells)} != cell:",
         "            continue",
         f"        if {entry(*(f'n{t}' for t in range(len(b))))} != {entry(*script)}:",
@@ -329,7 +335,7 @@ def _sum_polynomial(table: tuple, sink: int, count: int, enumerated) -> LaurentP
     try:
         packed = _burnt_set_recursion(table, sink, width, budget)
     except _Exhausted:
-        return LaurentPolynomial(Counter(enumerated()))
+        return LaurentPolynomial(tally(enumerated()))
     counts, digit = [], (1 << width) - 1
     while packed > 0:
         counts.append(packed & digit)
@@ -357,6 +363,26 @@ def kappa(g: MultiDigraph) -> int:
 
 
 # ---------------------------------------------------------------- game record
+class cached_property:
+    """``functools.cached_property`` as Python 3.12 has it, without the lock that
+    earlier versions take on every first read: the first read of the attribute
+    on an instance computes the value and stores it in the instance's
+    ``__dict__`` under the attribute's name, where later reads find it first.
+    Read from the class, it is the descriptor itself."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class RecurrentSet:
     """The record of one sink game: its recurrent configurations and the values

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from functools import lru_cache
 from operator import ge, itemgetter
 
@@ -32,6 +31,7 @@ from .graph import (
     is_bridge,
     is_undirected,
     reverse_partner,
+    tally,
 )
 from .oracles import undirected_tutte_oracle  # re-exported; perfbench/runner.py reads it here
 from .polynomial import LaurentPolynomial
@@ -83,7 +83,7 @@ def _support_counts(g: MultiDigraph, s: str, w: tuple[str, ...]) -> dict[int, La
         for v, x, vectors in zip(w, least, itertools.tee(rs.decode(), len(w)))
     )
     terms: dict[int, list[tuple[int, int]]] = {}
-    for (lvl, *bits), count in Counter(zip(rs.levels(), *flags)).items():
+    for (lvl, *bits), count in tally(zip(rs.levels(), *flags)).items():
         terms.setdefault(sum(bit << i for i, bit in enumerate(bits)), []).append((lvl, count))
     return {mask: LaurentPolynomial(pairs) for mask, pairs in terms.items()}
 

@@ -221,6 +221,32 @@ def test_oracle(graph_file, capsys):
     assert err == "error: definitional test requires a strongly connected graph\n"
 
 
+def _path_text(n: int, k: int) -> str:
+    """The path on the first n of a, b, c, ... with k arcs each way per edge."""
+    names = "abcdef"[:n]
+    return "".join(f"{u} {v} {k}\n{v} {u} {k}\n" for u, v in zip(names, names[1:]))
+
+
+@pytest.mark.parametrize(
+    "n, k, which", [(3, 25, "recurrents"), (4, 40, "recurrents"), (6, 30, "arborescences")]
+)
+def test_oracle_refuses_work_above_its_bound_within_a_second(
+    graph_file, capsys, monkeypatch, n, k, which
+):
+    from chipfiring import oracles
+
+    def refuse(*args):
+        raise AssertionError("the oracle flooded a cell")
+
+    monkeypatch.setattr(oracles, "_flood_fixed", refuse)
+    path = graph_file(_path_text(n, k))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", path, "--which", which, "--sink", "a")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("size cap exceeded: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [("recurrents",), ("oracle", "--which", "recurrents")])
 def test_empty_sink_is_an_unknown_vertex(graph_file, capsys, command):
     code, out, err = run(capsys, command[0], graph_file(K3_TEXT), "--sink=", *command[1:])
@@ -734,6 +760,53 @@ def test_byte_order_mark_is_dropped(graph_file, capsys, tmp_path):
     for fmt in ("text", "json"):
         expected = run(capsys, "info", plain, "--format", fmt)
         assert run(capsys, "info", str(marked), "--format", fmt) == expected
+
+
+def _text_mode_read(path) -> str:
+    """``parse_graph``'s reference: the file read in text mode, its BOM dropped,
+    parsed; a refused file gives its ``cfg`` error line instead."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read().removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        return f"error: cannot read {path}: {exc}\n"
+    try:
+        return parse_edge_list(text)
+    except Exception as exc:
+        return f"error: {exc}\n"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"a b\r\nb a\r\n",
+        b"a b\rb a\r",
+        b"a b\r\r\nb c 2\n\rc a\r\nc b\r\n",
+        "a b\x85b a\x85".encode(),
+        "a b\u2028b a\u2029a a\n".encode(),
+        b"\xef\xbb\xbfa b\r\nb a\r\n",
+        b"\xef\xbb\xbf# comment\r\n\ra b 3\rb a 3\r\n",
+        b"a b\r\nb a\r\nb\r\n",
+        "a b\r\n\x85b a x y\u2028".encode(),
+    ],
+)
+def test_parse_graph_reads_as_text_mode_does(tmp_path, capsys, raw):
+    path = tmp_path / "g.txt"
+    path.write_bytes(raw)
+    expected = _text_mode_read(path)
+    if isinstance(expected, str):
+        assert run(capsys, "info", str(path)) == (2, "", expected)
+    else:
+        assert parse_graph(str(path)) == expected
+
+
+def test_a_bad_byte_past_64_kib_reads_as_in_text_mode(tmp_path, capsys):
+    path = tmp_path / "late.txt"
+    path.write_bytes(b"a b\r\nb a\r\n" * 7000 + b"c \xff\n")
+    assert path.stat().st_size > 65536
+    expected = _text_mode_read(path)
+    assert "position 70002" in expected
+    assert run(capsys, "info", str(path)) == (2, "", expected)
 
 
 @pytest.mark.parametrize("value", ["abc", "1/0", ""])

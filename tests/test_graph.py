@@ -392,3 +392,28 @@ def test_generators_fit_an_arc_budget_below_the_vertex_bound():
         for generate in (random_eulerian, random_strongly_connected):
             with pytest.raises(GraphError, match="is below 2"):
                 generate(random.Random(0), *sizes)
+
+
+def test_graph_construction_counts_arcs_as_counter_does():
+    # the distinct arcs in first-appearance order decide which undeclared arc is named
+    for g in corpus() + non_eulerian_corpus():
+        rows = [dict(neighbors) for _, _, _, neighbors in g._firing_table]
+        for (tail, head), m in Counter(g.arcs).items():
+            if tail != head:
+                assert rows[g.vertex_index(tail)][g.vertex_index(head)] == m
+    arcs = (("a", "b"), ("b", "x"), ("b", "a"), ("a", "y"))
+    with pytest.raises(GraphError, match=r"^arc 1 \(b -> x\) uses an undeclared vertex$"):
+        MultiDigraph(("a", "b"), arcs)
+
+
+def test_tally_counts_as_counter_does_in_first_appearance_order():
+    for g in corpus() + non_eulerian_corpus():
+        assert list(graph.tally(g.arcs).items()) == list(Counter(g.arcs).items())
+    rng = random.Random(36)
+    names = [f"v{i}" for i in range(12)]
+    for _ in range(5):
+        arcs = [(rng.choice(names), rng.choice(names)) for _ in range(10_000)]
+        for make in (list, tuple, iter, lambda arcs: zip(arcs, reversed(arcs))):
+            expected = list(Counter(make(arcs)).items())
+            assert list(graph.tally(make(arcs)).items()) == expected
+    assert graph.tally(()) == {} and type(graph.tally("aab")) is dict

@@ -537,3 +537,25 @@ def test_conjecture1_completes_on_non_eulerian_corpus():
         assert set(report["sinks"]) == set(g.vertices)
         assert isinstance(report["consistent"], bool)
         assert not report["eulerian"]
+
+
+def test_smith_form_and_coset_key_are_computed_once_per_lattice(monkeypatch):
+    calls = {}
+    for name in ("_smith", "_coset_key"):
+        descriptor = vars(IntegerLattice)[name]
+        assert getattr(IntegerLattice, name) is descriptor
+        assert descriptor.__doc__ == descriptor.func.__doc__
+
+        def counted(lattice, func=descriptor.func, name=name):
+            calls[id(lattice), name] = calls.get((id(lattice), name), 0) + 1
+            return func(lattice)
+
+        monkeypatch.setattr(descriptor, "func", counted)
+    assert IntegerLattice._smith.__doc__.startswith("The invariant factors")
+    lattice = firing_lattice(K3, "s")
+    for _ in range(3):
+        assert lattice.contains((0, 0)) and not lattice.contains((1, 0))
+    for name in ("_smith", "_coset_key"):
+        value = getattr(lattice, name)
+        assert vars(lattice)[name] is value and getattr(lattice, name) is value
+    assert calls == {(id(lattice), "_smith"): 1, (id(lattice), "_coset_key"): 1}

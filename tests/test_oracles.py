@@ -78,3 +78,23 @@ def test_undirected_oracle_memo_is_bounded():
     undirected_tutte_oracle(bidirected_complete(list("abcde")))
     info = oracles._tutte_at_x1.cache_info()
     assert info.maxsize == 4096 and 0 < info.currsize <= info.maxsize
+
+
+def test_oracle_work_bounds_count_choices_and_flood_steps(monkeypatch):
+    # K3 at s: 4 cells; det Δ = 3 and det(Δ + J) = 9, so a flood of 3 * (1 + 2)
+    # chips fires 3 * (9 - 3) = 18 times, each run scanning 6 arcs and 3 vertices
+    monkeypatch.setattr(oracles, "MAX_RECURRENT_WORK", 4 * 19 * 9)
+    assert len(brute_recurrents(K3, "s")) == 3
+    monkeypatch.setattr(oracles, "MAX_RECURRENT_WORK", 4 * 19 * 9 - 1)
+    with pytest.raises(SizeCapError, match=r"^recurrence oracle capped at 683 steps, this host needs 684$"):
+        brute_recurrents(K3, "s")
+    # one definitional test is one flood
+    assert recurrent_definitional_test(K3, "s", Configuration(K3, "s", (1, 1)))
+    monkeypatch.setattr(oracles, "MAX_RECURRENT_WORK", 19 * 9 - 1)
+    with pytest.raises(SizeCapError, match="this host needs 171$"):
+        recurrent_definitional_test(K3, "s", Configuration(K3, "s", (1, 1)))
+    monkeypatch.setattr(oracles, "MAX_ARB_CHOICES", 4)
+    assert brute_arborescences(K3, "s") == 3
+    monkeypatch.setattr(oracles, "MAX_ARB_CHOICES", 3)
+    with pytest.raises(SizeCapError, match=r"^arborescence oracle capped at 3 out-arc choices, this host has 4$"):
+        brute_arborescences(K3, "s")

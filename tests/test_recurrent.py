@@ -624,7 +624,7 @@ def _search_args(rs):
     return rs.movers, *rs.burner[1:], rs.weights, tuple(out - 1 for out in rs.bounds)
 
 
-def _block_kernel(movers, b):
+def _block_kernel(movers, b, script):
     """``_burn_lines``' block wrapped as ``burner``'s ``burn``: the firing counts by
     domain position when the run returns the cell, else None."""
     from chipfiring import recurrent
@@ -636,7 +636,7 @@ def _block_kernel(movers, b):
         [
             "def burn(cell):",
             f"({names('c')}) = cell",
-            *recurrent._burn_lines(movers, b),
+            *recurrent._burn_lines(movers, b, script),
             f"return [{names('n')}] if ({names('c')}) == cell else None\n",
         ]
     )
@@ -672,7 +672,7 @@ def test_compiled_kernel_matches_the_generic_burn(monkeypatch):
             source = recurrent._search_source(*_search_args(compiled))
             assert not any(name in source for name in hostile.values())
             assert source == recurrent._search_source(*_search_args(generic))
-            kernel = _block_kernel(compiled.movers, compiled.burner[1])
+            kernel = _block_kernel(compiled.movers, *compiled.burner[1:])
             burn, _, script = generic.burner
             for cell in itertools.product(*map(range, generic.bounds)):
                 assert kernel(cell) == burn(cell)
@@ -713,8 +713,8 @@ def _spoiled_block(spoil):
 
     real = recurrent._burn_lines
 
-    def burn_lines(movers, b):
-        return [*real(movers, b), "if members == 1:", f"    {spoil}"]
+    def burn_lines(movers, b, script):
+        return [*real(movers, b, script), "if members == 1:", f"    {spoil}"]
 
     return burn_lines
 
@@ -814,3 +814,36 @@ def test_enumeration_at_another_sink_fills_one_member_map():
         assert filled == ["v1"]  # kappa came from v0's recursion, not its member map
     finally:
         recurrent._game.cache_clear()
+
+
+# every value a game record computes on first read and keeps
+KEPT_VALUES = (
+    "_laplacian", "count", "movers", "burner", "found",
+    "sum_polynomial", "sums", "_least_sum", "kappa", "configs",
+)  # fmt: skip
+
+
+def test_each_kept_value_is_computed_once_and_found_under_its_name(monkeypatch):
+    from chipfiring import recurrent
+
+    calls = {}
+    for name in KEPT_VALUES:
+        descriptor = vars(recurrent.RecurrentSet)[name]
+        assert getattr(recurrent.RecurrentSet, name) is descriptor
+        assert descriptor.__doc__ == descriptor.func.__doc__
+
+        def counted(rs, func=descriptor.func, name=name):
+            calls[id(rs), name] = calls.get((id(rs), name), 0) + 1
+            return func(rs)
+
+        monkeypatch.setattr(descriptor, "func", counted)
+    assert recurrent.RecurrentSet.found.__doc__.startswith("The member map:")
+    g = bidirected_complete(["s", "a", "b", "c"])
+    for s in g.vertices:
+        rs = recurrent.RecurrentSet(g, s)
+        for name in KEPT_VALUES:
+            value = getattr(rs, name)
+            assert vars(rs)[name] is value and getattr(rs, name) is value
+        assert set(vars(rs)) >= set(KEPT_VALUES)
+    # kappa reads the first vertex's cached record too, once per value
+    assert calls and set(calls.values()) == {1}
