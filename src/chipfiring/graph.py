@@ -9,6 +9,9 @@ keeps the surviving arcs in their original relative order.
 
 from __future__ import annotations
 
+# Counter's own C counting loop, a private CPython name: tests/test_graph.py's
+# test_tally_counts_as_counter_does_in_first_appearance_order pins tally against
+# Counter and fails first if CPython changes it
 from collections import _count_elements
 from dataclasses import dataclass
 

@@ -13,10 +13,9 @@ import functools
 import itertools
 import random
 from array import array
-from collections import Counter
 from bisect import bisect_left
 from functools import partial
-from operator import ge, itemgetter, lt, mul
+from operator import lt, mul
 from pathlib import Path
 from typing import NamedTuple
 
@@ -25,7 +24,6 @@ from chipfiring import (
     ConfigurationError,
     GraphError,
     InternalCheckError,
-    LaurentPolynomial,
     MultiDigraph,
     RecurrentSet,
     add,
@@ -718,18 +716,3 @@ def reference_min_feedback_arc_set(g: MultiDigraph) -> int:
             if placed >> v & 1
         )
     return best[-1]
-
-
-# ``tutte._support_counts`` as it was written with ``collections.Counter``: the
-# reference for the key order and the values of the one-pass support masks.
-def reference_support_counts(g: MultiDigraph, s: str, w) -> dict:
-    rs = enumerate_recurrents(g, s)
-    least = (g.outdeg(v) - g.multiplicity(s, v) for v in w)
-    flags = (
-        map(ge, map(itemgetter(rs.domain.index(v)), vectors), itertools.repeat(x))
-        for v, x, vectors in zip(w, least, itertools.tee(rs.decode(), len(w)))
-    )
-    terms: dict[int, list[tuple[int, int]]] = {}
-    for (lvl, *bits), count in Counter(zip(rs.levels(), *flags)).items():
-        terms.setdefault(sum(bit << i for i, bit in enumerate(bits)), []).append((lvl, count))
-    return {mask: LaurentPolynomial(pairs) for mask, pairs in terms.items()}

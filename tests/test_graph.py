@@ -10,6 +10,7 @@ from chipfiring import (
     contract_arc,
     contract_vertices,
     delete_arcs,
+    enumerate_recurrents,
     delete_out_arcs,
     is_bridge,
     is_eulerian,
@@ -37,6 +38,7 @@ from support import (
     reference_strongly_connected,
     reference_weakly_connected,
     simple_undirected_connected,
+    small_corpus,
 )
 
 C3 = directed_cycle(["s", "a", "b"])
@@ -394,18 +396,6 @@ def test_generators_fit_an_arc_budget_below_the_vertex_bound():
                 generate(random.Random(0), *sizes)
 
 
-def test_graph_construction_counts_arcs_as_counter_does():
-    # the distinct arcs in first-appearance order decide which undeclared arc is named
-    for g in corpus() + non_eulerian_corpus():
-        rows = [dict(neighbors) for _, _, _, neighbors in g._firing_table]
-        for (tail, head), m in Counter(g.arcs).items():
-            if tail != head:
-                assert rows[g.vertex_index(tail)][g.vertex_index(head)] == m
-    arcs = (("a", "b"), ("b", "x"), ("b", "a"), ("a", "y"))
-    with pytest.raises(GraphError, match=r"^arc 1 \(b -> x\) uses an undeclared vertex$"):
-        MultiDigraph(("a", "b"), arcs)
-
-
 def test_tally_counts_as_counter_does_in_first_appearance_order():
     for g in corpus() + non_eulerian_corpus():
         assert list(graph.tally(g.arcs).items()) == list(Counter(g.arcs).items())
@@ -416,4 +406,13 @@ def test_tally_counts_as_counter_does_in_first_appearance_order():
         for make in (list, tuple, iter, lambda arcs: zip(arcs, reversed(arcs))):
             expected = list(Counter(make(arcs)).items())
             assert list(graph.tally(make(arcs)).items()) == expected
+    # tutte._support_counts' rows: a member's level and whether it meets each
+    # out-neighbor of the sink after the sink fires
+    for g in corpus()[:60] + small_corpus():
+        for s in g.vertices:
+            rs = enumerate_recurrents(g, s)
+            least = [(rs.domain.index(v), g.outdeg(v) - g.multiplicity(s, v)) for v in g.out_neighbors(s)]
+            flags = [[c[i] >= x for c in rs.decode()] for i, x in least]
+            expected = list(Counter(zip(rs.levels(), *flags)).items())
+            assert list(graph.tally(zip(rs.levels(), *flags)).items()) == expected
     assert graph.tally(()) == {} and type(graph.tally("aab")) is dict

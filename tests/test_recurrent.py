@@ -826,13 +826,16 @@ KEPT_VALUES = (
 def test_each_kept_value_is_computed_once_and_found_under_its_name(monkeypatch):
     from chipfiring import recurrent
 
-    calls = {}
+    calls, alive = {}, []
     for name in KEPT_VALUES:
         descriptor = vars(recurrent.RecurrentSet)[name]
         assert getattr(recurrent.RecurrentSet, name) is descriptor
         assert descriptor.__doc__ == descriptor.func.__doc__
 
+        # records compare by host and sink, so they are counted by id(), and each
+        # counted record is kept alive so that no later record reuses its id
         def counted(rs, func=descriptor.func, name=name):
+            alive.append(rs)
             calls[id(rs), name] = calls.get((id(rs), name), 0) + 1
             return func(rs)
 

@@ -39,7 +39,6 @@ from support import (
     doubled_cycle,
     parallel_pair,
     reference_recursion_kind,
-    reference_support_counts,
     small_corpus,
     support_after_sink_fire,
 )
@@ -391,16 +390,3 @@ def test_table_gen_refuses_as_tutte_gen_does(monkeypatch):
         monkeypatch.undo()
         named, table = _refusals(k4, SizeCapError)
         assert named == table and "27 cells" in table
-
-
-def test_support_counts_keep_the_counter_order_and_values():
-    masks = 0
-    for g in corpus()[:60] + small_corpus():
-        for s in g.vertices:
-            w = g.out_neighbors(s)
-            expected = reference_support_counts(g, s, w)
-            got = tutte._support_counts(g, s, w)
-            assert list(got) == list(expected)
-            assert all(got[mask] == poly for mask, poly in expected.items())
-            masks += len(got)
-    assert masks > 1000
