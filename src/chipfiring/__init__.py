@@ -38,15 +38,10 @@ from .errors import (
 )
 from .graph import (
     MultiDigraph,
-    contract_arc,
-    contract_vertices,
-    delete_arcs,
-    delete_out_arcs,
     is_bridge,
     is_eulerian,
     is_undirected,
     parse_edge_list,
-    remove_loops,
     reverse_partner,
 )
 from .lattice import (

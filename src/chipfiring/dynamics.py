@@ -242,12 +242,12 @@ def stabilize(g: MultiDigraph, c: Configuration) -> tuple[Configuration, FiringR
 
     The effective host must converge: every vertex that can fire must reach
     one that never fires, i.e. c's sink or a vertex without a non-loop out-arc
-    (on a ``delete_out_arcs`` result, the emptied vertex).  A host that fails
-    this is refused with NonTerminationError before any firing, whatever the
-    chips, since some configuration on it would fire forever.  The schedule
-    sweeps the domain in canonical vertex order, firing each vertex to
-    exhaustion; by the abelian property the outcome and the per-vertex firing
-    counts are schedule independent.
+    (on a host with every out-arc of a vertex deleted, that vertex).  A host
+    that fails this is refused with NonTerminationError before any firing,
+    whatever the chips, since some configuration on it would fire forever.
+    The schedule sweeps the domain in canonical vertex order, firing each
+    vertex to exhaustion; by the abelian property the outcome and the
+    per-vertex firing counts are schedule independent.
     """
     _check_host(g, c)
     sink = None if c.sink is None else g.vertex_index(c.sink)

@@ -1,10 +1,10 @@
-"""Immutable multidigraph value type plus the rewriting operations built on it.
+"""Immutable multidigraph value type and the integer firing table built with it.
 
 Vertices are strings and keep their construction order; that order is the
 canonical order used everywhere else (configuration domains, enumeration order,
 matrix indexing).  Arcs are (tail, head) pairs identified by their position in
-the arc list, so parallel arcs stay distinguishable; every rewriting operation
-keeps the surviving arcs in their original relative order.
+the arc list, so parallel arcs stay distinguishable.  Graphs are rewritten only
+as firing tables, by vertex index and without names, in ``_rewrite``.
 """
 
 from __future__ import annotations
@@ -151,10 +151,6 @@ class MultiDigraph:
     def is_strongly_connected(self) -> bool:
         return self._strong
 
-    def reachable_from(self, start: str) -> frozenset[str]:
-        reached = _reach((self.vertex_index(start),), self._successors)
-        return frozenset(v for v, r in zip(self.vertices, reached) if r)
-
     def __repr__(self):
         return f"MultiDigraph({list(self.vertices)!r}, {list(self.arcs)!r})"
 
@@ -222,44 +218,12 @@ def is_undirected(g: MultiDigraph) -> bool:
     return all(rows[u].get(v, 0) == m for v, row in enumerate(rows) for u, m in row.items())
 
 
-def delete_out_arcs(g: MultiDigraph, s: str) -> MultiDigraph:
-    """Remove every arc whose tail is s (loops at s included)."""
-    g.vertex_index(s)
-    return MultiDigraph(g.vertices, tuple(a for a in g.arcs if a[0] != s))
-
-
-def delete_arcs(g: MultiDigraph, indices) -> MultiDigraph:
-    """Remove the arcs with the given indices; the rest keep their relative order."""
-    drop = set(indices)
-    for i in drop:
-        g.arc(i)
-    return MultiDigraph(g.vertices, tuple(a for i, a in enumerate(g.arcs) if i not in drop))
-
-
-def _merged_name(g: MultiDigraph, merged: set[str]) -> str:
-    name, others = "+".join(sorted(merged)), set(g.vertices) - merged
-    while name in others:
-        name += "+"
-    return name
-
-
-def _contract(g: MultiDigraph, merged: set[str], dropped_arcs: set[int]) -> MultiDigraph:
-    name = _merged_name(g, merged)
-    rename = lambda v: name if v in merged else v
-    arcs = tuple(
-        (rename(tail), rename(head))
-        for i, (tail, head) in enumerate(g.arcs)
-        if i not in dropped_arcs
-    )
-    return MultiDigraph(tuple(dict.fromkeys(map(rename, g.vertices))), arcs)
-
-
 def _rewrite(table: tuple, removed=(), merged=()) -> tuple:
     """A rewrite of a firing table, in its row format, without a graph: one copy of
     each (tail, head) index pair in ``removed`` deleted, and the vertex indices
     ``merged`` made one vertex at their earliest member's position, the arcs among
     them its loops; the others keep their order.  Equal to the ``_firing_table``
-    of the graph that ``delete_arcs`` and ``_contract`` build by name."""
+    of the graph with those arcs deleted and those vertices merged."""
     merged = set(merged)
     first = min(merged, default=None)
     kept = [v for v in range(len(table)) if v == first or v not in merged]
@@ -284,36 +248,6 @@ def _from_table(table: tuple) -> MultiDigraph:
         for u, m in ((v, out - drop), *neighbors)
         for _ in range(m)
     ))
-
-
-def contract_arc(g: MultiDigraph, index: int) -> MultiDigraph:
-    """Contract a non-loop arc: merge its endpoints, drop the arc itself.
-
-    Arcs parallel to the contracted one, and reverse partners, become loops at
-    the merged vertex.  The merged vertex is named by joining the endpoint names
-    with '+' in sorted order, with a '+' appended while another vertex has that
-    name, and takes the position of the earlier endpoint.
-    """
-    tail, head = g.arc(index)
-    if tail == head:
-        raise GraphError("cannot contract a loop")
-    return _contract(g, {tail, head}, {index})
-
-
-def contract_vertices(g: MultiDigraph, w) -> MultiDigraph:
-    """Merge a nonempty vertex set into one vertex; internal arcs become loops."""
-    merged = {str(v) for v in w}
-    if not merged:
-        raise GraphError("cannot contract an empty vertex set")
-    for v in merged:
-        g.vertex_index(v)
-    return _contract(g, merged, set())
-
-
-def remove_loops(g: MultiDigraph) -> tuple[MultiDigraph, int]:
-    """Drop all loops; return the loopless graph and the number of loops removed."""
-    kept = tuple(a for a in g.arcs if a[0] != a[1])
-    return MultiDigraph(g.vertices, kept), len(g.arcs) - len(kept)
 
 
 def reverse_partner(g: MultiDigraph, index: int) -> int | None:

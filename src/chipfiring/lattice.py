@@ -94,6 +94,16 @@ def _smith_form(generators: tuple[tuple[int, ...], ...], dimension: int):
     return tuple(factors), tuple(tuple(row[width:]) for row in rows)
 
 
+def _integers(values) -> tuple[int, ...]:
+    """``values`` as a tuple, each an ``int`` and not a ``bool``, as chip counts
+    are; any other entry is refused, not truncated."""
+    values = tuple(values)
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ConfigurationError(f"lattice entry {x!r} is not an integer")
+    return values
+
+
 @dataclass(frozen=True)
 class IntegerLattice:
     """Subgroup of Z^dimension spanned by integer generator vectors.  Its Smith
@@ -104,14 +114,14 @@ class IntegerLattice:
 
     @classmethod
     def from_generators(cls, generators, dimension: int) -> "IntegerLattice":
-        generators = tuple(tuple(int(x) for x in gen) for gen in generators)
+        generators = tuple(map(_integers, generators))
         if any(len(gen) != dimension for gen in generators):
             raise ConfigurationError("generator with wrong dimension")
         return cls(dimension, generators)
 
     def contains(self, vector) -> bool:
         """Exact membership: a vector lies in L exactly when its coset key is zero."""
-        x = [int(v) for v in vector]
+        x = _integers(vector)
         if len(x) != self.dimension:
             raise ConfigurationError(f"vector has dimension {len(x)}, lattice has {self.dimension}")
         return not any(self._coset_key(x))

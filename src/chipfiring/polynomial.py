@@ -83,6 +83,8 @@ class LaurentPolynomial:
     def __add__(self, other) -> "LaurentPolynomial":
         if isinstance(other, int):
             other = LaurentPolynomial({0: other})
+        elif not isinstance(other, LaurentPolynomial):
+            return NotImplemented
         merged = dict(self._terms)
         for e, c in other._terms.items():
             merged[e] = merged.get(e, 0) + c
@@ -104,6 +106,8 @@ class LaurentPolynomial:
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, int):
             return LaurentPolynomial({e: c * other for e, c in self._terms.items()})
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
         out: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():

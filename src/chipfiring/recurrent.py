@@ -398,8 +398,7 @@ class RecurrentSet:
     ``kappa``, checked once against the least sum, enumerates the game, and
     ``levels()`` streams ``sums[i] - kappa`` without a kept copy.
     ``sum_polynomial`` counts the members by sum without the member map.  Chip
-    vectors are decoded only where chips are read, by streaming ``decode``:
-    ``configs``, ``to_json_dict`` and the suites that read chips.
+    vectors are decoded only where chips are read, by streaming ``decode``.
     ``sink_outdeg``, ``domain``, ``bounds``, ``weights`` and ``cells`` are set at
     construction, which refuses a game above MAX_GAME_VERTICES non-sink vertices.
     """
@@ -544,20 +543,6 @@ class RecurrentSet:
     def levels(self):
         """The members' levels, ``sums[i] - kappa``, in order, one at a time."""
         return map((-self.kappa).__add__, self.sums)
-
-    @cached_property
-    def configs(self) -> tuple[Configuration, ...]:
-        return tuple(Configuration(self.host, self.sink, vec) for vec in self.decode())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sink": self.sink,
-            "kappa": self.kappa,
-            "configs": [
-                {"chips": dict(zip(self.domain, vec)), "sum": s, "level": l}
-                for vec, s, l in zip(self.decode(), self.sums, self.levels())
-            ],
-        }
 
 
 @lru_cache(maxsize=1024)

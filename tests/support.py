@@ -31,15 +31,12 @@ from chipfiring import (
     beta,
     bijection,
     checks,
-    delete_arcs,
-    delete_out_arcs,
     enumerate_recurrents,
     is_bridge,
     is_eulerian,
     is_recurrent,
     parse_edge_list,
     recurrent,
-    remove_loops,
     reverse_partner,
     stabilize,
 )
@@ -156,6 +153,11 @@ def members(rs: RecurrentSet) -> array:
     """The members' cube indices in ascending (lexicographic) order, read off
     the record's member map."""
     return array("q", itertools.compress(range(rs.cells), rs.found))
+
+
+def configs(rs: RecurrentSet) -> tuple[Configuration, ...]:
+    """The members as ``Configuration``s, in order, read off ``decode()``."""
+    return tuple(Configuration(rs.host, rs.sink, vec) for vec in rs.decode())
 
 
 def recurrent_vectors(g: MultiDigraph, s: str) -> tuple[tuple[int, ...], ...]:
@@ -330,7 +332,7 @@ def reference_burning_uniqueness(g: MultiDigraph) -> checks.CheckReport:
     report = checks.CheckReport("burning-uniqueness")
     for s in g.vertices:
         rs = enumerate_recurrents(g, s)
-        for c in rs.configs:
+        for c in configs(rs):
             _, record = stabilize(g, add(c, beta(g, s)))
             bad = {v: record.count(v) for v in c.domain if record.count(v) != 1}
             if bad:
@@ -340,7 +342,7 @@ def reference_burning_uniqueness(g: MultiDigraph) -> checks.CheckReport:
 
 
 # Reachability by a plain search over the arc list, with arcs deleted through
-# ``delete_arcs``: the reference for the integer search in ``graph``.
+# ``delete_arcs``: the reference for the integer search ``graph._reach``.
 def reference_reached(g: MultiDigraph, start: str) -> frozenset[str]:
     seen, stack = {start}, [start]
     while stack:
@@ -354,6 +356,32 @@ def reference_reached(g: MultiDigraph, start: str) -> frozenset[str]:
 
 def _with_arcs(g: MultiDigraph, arcs) -> MultiDigraph:
     return MultiDigraph(g.vertices, tuple(arcs))
+
+
+# The graph rewrites by name, on the arc list: the reference the integer rewrite
+# ``graph._rewrite`` is compared against.  Surviving arcs keep their order.
+def delete_arcs(g: MultiDigraph, indices) -> MultiDigraph:
+    drop = set(indices)
+    return _with_arcs(g, (a for i, a in enumerate(g.arcs) if i not in drop))
+
+
+def delete_out_arcs(g: MultiDigraph, s: str) -> MultiDigraph:
+    return _with_arcs(g, (a for a in g.arcs if a[0] != s))
+
+
+def remove_loops(g: MultiDigraph) -> MultiDigraph:
+    return _with_arcs(g, (a for a in g.arcs if a[0] != a[1]))
+
+
+def merge_vertices(g: MultiDigraph, w) -> MultiDigraph:
+    """g with the vertex set w made one vertex, which keeps its earliest member's
+    position and name; the arcs among w become its loops."""
+    first = next(v for v in g.vertices if v in w)
+    rename = lambda v: first if v in w else v
+    return MultiDigraph(
+        tuple(v for v in g.vertices if v == first or v not in w),
+        tuple((rename(t), rename(h)) for t, h in g.arcs),
+    )
 
 
 def reference_strongly_connected(g: MultiDigraph) -> bool:
@@ -412,7 +440,7 @@ def loop_lift(g: MultiDigraph, s: str, c: Configuration) -> Configuration:
     Bijectively adds d(v, v) chips at every non-sink vertex; the image is
     recurrent on g and the chip total shifts by the non-sink loop count.
     """
-    bare, _ = remove_loops(g)
+    bare = remove_loops(g)
     base = Configuration(bare, s, c.chips)
     if not is_recurrent(bare, s, base):
         raise ConfigurationError("input must be recurrent on the loopless host")

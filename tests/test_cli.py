@@ -526,7 +526,7 @@ def test_output_is_byte_stable(graph_file, capsys):
 
 def _reference_outputs(path, sink):
     """Text and JSON of ``cfg recurrents``: the text from the packed members,
-    unpacked here, and the JSON from the generic encoder."""
+    unpacked here, and the JSON from the generic encoder, one dict per member."""
     g = parse_graph(path)
     rs = enumerate_recurrents(g, sink)
     lines = [f"sink: {sink}", f"kappa: {rs.kappa}", f"count: {len(rs)}"]
@@ -534,7 +534,15 @@ def _reference_outputs(path, sink):
         chips = ",".join(f"{v}={x}" for v, x in zip(rs.domain, vec))
         lines.append(f"  {chips}  sum={total} level={lvl}")
     text = "\n".join(lines) + "\n"
-    return text, json.dumps(rs.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    record = {
+        "sink": sink,
+        "kappa": rs.kappa,
+        "configs": [
+            {"chips": dict(zip(rs.domain, vec)), "sum": total, "level": lvl}
+            for vec, total, lvl in zip(rs.decode(), rs.sums, rs.levels())
+        ],
+    }
+    return text, json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
 # a one-vertex host prints "chips": {}; the second host has names that need

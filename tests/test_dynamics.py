@@ -13,7 +13,6 @@ from chipfiring import (
     add,
     augment_sink,
     beta,
-    delete_out_arcs,
     fire,
     is_firable,
     parse_config_literal,
@@ -26,6 +25,7 @@ from chipfiring.families import random_eulerian
 from support import (
     bidirected_complete,
     corpus,
+    delete_out_arcs,
     directed_cycle,
     non_eulerian_corpus,
     parallel_pair,
@@ -126,8 +126,6 @@ def test_stabilize_idempotent_and_conserving():
 
 
 def test_stabilize_full_domain_accumulates():
-    from chipfiring import delete_out_arcs
-
     host = delete_out_arcs(C3, "s")
     c = Configuration.of(C3, {"s": 0, "a": 1, "b": 1})
     stable, record = stabilize(host, c)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from functools import lru_cache
@@ -7,28 +8,27 @@ import pytest
 from chipfiring import (
     GraphError,
     MultiDigraph,
-    contract_arc,
-    contract_vertices,
-    delete_arcs,
     enumerate_recurrents,
-    delete_out_arcs,
     is_bridge,
     is_eulerian,
     is_undirected,
     parse_edge_list,
-    remove_loops,
     reverse_partner,
 )
 from chipfiring import check_recursion, graph
 from chipfiring.checks import run_check
 from chipfiring.families import random_eulerian, random_strongly_connected
+from chipfiring.graph import _from_table, _rewrite
 
 from support import (
     BridgeCut,
     bidirected_complete,
     bridge_cut,
     corpus,
+    delete_arcs,
+    delete_out_arcs,
     directed_cycle,
+    merge_vertices,
     non_eulerian_corpus,
     parallel_pair,
     random_digraph,
@@ -37,6 +37,7 @@ from support import (
     reference_reached,
     reference_strongly_connected,
     reference_weakly_connected,
+    remove_loops,
     simple_undirected_connected,
     small_corpus,
 )
@@ -80,70 +81,57 @@ def test_is_eulerian_examples():
     assert not is_eulerian(two) and not two.is_strongly_connected()
 
 
+def _rewritten(g, removed=(), merged=()):
+    """g's firing table rewritten by ``graph._rewrite``, as a graph named by index."""
+    return _from_table(_rewrite(g._firing_table, removed, merged))
+
+
 def test_delete_out_arcs():
-    assert delete_out_arcs(C3, "s").arcs == (("a", "b"), ("b", "s"))
-    assert delete_out_arcs(BANANA, "u").arcs == (("v", "u"), ("v", "u"))
+    # every out-arc of the vertex, loops included, deleted by its index pair
+    assert _rewritten(C3, [(0, 1)]).arcs == (("1", "2"), ("2", "0"))
+    assert _rewritten(BANANA, [(0, 1)] * 2).arcs == (("1", "0"), ("1", "0"))
     loopy = MultiDigraph.of([("s", "s"), ("s", "a"), ("a", "s")])
-    assert delete_out_arcs(loopy, "s").arcs == (("a", "s"),)
-    with pytest.raises(GraphError):
-        delete_out_arcs(C3, "zzz")
+    assert _rewritten(loopy, [(0, 0), (0, 1)]).arcs == (("1", "0"),)
 
 
 def test_contract_arc_cycle():
-    g = contract_arc(C3, 0)  # s->a
-    assert g.vertices == ("a+s", "b")
-    assert sorted(g.arcs) == [("a+s", "b"), ("b", "a+s")]
+    g = _rewritten(C3, [(0, 1)], {0, 1})  # s->a
+    assert g.vertices == ("0", "1")
+    assert sorted(g.arcs) == [("0", "1"), ("1", "0")]
 
 
 def test_contract_arc_reverse_becomes_loop():
-    pair = parallel_pair("u", "v", 1)
-    g = contract_arc(pair, 0)
-    assert g.vertices == ("u+v",)
-    assert g.arcs == (("u+v", "u+v"),)
+    g = _rewritten(parallel_pair("u", "v", 1), [(0, 1)], {0, 1})
+    assert g.vertices == ("0",)
+    assert g.arcs == (("0", "0"),)
 
 
 def test_contract_arc_path_keeps_eulerian():
     path = MultiDigraph.of([("u", "v"), ("v", "u"), ("v", "w"), ("w", "v")])
-    g = contract_arc(path, 2)  # v->w
-    assert set(g.vertices) == {"u", "v+w"}
-    assert g.loops_at("v+w") == 1
+    g = _rewritten(path, [(1, 2)], {1, 2})  # v->w
+    assert g.vertices == ("0", "1")
+    assert g.loops_at("1") == 1
     assert is_eulerian(g)
-    with pytest.raises(GraphError):
-        contract_arc(g, g.arcs.index(("v+w", "v+w")))
 
 
 def test_contract_vertices():
-    g = contract_vertices(C3, {"s", "a"})
-    assert g.vertices == ("a+s", "b")
-    assert g.loops_at("a+s") == 1 and g.multiplicity("a+s", "b") == 1
-    assert contract_vertices(C3, {"a"}).arcs == C3.arcs  # singleton is the identity
-    merged = contract_vertices(K3, {"a", "b"})
-    assert merged.multiplicity("s", "a+b") == 2
-    assert merged.multiplicity("a+b", "s") == 2
-    assert merged.loops_at("a+b") == 2
-    with pytest.raises(GraphError):
-        contract_vertices(C3, set())
-
-
-def test_contraction_name_lengthened_past_existing_vertices():
-    g = parse_edge_list("x y\ny x\ny x+y\nx+y y\nx x+y\nx+y x\n")
-    merged = contract_arc(g, 0)
-    assert merged.vertices == ("x+y+", "x+y")
-    assert merged.loops_at("x+y+") == 1 and merged.multiplicity("x+y+", "x+y") == 2
-    both = contract_vertices(g, {"x", "y"})
-    assert both.vertices == ("x+y+", "x+y") and both.loops_at("x+y+") == 2
-    assert contract_vertices(g, {"y", "x+y"}).vertices == ("x", "x+y+y")  # a free name stays
-    assert contract_vertices(merged, {"x+y+", "x+y"}).vertices == ("x+y+x+y+",)
+    # the merged vertex takes its earliest member's position
+    g = _rewritten(C3, (), {0, 1})
+    assert g.vertices == ("0", "1")
+    assert g.loops_at("0") == 1 and g.multiplicity("0", "1") == 1
+    assert _rewrite(C3._firing_table, (), {1}) == C3._firing_table  # singleton is the identity
+    merged = _rewritten(K3, (), {1, 2})
+    assert merged.multiplicity("0", "1") == 2
+    assert merged.multiplicity("1", "0") == 2
+    assert merged.loops_at("1") == 2
 
 
 def test_remove_loops():
-    assert remove_loops(C3) == (C3, 0)
+    assert _rewrite(C3._firing_table) == C3._firing_table
     lonely = MultiDigraph.of([("x", "x")] * 3, ["x"])
-    bare, count = remove_loops(lonely)
-    assert bare.arcs == () and count == 3
+    assert _rewritten(lonely, [(0, 0)] * 3).arcs == ()
     g = MultiDigraph.of([("u", "v"), ("v", "u"), ("v", "v")])
-    bare, count = remove_loops(g)
-    assert count == 1 and sorted(bare.arcs) == [("u", "v"), ("v", "u")]
+    assert sorted(_rewritten(g, [(1, 1)]).arcs) == [("0", "1"), ("1", "0")]
 
 
 def test_is_bridge_examples():
@@ -163,13 +151,11 @@ LOOPED_BANANA = MultiDigraph.of([("u", "v"), ("u", "v"), ("v", "u"), ("v", "u"),
     "call",
     [
         lambda g, i: g.arc(i),
-        lambda g, i: delete_arcs(g, [i]),
-        lambda g, i: contract_arc(g, i),
         lambda g, i: reverse_partner(g, i),
         lambda g, i: is_bridge(g, i),
         lambda g, i: check_recursion(g, "loop", i),
     ],
-    ids=["arc", "delete_arcs", "contract_arc", "reverse_partner", "is_bridge", "check_recursion"],
+    ids=["arc", "reverse_partner", "is_bridge", "check_recursion"],
 )
 def test_arc_index_must_be_an_int(call, index):
     # a bool or a float is not read as the arc it rounds to, and a string is refused too
@@ -203,7 +189,7 @@ def test_contraction_preserves_eulerian_over_corpus():
     for g in corpus()[:80]:
         for i, (tail, head) in enumerate(g.arcs):
             if tail != head:
-                assert is_eulerian(contract_arc(g, i))
+                assert is_eulerian(merge_vertices(delete_arcs(g, [i]), {tail, head}))
 
 
 def test_undirected_bridge_equivalence_brute_force():
@@ -218,7 +204,7 @@ def test_undirected_bridge_equivalence_brute_force():
 
 def test_loop_removal_commutes_with_eulerian_test():
     for g in corpus()[:80]:
-        bare, _ = remove_loops(g)
+        bare = remove_loops(g)
         if bare.is_strongly_connected():
             assert is_eulerian(bare) == is_eulerian(g)
 
@@ -259,15 +245,15 @@ def test_parse_edge_list_arc_cap():
 
 def _rewrites(g):
     """Every single-step rewrite of g that the recursions build."""
-    yield remove_loops(g)[0]
+    yield remove_loops(g)
     for i, (tail, head) in enumerate(g.arcs):
         yield delete_arcs(g, [i])
         if tail != head:
-            yield contract_arc(g, i)
+            yield merge_vertices(delete_arcs(g, [i]), {tail, head})
     for v in g.vertices:
         yield delete_out_arcs(g, v)
         if g.out_neighbors(v):
-            yield contract_vertices(g, {v, *g.out_neighbors(v)})
+            yield merge_vertices(g, {v, *g.out_neighbors(v)})
 
 
 def test_firing_table_matches_queries():
@@ -352,8 +338,9 @@ def test_connectivity_matches_arc_list_reference():
         strong, weak = reference_strongly_connected(g), reference_weakly_connected(g)
         assert g.is_strongly_connected() == strong
         assert g.is_weakly_connected() == weak
-        for v in g.vertices:
-            assert g.reachable_from(v) == reference_reached(g, v)
+        for i, v in enumerate(g.vertices):
+            reached = graph._reach((i,), g._successors)
+            assert frozenset(itertools.compress(g.vertices, reached)) == reference_reached(g, v)
         seen.add((strong, weak))
     assert seen == {(True, True), (False, True), (False, False)}
 

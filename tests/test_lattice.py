@@ -102,6 +102,12 @@ def test_membership_examples():
         assert lat.contains([-x for x in gen])
     with pytest.raises(ConfigurationError):
         lat.contains((1, 2, 3))
+    # an entry that is not an int, or is a bool, is refused, not truncated
+    for vector in ((1.5, 0), (1.0, 0), (True, 0), ("1", 0)):
+        with pytest.raises(ConfigurationError, match="is not an integer"):
+            lat.contains(vector)
+        with pytest.raises(ConfigurationError, match="is not an integer"):
+            IntegerLattice.from_generators([vector, (0, 2)], 2)
 
 
 def test_membership_against_divisibility_oracle():
@@ -375,8 +381,8 @@ def test_distinct_recurrents_are_inequivalent():
         s = g.vertices[0]
         lat = firing_lattice(g, s)
         rs = enumerate_recurrents(g, s)
-        for c, d in itertools.combinations(rs.configs, 2):
-            assert not lat.contains([a - b for a, b in zip(c.chips, d.chips)])
+        for c, d in itertools.combinations(rs.decode(), 2):
+            assert not lat.contains([a - b for a, b in zip(c, d)])
 
 
 def test_class_representative_is_recurrent_and_equivalent():

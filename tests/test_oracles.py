@@ -69,7 +69,7 @@ def test_brute_recurrents_agree_with_burning_enumeration():
     for g in small_corpus()[:40]:
         for s in g.vertices:
             oracle = sorted(c.chips for c in brute_recurrents(g, s))
-            main = sorted(c.chips for c in enumerate_recurrents(g, s).configs)
+            main = sorted(enumerate_recurrents(g, s).decode())
             assert oracle == main
 
 

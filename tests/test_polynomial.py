@@ -31,6 +31,24 @@ def test_arithmetic():
 
 
 @pytest.mark.parametrize(
+    "operation",
+    [
+        lambda p: p + 1.5,
+        lambda p: 1.5 + p,
+        lambda p: p - 1.5,
+        lambda p: p * 1.5,
+        lambda p: 1.5 * p,
+        lambda p: p * "x",
+    ],
+    ids=["p+1.5", "1.5+p", "p-1.5", "p*1.5", "1.5*p", "p*'x'"],
+)
+def test_arithmetic_with_an_unsupported_operand_is_a_type_error(operation):
+    # only ints and Laurent polynomials combine; anything else is left to Python
+    with pytest.raises(TypeError, match="unsupported operand|can't multiply"):
+        operation(2 + Y(1))
+
+
+@pytest.mark.parametrize(
     "constant, value",
     [
         (LaurentPolynomial.zero(), 0),

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -11,8 +12,6 @@ from chipfiring import (
     SizeCapError,
     add,
     beta,
-    contract_vertices,
-    delete_arcs,
     enumerate_recurrents,
     fire,
     is_eulerian,
@@ -21,11 +20,11 @@ from chipfiring import (
     is_undirected,
     kappa,
     level,
-    remove_loops,
     reverse_partner,
     stabilize,
 )
 from chipfiring.checks import _covers
+from chipfiring.cli import main
 from chipfiring.families import random_eulerian, random_strongly_connected
 from chipfiring.oracles import brute_recurrents, recurrent_definitional_test
 from chipfiring.polynomial import LaurentPolynomial
@@ -41,19 +40,23 @@ import support
 from support import (
     bidirected_complete,
     cell_cap,
+    configs,
     corpus,
+    delete_arcs,
     determinant_count,
     directed_cycle,
     is_minimal,
     is_minimum,
     loop_lift,
     member_index,
+    merge_vertices,
     non_eulerian_corpus,
     parallel_pair,
     recurrent_vectors,
     reference_covers,
     reference_min_feedback_arc_set,
     reference_minimal_flags,
+    remove_loops,
     small_corpus,
     support_after_sink_fire,
     undirected_graph,
@@ -130,13 +133,13 @@ def test_enumerate_examples():
     assert len(rs) == 1 and tuple(rs.sums) == (1,)
     rs = enumerate_recurrents(K3, "s")
     assert sorted(rs.sums) == [3, 3, 4]
-    assert [c.as_dict() for c in rs.configs] == [
+    assert [c.as_dict() for c in configs(rs)] == [
         {"a": 0, "b": 1},
         {"a": 1, "b": 0},
         {"a": 1, "b": 1},
     ]  # lexicographic order
     rs = enumerate_recurrents(BANANA, "u")
-    assert [c.as_dict() for c in rs.configs] == [{"v": 0}, {"v": 1}]
+    assert [c.as_dict() for c in configs(rs)] == [{"v": 0}, {"v": 1}]
     assert tuple(rs.sums) == (2, 3)
 
 
@@ -318,7 +321,7 @@ def test_cube_size_computed_once_per_game(monkeypatch):
     from chipfiring import recurrent
 
     looped = MultiDigraph.of([("p", "q"), ("q", "p"), ("q", "r"), ("r", "q"), ("q", "q")])
-    bare, _ = remove_loops(looped)
+    bare = remove_loops(looped)
     recurrent._checked_game(looped, "p")
     assert kappa(looped) == 2
     assert recurrent._game(looped, 0).cells == 3 and recurrent._game(bare, 0).cells == 2
@@ -353,7 +356,7 @@ def test_kappa_sink_independent_and_undirected_formula():
     # the loopless host enumerated at every sink is the reference for kappa,
     # which reads the looped host's own game
     for g in corpus() + tuple(h for h in _reverse_search_hosts() if h.loop_count):
-        bare, _ = remove_loops(g)
+        bare = remove_loops(g)
         values = set()
         for s in g.vertices:
             rs = enumerate_recurrents(bare, s)
@@ -418,7 +421,7 @@ def test_level_examples():
 
 def test_loop_lift():
     loopy = MultiDigraph.of([("u", "v"), ("u", "v"), ("v", "u"), ("v", "u"), ("v", "v")])
-    bare, _ = remove_loops(loopy)
+    bare = remove_loops(loopy)
     for raw, lifted in [(0, 1), (1, 2)]:
         base = cfg(bare, "u", v=raw)
         image = loop_lift(loopy, "u", base)
@@ -433,15 +436,15 @@ def test_loop_lift_is_bijection_over_corpus():
     for g in corpus()[:40]:
         if g.loop_count == 0:
             continue
-        bare, _ = remove_loops(g)
+        bare = remove_loops(g)
         s = g.vertices[0]
         bare_set = enumerate_recurrents(bare, s)
         full_set = enumerate_recurrents(g, s)
-        images = sorted(loop_lift(g, s, c).chips for c in bare_set.configs)
-        assert images == sorted(c.chips for c in full_set.configs)
+        images = sorted(loop_lift(g, s, c).chips for c in configs(bare_set))
+        assert images == sorted(c.chips for c in configs(full_set))
         shift = sum(g.loops_at(v) for v in g.vertices if v != s)
-        assert sorted(c.total() + shift for c in bare_set.configs) == sorted(
-            c.total() for c in full_set.configs
+        assert sorted(c.total() + shift for c in configs(bare_set)) == sorted(
+            c.total() for c in configs(full_set)
         )
 
 
@@ -454,7 +457,7 @@ def test_support_after_sink_fire():
 def test_support_never_empty_for_recurrents():
     for g in corpus()[:40]:
         for s in g.vertices:
-            for c in enumerate_recurrents(g, s).configs:
+            for c in configs(enumerate_recurrents(g, s)):
                 assert support_after_sink_fire(g, s, c)
 
 
@@ -466,7 +469,7 @@ def test_minimal_minimum():
         is_minimal(rs, cfg(K3, "s"))
     for g in corpus()[:30]:
         rs = enumerate_recurrents(g, g.vertices[0])
-        for c in rs.configs:
+        for c in configs(rs):
             if is_minimum(rs, c):
                 assert is_minimal(rs, c)
 
@@ -484,13 +487,12 @@ def test_minimal_flags_match_pointwise_definition():
     for g in corpus():
         for s in g.vertices:
             rs = enumerate_recurrents(g, s)
-            expected = tuple(
-                not any(d != c and d.leq(c) for d in rs.configs) for c in rs.configs
-            )
+            members = configs(rs)
+            expected = tuple(not any(d != c and d.leq(c) for d in members) for c in members)
             vectors = tuple(rs.decode())
             _, minimal = _covers(vectors, {vec: j for j, vec in enumerate(vectors)})
             assert tuple(minimal) == expected
-            assert tuple(is_minimal(rs, c) for c in rs.configs) == expected
+            assert tuple(is_minimal(rs, c) for c in members) == expected
 
 
 def test_minimal_flags_match_pairwise_scan():
@@ -511,7 +513,7 @@ def test_count_matches_determinant_and_burning_uniqueness():
         for s in g.vertices:
             rs = enumerate_recurrents(g, s)
             assert len(rs) == determinant_count(g, s)
-            for c in rs.configs:
+            for c in configs(rs):
                 _, record = stabilize(g, add(c, beta(g, s)))
                 assert all(record.count(v) == 1 for v in c.domain)
 
@@ -545,8 +547,8 @@ def test_contraction_restriction_bijection():
             rs = enumerate_recurrents(g, s)
             for r in range(1, len(neighbors) + 1):
                 for w in itertools.combinations(neighbors, r):
-                    merged = contract_vertices(g, set(w) | {s})
-                    new_sink = "+".join(sorted({s} | set(w)))
+                    merged = merge_vertices(g, {s, *w})
+                    new_sink = min((s, *w), key=g.vertex_index)
                     rs_merged = enumerate_recurrents(merged, new_sink)
                     window = {
                         v: range(g.outdeg(v) - g.multiplicity(s, v), g.outdeg(v)) for v in w
@@ -554,11 +556,11 @@ def test_contraction_restriction_bijection():
                     # forward: high-on-w recurrents restrict to merged recurrents
                     outer = [v for v in g.vertices if v != s and v not in w]
                     restricted = set()
-                    for c in rs.configs:
+                    for c in configs(rs):
                         if all(c.chip(v) in window[v] for v in w):
                             restricted.add(tuple(c.chip(v) for v in outer))
                     merged_vectors = {
-                        tuple(c.chip(v) for v in outer) for c in rs_merged.configs
+                        tuple(c.chip(v) for v in outer) for c in configs(rs_merged)
                     }
                     assert restricted == merged_vectors
                     # backward: every extension over the windows is recurrent
@@ -567,7 +569,7 @@ def test_contraction_restriction_bijection():
                     ) * len(rs_merged)
                     actual_high = sum(
                         1
-                        for c in rs.configs
+                        for c in configs(rs)
                         if all(c.chip(v) in window[v] for v in w)
                     )
                     assert actual_high == expected_high
@@ -588,15 +590,17 @@ def test_reverse_pair_deletion_keeps_low_recurrents():
                     continue
                 w = head
                 rs = enumerate_recurrents(g, s)
-                low = sorted(c.chips for c in rs.configs if c.chip(w) < g.outdeg(w) - 1)
+                low = sorted(c.chips for c in configs(rs) if c.chip(w) < g.outdeg(w) - 1)
                 rs_h = enumerate_recurrents(h, s)
-                assert low == sorted(c.chips for c in rs_h.configs)
+                assert low == sorted(c.chips for c in configs(rs_h))
                 break
 
 
-def test_recurrent_set_json_shape():
-    rs = enumerate_recurrents(K3, "s")
-    data = rs.to_json_dict()
+def test_recurrent_set_json_shape(tmp_path, capsys):
+    path = tmp_path / "k3.txt"
+    path.write_text("".join(f"{tail} {head}\n" for tail, head in K3.arcs))
+    assert main(["recurrents", str(path), "--sink", "s", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["sink"] == "s" and data["kappa"] == 3
     assert data["configs"][0] == {"chips": {"a": 0, "b": 1}, "sum": 3, "level": 0}
     vectors = [tuple(c["chips"][v] for v in ("a", "b")) for c in data["configs"]]
@@ -819,7 +823,7 @@ def test_enumeration_at_another_sink_fills_one_member_map():
 # every value a game record computes on first read and keeps
 KEPT_VALUES = (
     "_laplacian", "count", "movers", "burner", "found",
-    "sum_polynomial", "sums", "_least_sum", "kappa", "configs",
+    "sum_polynomial", "sums", "_least_sum", "kappa",
 )  # fmt: skip
 
 
